@@ -6,7 +6,10 @@ correctable fractions with verifiable certificates (:mod:`zchannel.tau_lp`),
 analytic rate bounds (:mod:`zchannel.rate_bounds`), the two-stage feedback
 scheme and its threshold certification (:mod:`zchannel.two_stage`), and an
 executable protocol with an exhaustive adversary (:mod:`zchannel.protocol`).
+The public names of those modules are re-exported here.
 """
+
+__version__ = "0.1.0"
 
 from .protocol import (
     ADVERSARY_BUDGET,
@@ -28,15 +31,12 @@ from .protocol import (
 )
 from .rate_bounds import (
     BoundCurve,
-    RcbParams,
     TauStarResult,
     bassalygo_size_bound,
     binary_entropy,
-    gv_curve,
     gv_rate,
     levenshtein_rate_bound,
     list_plotkin_holds,
-    mrrw_curve,
     mrrw_rate,
     plotkin_symmetric_size,
     rcb_delta,
@@ -63,7 +63,6 @@ from .tau_lp import (
     build_pair_matrix,
     solve_tau,
     tau_of_L,
-    tau_of_L_info,
     verify_certificate,
 )
 from .two_stage import (
@@ -88,76 +87,3 @@ from .words import (
     list_radius,
     zball_contains,
 )
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "ADVERSARY_BUDGET",
-    "AdversaryReport",
-    "BitWord",
-    "BoundCurve",
-    "BudgetExceededError",
-    "CertificateCheck",
-    "Code",
-    "CodeSearchResult",
-    "DEFAULT_CONFIG",
-    "PairMatrix",
-    "PlotkinPoint",
-    "ProtocolError",
-    "ProtocolParams",
-    "RcbParams",
-    "RemainsReport",
-    "RemainsRow",
-    "SearchBudget",
-    "TAU_TABLE",
-    "TauCertificate",
-    "TauStarResult",
-    "Transcript",
-    "TwoStageConfig",
-    "UnresolvedError",
-    "ValidationReport",
-    "ValidationRow",
-    "adversary_exhaustive",
-    "avg_radius",
-    "bassalygo_size_bound",
-    "best_list_code",
-    "binary_entropy",
-    "build_pair_matrix",
-    "check_star",
-    "decode",
-    "decode_candidates",
-    "delta",
-    "dh",
-    "dz",
-    "encode_stage1",
-    "encode_stage2",
-    "gv_curve",
-    "gv_rate",
-    "levenshtein_rate_bound",
-    "list_plotkin_holds",
-    "list_radius",
-    "max_code",
-    "mrrw_curve",
-    "mrrw_rate",
-    "plotkin_point",
-    "plotkin_symmetric_size",
-    "r2",
-    "rcb_delta",
-    "rcb_g",
-    "rcb_lower_curve",
-    "read_code_file",
-    "sample_code_radius",
-    "solve_tau",
-    "tau_of_L",
-    "tau_of_L_info",
-    "tau_star",
-    "tau_star_info",
-    "two_stage_rate",
-    "validate_parameters",
-    "verify_certificate",
-    "verify_remains",
-    "w0",
-    "write_code_file",
-    "zball_contains",
-    "zplotkin_size_bound",
-]

@@ -6,8 +6,10 @@ the subcommand, parameters, outputs, and wall time, so result files can
 always be traced to the invocation that made them.  CSV output is fixed
 9-decimal format with newline endings; reruns are byte-identical.
 
-Exit codes: 0 on success, 1 for usage errors, 2 when a requested
-computation ends unresolved (cap hit, failed validation, refused budget).
+Exit codes: 0 on success, 1 for usage errors (any ``ValueError``, which
+covers bad arguments, out-of-range sizes and malformed code files), 2 when
+a requested computation ends unresolved (cap hit, failed validation,
+refused budget).
 """
 
 from __future__ import annotations
@@ -30,14 +32,10 @@ from .protocol import (
     write_code_file,
 )
 from .search import SearchBudget, best_list_code, max_code
-from .tau_lp import TAU_TABLE, UnresolvedError, solve_tau
+from .tau_lp import UnresolvedError, solve_tau
 from .two_stage import TwoStageConfig, plotkin_point, two_stage_rate, verify_remains
 
 THREADS_ENV = "ZCHANNEL_THREADS"
-
-
-class _UsageError(Exception):
-    pass
 
 
 @dataclass
@@ -53,10 +51,11 @@ class RunManifest:
 
     def write(self, out_dir: Path) -> None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / "manifest.json"
-        with path.open("w") as fh:
-            json.dump(self.__dict__, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(out_dir / "manifest.json", self.__dict__, sort_keys=True)
+
+
+def _write_json(path: Path, doc, *, sort_keys: bool = False) -> None:
+    path.write_text(json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n")
 
 
 def _csv_curve(path: Path, taus, rates) -> None:
@@ -66,13 +65,15 @@ def _csv_curve(path: Path, taus, rates) -> None:
             fh.write(f"{t:.9f},{r:.9f}\n")
 
 
-def _thread_count() -> int:
+def _thread_count(jobs: int) -> int:
+    """Worker processes for ``jobs`` independent jobs: the environment's
+    request, capped at the CPU count and at the number of jobs."""
     raw = os.environ.get(THREADS_ENV, "1")
     try:
         n = int(raw)
     except ValueError:
-        raise _UsageError(f"{THREADS_ENV}={raw!r} is not an integer")
-    return max(1, n)
+        raise ValueError(f"{THREADS_ENV}={raw!r} is not an integer") from None
+    return max(1, min(n, os.cpu_count() or 1, jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -81,26 +82,19 @@ def _thread_count() -> int:
 
 def _cmd_tau_table(args, out: Path, manifest: RunManifest) -> int:
     if not 2 <= args.max_m <= 18:
-        raise _UsageError("--max-m must lie in 2..18")
+        raise ValueError("--max-m must lie in 2..18")
     rows = []
     unresolved = []
     for m in range(2, args.max_m + 1):
         try:
             cert = solve_tau(m)
         except UnresolvedError as exc:
-            unresolved.append((m, str(exc)))
-            if args.exact_only:
-                continue
-            # fall back to the stored value; no certificate for this row
-            value = TAU_TABLE[m]
-            print(f"warning: M={m} unresolved, using stored value", file=sys.stderr)
-            rows.append((m, value.numerator, value.denominator))
+            # no certificate, so no row: the size is reported, never filled in
+            unresolved.append(f"M={m}: {exc}")
             continue
         rows.append((m, cert.tau.numerator, cert.tau.denominator))
         cert_path = out / f"certificate_{m}.json"
-        with cert_path.open("w") as fh:
-            json.dump(cert.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(cert_path, cert.to_json_dict(), sort_keys=True)
         manifest.outputs.append(cert_path.name)
     csv_path = out / "tau_table.csv"
     with csv_path.open("w", newline="") as fh:
@@ -108,9 +102,9 @@ def _cmd_tau_table(args, out: Path, manifest: RunManifest) -> int:
         for m, num, den in rows:
             fh.write(f"{m},{num},{den}\n")
     manifest.outputs.append(csv_path.name)
-    if unresolved and args.exact_only:
+    if unresolved:
         manifest.status = "unresolved"
-        manifest.error = "; ".join(f"M={m}: {msg}" for m, msg in unresolved)
+        manifest.error = "; ".join(unresolved)
         return 2
     return 0
 
@@ -119,7 +113,7 @@ def _cmd_rcb_curve(args, out: Path, manifest: RunManifest) -> int:
     from .rate_bounds import rcb_lower_curve
 
     if not 1 <= args.list_size <= 17:
-        raise _UsageError("--list-size must lie in 1..17")
+        raise ValueError("--list-size must lie in 1..17")
     curve = rcb_lower_curve(
         args.list_size, r_points=args.grid, omega_points=args.grid
     )
@@ -138,11 +132,11 @@ def _cmd_two_stage_curve(args, out: Path, manifest: RunManifest) -> int:
     from .rate_bounds import gv_rate, mrrw_rate
 
     if args.lup < 1:
-        raise _UsageError("--lup must be positive")
+        raise ValueError("--lup must be positive")
     cfg = TwoStageConfig(l_up=args.lup)
     taus = [args.tau_max * k / args.grid for k in range(1, args.grid + 1)]
-    threads = _thread_count()
     jobs = [(t, cfg) for t in taus]
+    threads = _thread_count(len(jobs))
     if threads > 1:
         import multiprocessing
 
@@ -166,16 +160,14 @@ def _cmd_two_stage_curve(args, out: Path, manifest: RunManifest) -> int:
 def _cmd_plotkin_point(args, out: Path, manifest: RunManifest) -> int:
     point = plotkin_point()
     path = out / "plotkin_point.json"
-    with path.open("w") as fh:
-        json.dump(point.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, point.to_json_dict(), sort_keys=True)
     manifest.outputs.append(path.name)
     return 0
 
 
 def _cmd_verify_remains(args, out: Path, manifest: RunManifest) -> int:
     if not 1 <= args.lup <= 17:
-        raise _UsageError("--lup must lie in 1..17")
+        raise ValueError("--lup must lie in 1..17")
     report = verify_remains(args.lup)
     doc = {
         "omega_low": str(report.omega_low),
@@ -196,9 +188,7 @@ def _cmd_verify_remains(args, out: Path, manifest: RunManifest) -> int:
         "all_ok": report.all_ok,
     }
     path = out / "remains.json"
-    with path.open("w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(path, doc)
     manifest.outputs.append(path.name)
     if not report.all_ok:
         manifest.status = "failed-validation"
@@ -213,7 +203,7 @@ def _cmd_search(args, out: Path, manifest: RunManifest) -> int:
         result = max_code(args.n, args.d, budget)
     else:
         if args.w is None or args.size is None or args.list_size is None:
-            raise _UsageError("best-list needs --w, --size and --list-size")
+            raise ValueError("best-list needs --w, --size and --list-size")
         result = best_list_code(args.n, args.w, args.size, args.list_size, budget)
     code_path = out / "code.txt"
     write_code_file(code_path, result.code)
@@ -227,9 +217,7 @@ def _cmd_search(args, out: Path, manifest: RunManifest) -> int:
         "words": [str(w) for w in result.code],
     }
     path = out / "search.json"
-    with path.open("w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(path, doc)
     manifest.outputs.append(path.name)
     return 0
 
@@ -239,7 +227,7 @@ def _parse_stage2(items: list[str]) -> dict[int, Path]:
     for item in items:
         grade, _, file = item.partition("=")
         if not file or not grade.isdigit() or int(grade) < 1:
-            raise _UsageError(
+            raise ValueError(
                 f"--stage2 takes GRADE=FILE with a positive GRADE, got {item!r}"
             )
         family[int(grade)] = Path(file)
@@ -302,9 +290,7 @@ def _cmd_simulate(args, out: Path, manifest: RunManifest) -> int:
             verdict["result"] = "pass" if all_passed else "fail"
             status = 0 if all_passed else 2
     path = out / "verdict.json"
-    with path.open("w") as fh:
-        json.dump(verdict, fh, indent=2)
-        fh.write("\n")
+    _write_json(path, verdict)
     manifest.outputs.append(path.name)
     if status:
         manifest.status = str(verdict["result"])
@@ -325,8 +311,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tau-table", help="solved correctable fractions with certificates")
     p.add_argument("--max-m", type=int, required=True)
-    p.add_argument("--exact-only", action="store_true",
-                   help="keep going past unresolved sizes, exit 2 at the end")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_tau_table)
 
@@ -392,20 +376,14 @@ def main(argv: list[str] | None = None) -> int:
     started = time.monotonic()
     try:
         status = args.fn(args, out, manifest)
-    except _UsageError as exc:
+    except (ValueError, UnresolvedError, BudgetExceededError) as exc:
+        # ValueError (ProtocolError included) is bad input; the rest is
+        # work that could not be finished
+        usage = isinstance(exc, ValueError)
         print(f"error: {exc}", file=sys.stderr)
-        manifest.status = "usage-error"
+        manifest.status = "usage-error" if usage else "unresolved"
         manifest.error = str(exc)
-        manifest.wall_seconds = round(time.monotonic() - started, 3)
-        manifest.write(out)
-        return 1
-    except (UnresolvedError, BudgetExceededError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        manifest.status = "unresolved"
-        manifest.error = str(exc)
-        manifest.wall_seconds = round(time.monotonic() - started, 3)
-        manifest.write(out)
-        return 2
+        status = 1 if usage else 2
     manifest.wall_seconds = round(time.monotonic() - started, 3)
     manifest.write(out)
     return status

@@ -12,7 +12,7 @@ adversary has left.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -21,6 +21,7 @@ from typing import Iterable, Mapping
 from .words import BitWord, Code, dz, list_radius
 
 ADVERSARY_BUDGET = 10_000_000
+_MAX_FAILURES = 10  # failing transcripts kept in a report
 
 
 class ProtocolError(ValueError):
@@ -270,7 +271,6 @@ def adversary_exhaustive(
     m: int,
     *,
     require_valid: bool = True,
-    max_failures: int = 10,
 ) -> AdversaryReport:
     """Try every split of the error budget against message m.
 
@@ -301,6 +301,17 @@ def adversary_exhaustive(
     patterns = 0
     failures: list[Transcript] = []
     passed = True
+
+    def record(t: Transcript) -> None:
+        nonlocal patterns, passed
+        patterns += 1
+        if not t.ok:
+            passed = False
+            if len(failures) < _MAX_FAILURES:
+                failures.append(t)
+        sha.update(t.digest_line().encode())
+        sha.update(b"\n")
+
     for k1 in range(0, min(p.w, p.t) + 1):
         for e1 in combinations(support1, k1):
             y1 = _erase(x1, e1)
@@ -308,33 +319,18 @@ def adversary_exhaustive(
                 x2 = encode_stage2(p, m, y1)
             except ProtocolError:
                 # no grade for this list size: every leftover budget fails
-                x2 = None
-            left = p.t - k1
-            if x2 is None:
-                t = Transcript(m, x1, y1, BitWord.zeros(p.n2), BitWord.zeros(p.n2), None)
-                patterns += 1
-                passed = False
-                if len(failures) < max_failures:
-                    failures.append(t)
-                sha.update(t.digest_line().encode())
-                sha.update(b"\n")
+                zeros = BitWord.zeros(p.n2)
+                record(Transcript(m, x1, y1, zeros, zeros, None))
                 continue
             support2 = x2.support()
-            for k2 in range(0, min(len(support2), left) + 1):
+            for k2 in range(0, min(len(support2), p.t - k1) + 1):
                 for e2 in combinations(support2, k2):
                     y2 = _erase(x2, e2)
                     try:
                         m_hat = decode(p, y1, y2)
                     except ProtocolError:
                         m_hat = None
-                    t = Transcript(m, x1, y1, x2, y2, m_hat)
-                    patterns += 1
-                    if not t.ok:
-                        passed = False
-                        if len(failures) < max_failures:
-                            failures.append(t)
-                    sha.update(t.digest_line().encode())
-                    sha.update(b"\n")
+                    record(Transcript(m, x1, y1, x2, y2, m_hat))
     return AdversaryReport(m, passed, patterns, failures, sha.hexdigest())
 
 

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb, exp, fsum, log, sqrt
 
 import numpy as np
 
 LN2 = log(2.0)
+_TAU_TOL = 1e-10  # bisection width for the scalar tau_star root
 
 
 def binary_entropy(p: float) -> float:
@@ -30,12 +30,6 @@ def binary_entropy(p: float) -> float:
     if p == 0.0 or p == 1.0:
         return 0.0
     return -(p * log(p) + (1.0 - p) * log(1.0 - p)) / LN2
-
-
-def _entropy_nats(p: float) -> float:
-    if p <= 0.0 or p >= 1.0:
-        return 0.0
-    return -(p * log(p) + (1.0 - p) * log(1.0 - p))
 
 
 # ---------------------------------------------------------------------------
@@ -134,23 +128,6 @@ def list_plotkin_holds(M: int, L: int, omega: float, tau: float) -> bool:
 # random-coding exponent for list decoding under i.i.d. degradation
 
 
-@dataclass(frozen=True)
-class RcbParams:
-    """Rate, list size, and bit probability for the random-coding bound."""
-
-    R: float
-    L: int
-    omega: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.R < 1.0:
-            raise ValueError(f"rate {self.R} outside [0, 1)")
-        if self.L < 1:
-            raise ValueError("list size must be at least 1")
-        if not 0.0 < self.omega < 1.0:
-            raise ValueError("bit probability must be inside (0, 1)")
-
-
 def _binom_terms(L: int, omega: float) -> tuple[float, list[float], list[float]]:
     """Pieces of the tilted moment sum.
 
@@ -225,7 +202,7 @@ class TauStarResult:
     tilt: float
 
 
-def tau_star_info(R: float, L: int, omega: float, *, tol: float = 1e-10) -> TauStarResult:
+def tau_star_info(R: float, L: int, omega: float) -> TauStarResult:
     """Largest error fraction a random size-2^(RLn) list-L code withstands.
 
     Solves g(h) - h g'(h) = R L ln2 for the smallest root and reports
@@ -257,7 +234,7 @@ def tau_star_info(R: float, L: int, omega: float, *, tol: float = 1e-10) -> TauS
         if hi > 2.0**64:
             # the plateau sits essentially at the target; treat as infeasible
             return TauStarResult(0.0, False, math.inf)
-    while hi - lo > tol:
+    while hi - lo > _TAU_TOL:
         mid = (lo + hi) / 2.0
         if phi(mid) < target:
             lo = mid
@@ -268,8 +245,8 @@ def tau_star_info(R: float, L: int, omega: float, *, tol: float = 1e-10) -> TauS
     return TauStarResult(slope, True, h_star)
 
 
-def tau_star(R: float, L: int, omega: float, *, tol: float = 1e-10) -> float:
-    return tau_star_info(R, L, omega, tol=tol).value
+def tau_star(R: float, L: int, omega: float) -> float:
+    return tau_star_info(R, L, omega).value
 
 
 def _tau_star_vec(R: float, L: int, omegas: np.ndarray, iters: int = 64) -> np.ndarray:
@@ -346,7 +323,6 @@ def rcb_lower_curve(
     *,
     r_points: int = 2000,
     omega_points: int = 2000,
-    polish: bool = True,
 ) -> BoundCurve:
     """Achievable (tau, R) pairs for list size L: for each rate, the best
     bit probability is found on a grid and then polished by golden-section
@@ -363,11 +339,10 @@ def rcb_lower_curve(
         vals = _tau_star_vec(R, L, omegas)
         best = int(np.argmax(vals))
         tau_best = float(vals[best])
-        if polish and tau_best > 0.0:
+        if tau_best > 0.0:
             lo = float(omegas[max(best - 1, 0)])
             hi = float(omegas[min(best + 1, len(omegas) - 1)])
             a, b = lo, hi
-            fc = fd = None
             c = b - gold * (b - a)
             d = a + gold * (b - a)
             fc = tau_star(R, L, c)
@@ -401,28 +376,15 @@ def rcb_lower_curve(
     )
 
 
-def gv_curve(tau_points: int = 2000, tau_max: float = 0.25) -> BoundCurve:
-    """Symmetric-channel achievable rate 1 - h(2 tau) on a tau grid."""
-    taus = [tau_max * k / tau_points for k in range(1, tau_points + 1)]
-    rates = [max(0.0, 1.0 - binary_entropy(min(2.0 * t, 1.0))) for t in taus]
-    return BoundCurve("gv", taus, rates, {"tau_points": tau_points})
-
-
 def gv_rate(tau: float) -> float:
+    """Symmetric-channel achievable rate 1 - h(2 tau)."""
     if not 0.0 <= tau <= 0.25:
         raise ValueError("error fraction must lie in [0, 1/4]")
     return max(0.0, 1.0 - binary_entropy(2.0 * tau))
 
 
-def mrrw_curve(tau_points: int = 2000, tau_max: float = 0.25) -> BoundCurve:
-    """Symmetric-channel converse h(1/2 - sqrt(2 tau (1 - 2 tau))) on a
-    tau grid."""
-    taus = [tau_max * k / tau_points for k in range(1, tau_points + 1)]
-    rates = [mrrw_rate(t) for t in taus]
-    return BoundCurve("mrrw", taus, rates, {"tau_points": tau_points})
-
-
 def mrrw_rate(tau: float) -> float:
+    """Symmetric-channel converse h(1/2 - sqrt(2 tau (1 - 2 tau)))."""
     if not 0.0 <= tau <= 0.25:
         raise ValueError("error fraction must lie in [0, 1/4]")
     d = 2.0 * tau

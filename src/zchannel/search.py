@@ -8,13 +8,12 @@ take an explicit seed and use the stdlib Mersenne Twister.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Sequence
 
-from .words import BitWord, Code
+from .words import BitWord, Code, _subset_radius
 
 
 @dataclass(frozen=True)
@@ -101,24 +100,6 @@ def max_code(n: int, d: int, budget: SearchBudget | None = None) -> CodeSearchRe
     return CodeSearchResult(code, len(best), not truncated, nodes, note)
 
 
-def _subset_radius(masks: Sequence[int], list_size: int) -> int:
-    """list_radius on raw masks; callers guarantee len(masks) > list_size."""
-    best: int | None = None
-    for sub in combinations(masks, list_size + 1):
-        meet = sub[0]
-        top = sub[0].bit_count()
-        for m in sub[1:]:
-            meet &= m
-            c = m.bit_count()
-            if c > top:
-                top = c
-        worst = top - meet.bit_count()
-        if best is None or worst < best:
-            best = worst
-    assert best is not None
-    return best - 1
-
-
 def best_list_code(
     n: int,
     w: int,
@@ -203,16 +184,18 @@ def sample_code_radius(
                 if rng.random() < omega:
                     m |= 1 << i
             masks.append(m)
-        best: Fraction | None = None
+        # the average gap is this total over list_size + 1, so the integer
+        # minimum picks the same subset
+        best: int | None = None
         for sub in combinations(masks, list_size + 1):
             meet = sub[0]
             tot = 0
             for m in sub:
                 meet &= m
                 tot += m.bit_count()
-            val = Fraction(tot - (list_size + 1) * meet.bit_count(), list_size + 1)
-            if best is None or val < best:
-                best = val
+            gap = tot - (list_size + 1) * meet.bit_count()
+            if best is None or gap < best:
+                best = gap
         assert best is not None
-        out.append(best / n)
+        out.append(Fraction(best, (list_size + 1) * n))
     return out

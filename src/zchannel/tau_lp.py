@@ -28,6 +28,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from .words import BitWord
+
 F = Fraction
 _ZERO = F(0)
 _ONE = F(1)
@@ -61,6 +63,9 @@ TAU_TABLE: dict[int, Fraction] = {
 }
 
 _DIRECT_LIMIT = 12  # build every pruned column up to here; column generation beyond
+_BLAND_AFTER = 2000  # pivots per phase before entering switches to smallest index
+_CG_BATCH = 40  # columns added per column-generation round
+_CG_ROUNDS_CAP = 400
 
 
 class UnresolvedError(RuntimeError):
@@ -73,18 +78,6 @@ class UnresolvedError(RuntimeError):
     def __init__(self, message: str, bounds: dict[str, Fraction] | None = None):
         super().__init__(message)
         self.bounds = bounds or {}
-
-
-def _pattern_string(mask: int, m: int) -> str:
-    return "".join("1" if mask >> i & 1 else "0" for i in range(m))
-
-
-def _pattern_mask(bits: str) -> int:
-    mask = 0
-    for i, ch in enumerate(bits):
-        if ch == "1":
-            mask |= 1 << i
-    return mask
 
 
 def _pruned_masks(m: int) -> list[int]:
@@ -108,19 +101,14 @@ class PairMatrix:
     patterns: tuple[int, ...]
     prune_stats: dict[str, int] = field(compare=False)
 
-    def entry(self, pattern: int, pair: tuple[int, int]) -> int:
-        i, j = pair
-        return 1 if (pattern >> (i - 1) & 1) == 0 and (pattern >> (j - 1) & 1) == 1 else 0
-
     def column_rows(self, pattern: int) -> tuple[int, ...]:
-        """Indices into ``pairs`` covered by the given pattern."""
+        """Indices into ``pairs`` of the (i, j) with b_i = 0 and b_j = 1 in
+        the given pattern: the one incidence rule behind columns, row sums
+        and the covering check."""
         return tuple(
             r for r, (i, j) in enumerate(self.pairs)
             if (pattern >> (i - 1) & 1) == 0 and (pattern >> (j - 1) & 1)
         )
-
-    def pattern_strings(self) -> tuple[str, ...]:
-        return tuple(_pattern_string(p, self.m) for p in self.patterns)
 
 
 def build_pair_matrix(M: int) -> PairMatrix:
@@ -164,7 +152,7 @@ class TauCertificate:
                 f"{i},{j}": str(v) for (i, j), v in sorted(self.primal.items())
             },
             "dual": {
-                _pattern_string(p, self.m): str(v) for p, v in sorted(self.dual.items())
+                str(BitWord(self.m, p)): str(v) for p, v in sorted(self.dual.items())
             },
         }
 
@@ -175,7 +163,7 @@ class TauCertificate:
         for key, val in data["primal"].items():
             i, j = (int(part) for part in key.split(","))
             primal[(i, j)] = F(val)
-        dual = {_pattern_mask(key): F(val) for key, val in data["dual"].items()}
+        dual = {BitWord.from_string(key).mask: F(val) for key, val in data["dual"].items()}
         return cls(m, F(data["tau"]), F(data["value"]), primal, dual)
 
 
@@ -196,7 +184,7 @@ class _ExactSimplex:
     which hands us duals and lets new columns be priced into the current
     basis), followed by structural columns; the right-hand side is kept
     separately.  Entering choice is steepest-coefficient with a switch to
-    smallest-index after ``bland_after`` pivots, so runs terminate even on
+    smallest-index after ``_BLAND_AFTER`` pivots, so runs terminate even on
     degenerate bases.  Leaving ties always break on smallest basis label.
     """
 
@@ -206,11 +194,9 @@ class _ExactSimplex:
         columns: Sequence[dict[int, Fraction]],
         costs: Sequence[Fraction],
         rhs: Sequence[Fraction],
-        bland_after: int = 2000,
-        pivot_cap: int = 2_000_000,
+        pivot_cap: int,
     ):
         self.m = num_rows
-        self.bland_after = bland_after
         self.pivot_cap = pivot_cap
         self.pivots = 0
         self.rows: list[list[Fraction]] = []
@@ -295,7 +281,7 @@ class _ExactSimplex:
         phase_pivots = 0
         while True:
             entering = -1
-            if phase_pivots < self.bland_after:
+            if phase_pivots < _BLAND_AFTER:
                 best = _ZERO
                 for j, v in enumerate(red):
                     if v < best and j not in in_basis and (phase == 1 or j >= self.m):
@@ -338,10 +324,6 @@ class _ExactSimplex:
         if any(self.rhs[i] != 0 for i, b in enumerate(self.basis) if b < self.m):
             raise RuntimeError("infeasible system; malformed input")
         self._drive_out_artificials()
-        self._run_phase(2)
-
-    def resume(self) -> None:
-        """Re-optimize after columns were appended (basis stays feasible)."""
         self._run_phase(2)
 
     def _drive_out_artificials(self) -> None:
@@ -387,28 +369,12 @@ class _ExactSimplex:
         return pi
 
 
-def _covering_columns(
-    pairs: Sequence[tuple[int, int]], masks: Iterable[int]
-) -> list[dict[int, Fraction]]:
-    cols = []
-    for mask in masks:
-        col = {
-            r: _ONE
-            for r, (i, j) in enumerate(pairs)
-            if (mask >> (i - 1) & 1) == 0 and (mask >> (j - 1) & 1)
-        }
-        cols.append(col)
-    return cols
+def _covering_columns(pm: PairMatrix, masks: Iterable[int]) -> list[dict[int, Fraction]]:
+    return [dict.fromkeys(pm.column_rows(mask), _ONE) for mask in masks]
 
 
-def _exact_row_sum(y: Sequence[Fraction], pairs: Sequence[tuple[int, int]], mask: int) -> Fraction:
-    total = _ZERO
-    for r, (i, j) in enumerate(pairs):
-        if (mask >> (i - 1) & 1) == 0 and (mask >> (j - 1) & 1):
-            v = y[r]
-            if v:
-                total += v
-    return total
+def _exact_row_sum(y: Sequence[Fraction], pm: PairMatrix, mask: int) -> Fraction:
+    return sum((y[r] for r in pm.column_rows(mask) if y[r]), _ZERO)
 
 
 def _seed_masks(m: int) -> list[int]:
@@ -431,11 +397,7 @@ def _solve_covering(
     M: int,
     *,
     column_generation: bool,
-    bland_after: int = 2000,
     pivot_cap: int = 2_000_000,
-    batch: int = 40,
-    rounds_cap: int = 400,
-    use_all_columns: bool = False,
 ) -> TauCertificate:
     pm = build_pair_matrix(M)
     pairs = pm.pairs
@@ -445,16 +407,11 @@ def _solve_covering(
 
     # col_mask runs parallel to the structural columns: the pattern behind
     # each one, or None for a surplus variable.
-    if use_all_columns:
-        initial = list(range(1 << M))
-    elif column_generation:
-        initial = _seed_masks(M)
-    else:
-        initial = list(pm.patterns)
-    cols = _covering_columns(pairs, initial) + [{r: -_ONE} for r in range(K)]
+    initial = _seed_masks(M) if column_generation else list(pm.patterns)
+    cols = _covering_columns(pm, initial) + [{r: -_ONE} for r in range(K)]
     costs = [_ONE] * len(initial) + [_ZERO] * K
     col_mask: list[int | None] = list(initial) + [None] * K
-    sx = _ExactSimplex(K, cols, costs, rhs, bland_after, pivot_cap)
+    sx = _ExactSimplex(K, cols, costs, rhs, pivot_cap)
     sx.solve()
     rounds = 0
 
@@ -470,9 +427,9 @@ def _solve_covering(
         active_set = set(initial)
         while True:
             rounds += 1
-            if rounds > rounds_cap:
+            if rounds > _CG_ROUNDS_CAP:
                 raise UnresolvedError(
-                    f"column generation did not converge in {rounds_cap} rounds",
+                    f"column generation did not converge in {_CG_ROUNDS_CAP} rounds",
                     {"tau_lower": _ONE / sx.objective()},
                 )
             y = sx.duals()
@@ -487,14 +444,14 @@ def _solve_covering(
             strong = np.nonzero(viol > 1.0 + 1e-9)[0]
             if strong.size:
                 order = strong[np.argsort(-viol[strong])]
-                for idx in order[: 6 * batch]:
+                for idx in order[: 6 * _CG_BATCH]:
                     mask = all_masks[int(idx)]
                     if mask in active_set:
                         continue
-                    exact = _exact_row_sum(y, pairs, mask)
+                    exact = _exact_row_sum(y, pm, mask)
                     if exact > 1:
                         fresh.append((exact, mask))
-                        if len(fresh) >= batch:
+                        if len(fresh) >= _CG_BATCH:
                             break
             if not fresh:
                 # nothing clearly violated in float: settle the borderline
@@ -504,20 +461,20 @@ def _solve_covering(
                     mask = all_masks[int(idx)]
                     if mask in active_set:
                         continue
-                    exact = _exact_row_sum(y, pairs, mask)
+                    exact = _exact_row_sum(y, pm, mask)
                     if exact > 1:
                         fresh.append((exact, mask))
-                        if len(fresh) >= batch:
+                        if len(fresh) >= _CG_BATCH:
                             break
                 if not fresh:
                     break
             fresh.sort(key=lambda item: (-item[0], item[1]))
-            new_masks = [mask for _, mask in fresh[:batch]]
-            for col in _covering_columns(pairs, new_masks):
+            new_masks = [mask for _, mask in fresh[:_CG_BATCH]]
+            for col in _covering_columns(pm, new_masks):
                 sx._append_column(col, _ONE)
             col_mask.extend(new_masks)
             active_set.update(new_masks)
-            sx.resume()
+            sx._run_phase(2)  # appended columns leave the basis feasible
 
     value = sx.objective()
     if value <= 0:
@@ -600,10 +557,13 @@ def verify_certificate(cert: TauCertificate) -> CertificateCheck:
         y[r] = v
 
     for mask, v in cert.dual.items():
-        if not 0 <= mask < (1 << cert.m):
-            diags.append(f"dual key {mask:#x} is not an {cert.m}-bit pattern")
+        if 0 <= mask < (1 << cert.m):
+            key = str(BitWord(cert.m, mask))
+        else:
+            key = f"{mask:#x}"
+            diags.append(f"dual key {key} is not an {cert.m}-bit pattern")
         if v < 0:
-            diags.append(f"dual weight for {_pattern_string(mask, cert.m)} negative")
+            diags.append(f"dual weight for {key} negative")
 
     sum_y = sum(y, _ZERO)
     if sum_y != cert.value:
@@ -614,18 +574,17 @@ def verify_certificate(cert: TauCertificate) -> CertificateCheck:
 
     if not diags:
         for mask in pm.patterns:
-            if _exact_row_sum(y, pm.pairs, mask) > 1:
+            if _exact_row_sum(y, pm, mask) > 1:
                 diags.append(
-                    f"packing constraint violated at pattern {_pattern_string(mask, cert.m)}"
+                    f"packing constraint violated at pattern {BitWord(cert.m, mask)}"
                 )
                 break
         covered = [_ZERO] * len(pm.pairs)
         for mask, v in cert.dual.items():
             if v == 0:
                 continue
-            for r, (i, j) in enumerate(pm.pairs):
-                if (mask >> (i - 1) & 1) == 0 and (mask >> (j - 1) & 1):
-                    covered[r] += v
+            for r in pm.column_rows(mask):
+                covered[r] += v
         for r, total in enumerate(covered):
             if total < 1:
                 diags.append(f"pair {pm.pairs[r]} covered with weight {total} < 1")
@@ -637,15 +596,8 @@ def verify_certificate(cert: TauCertificate) -> CertificateCheck:
 def tau_of_L(L: int) -> Fraction:
     """Correctable fraction for list size L: solved value through 18, the
     guaranteed lower bound L/(4L-2) beyond."""
-    value, _ = tau_of_L_info(L)
-    return value
-
-
-def tau_of_L_info(L: int) -> tuple[Fraction, bool]:
-    """Like tau_of_L, plus a flag: True when the solved value was used,
-    False when the asymptotic fallback fired."""
     if L < 2:
         raise ValueError("list size must be at least 2")
     if L in TAU_TABLE:
-        return TAU_TABLE[L], True
-    return F(L, 4 * L - 2), False
+        return TAU_TABLE[L]
+    return F(L, 4 * L - 2)

@@ -19,7 +19,7 @@ near the threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
 
@@ -209,21 +209,11 @@ class PlotkinPoint:
 
 
 def plotkin_point() -> PlotkinPoint:
-    """Solve the stationarity cubic 1 + 3 w^2 - 8 w^3 = 0 by bisection to
-    1e-12 and derive the split and threshold from the root."""
-
-    def p(w: float) -> float:
-        return 1.0 + 3.0 * w * w - 8.0 * w**3
-
-    lo, hi = 0.6, 0.7
-    assert p(lo) > 0.0 > p(hi)
-    while hi - lo > 1e-12:
-        mid = (lo + hi) / 2.0
-        if p(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    w = (lo + hi) / 2.0
+    """Root of the stationarity cubic 1 + 3 w^2 - 8 w^3 = 0, taken as the
+    midpoint of its exact rational bracket, and the split and threshold
+    derived from it."""
+    lo, hi = _omega_enclosure()
+    w = float((lo + hi) / 2)
     alpha = 1.0 / (1.0 + 4.0 * w**3)
     tau = (w + w**3) / (1.0 + 4.0 * w**3)
     return PlotkinPoint(w, alpha, tau)
@@ -255,7 +245,7 @@ class RemainsReport:
         return self.all_ok
 
 
-def _omega_enclosure(steps: int = 60) -> tuple[Fraction, Fraction]:
+def _omega_enclosure() -> tuple[Fraction, Fraction]:
     """Shrinking rational bracket around the cubic's root; the sign of
     8 w^3 - 3 w^2 - 1 is evaluated exactly at every endpoint."""
 
@@ -264,7 +254,7 @@ def _omega_enclosure(steps: int = 60) -> tuple[Fraction, Fraction]:
 
     lo, hi = Fraction(33, 50), Fraction(67, 100)
     assert q(lo) < 0 < q(hi)
-    for _ in range(steps):
+    for _ in range(60):
         mid = (lo + hi) / 2
         if q(mid) < 0:
             lo = mid

@@ -223,15 +223,23 @@ def list_radius(code: Code | Sequence[BitWord], list_size: int) -> int:
     words = tuple(code.words if isinstance(code, Code) else code)
     if not words:
         raise ValueError("need a nonempty code")
-    n = words[0].n
     if len(words) <= list_size:
-        return n
-    best = None
-    for sub in combinations(range(len(words)), list_size + 1):
-        meet = words[sub[0]].mask
-        for i in sub[1:]:
-            meet &= words[i].mask
-        worst = max(words[i].mask.bit_count() for i in sub) - meet.bit_count()
+        return words[0].n
+    return _subset_radius([w.mask for w in words], list_size)
+
+
+def _subset_radius(masks: Sequence[int], list_size: int) -> int:
+    """list_radius on raw masks; callers guarantee len(masks) > list_size."""
+    best: int | None = None
+    for sub in combinations(masks, list_size + 1):
+        meet = sub[0]
+        top = sub[0].bit_count()
+        for m in sub[1:]:
+            meet &= m
+            c = m.bit_count()
+            if c > top:
+                top = c
+        worst = top - meet.bit_count()
         if best is None or worst < best:
             best = worst
     assert best is not None

@@ -6,6 +6,7 @@ are summed term by term from their definitions.  Agreement between these
 and the package routes is what the oracle tests assert.
 """
 
+from itertools import product
 from math import comb, exp, log
 
 
@@ -29,6 +30,23 @@ def list_radius_by_enumeration(masks, n, list_size):
     if worst is None:
         return n
     return worst - 1
+
+
+def pattern_covers_pair(bits, i, j):
+    """Whether the pattern written as the bit string ``bits`` (position 1
+    first) covers the 1-based pair (i, j): a 0 at position i, a 1 at j."""
+    return bits[i - 1] == "0" and bits[j - 1] == "1"
+
+
+def packing_violations(y, m):
+    """Every length-m pattern, unpruned, whose covered pairs carry total
+    packing weight above 1 under ``y`` (a dict from pairs to weights)."""
+    out = []
+    for bits in map("".join, product("01", repeat=m)):
+        total = sum(v for (i, j), v in y.items() if pattern_covers_pair(bits, i, j))
+        if total > 1:
+            out.append(bits)
+    return out
 
 
 def direct_exponent(h, list_size, omega):

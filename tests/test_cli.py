@@ -7,12 +7,15 @@ convention (success / usage error / unresolved or failed work).
 """
 
 import json
+import multiprocessing
+import os
 from pathlib import Path
 
 import pytest
 
+from zchannel import cli
 from zchannel.cli import main
-from zchannel.tau_lp import TauCertificate, verify_certificate
+from zchannel.tau_lp import TauCertificate, UnresolvedError, verify_certificate
 
 DATA = Path(__file__).parent / "data"
 
@@ -38,6 +41,25 @@ def test_tau_table_small(tmp_path):
     assert "tau_table.csv" in manifest["outputs"]
     assert manifest["parameters"]["max_m"] == 5
     assert manifest["wall_seconds"] >= 0
+
+
+def test_tau_table_leaves_out_unresolved_sizes(tmp_path, monkeypatch):
+    real_solve = cli.solve_tau
+
+    def solve_or_give_up(m):
+        if m == 4:
+            raise UnresolvedError("pivot cap 3 reached in phase 1")
+        return real_solve(m)
+
+    monkeypatch.setattr(cli, "solve_tau", solve_or_give_up)
+    out = tmp_path / "run"
+    assert main(["tau-table", "--max-m", "5", "--out", str(out)]) == 2
+    lines = (out / "tau_table.csv").read_text().splitlines()
+    assert lines[1:] == ["2,1,1", "3,1,2", "5,2,5"]
+    assert not (out / "certificate_4.json").exists()
+    manifest = read_manifest(out)
+    assert manifest["status"] == "unresolved"
+    assert manifest["error"] == "M=4: pivot cap 3 reached in phase 1"
 
 
 def test_tau_table_range_is_enforced(tmp_path):
@@ -76,6 +98,21 @@ def test_rcb_curve_list_size_bounds(tmp_path):
     out = tmp_path / "run"
     assert main(["rcb-curve", "--list-size", "18", "--out", str(out)]) == 1
     assert read_manifest(out)["status"] == "usage-error"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "max-code", "--n", "30"],
+        ["rcb-curve", "--list-size", "3", "--grid", "1"],
+    ],
+)
+def test_range_errors_below_the_cli_exit_one(tmp_path, argv):
+    out = tmp_path / "run"
+    assert main([*argv, "--out", str(out)]) == 1
+    manifest = read_manifest(out)
+    assert manifest["status"] == "usage-error"
+    assert manifest["error"]
 
 
 def test_two_stage_curve_files(tmp_path, monkeypatch):
@@ -208,6 +245,52 @@ def test_simulate_stage2_flag_syntax(tmp_path):
     ]
     assert main(argv) == 1
     assert read_manifest(out)["status"] == "usage-error"
+
+
+def test_simulate_rejects_malformed_code_file(tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("length=6\n111000\n")
+    out = tmp_path / "run"
+    argv = [
+        "simulate",
+        "--stage1", str(bad),
+        "--stage2", f"1={DATA / 'stage2_list1.txt'}",
+        "--t", "1",
+        "--out", str(out),
+    ]
+    assert main(argv) == 1
+    manifest = read_manifest(out)
+    assert manifest["status"] == "usage-error"
+    assert "bad header" in manifest["error"]
+
+
+def test_thread_env_is_capped(tmp_path, monkeypatch):
+    requested = []
+
+    class RecordingPool:
+        """Stands in for multiprocessing.Pool; runs the jobs in process."""
+
+        def __init__(self, processes):
+            requested.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, jobs):
+            return [fn(job) for job in jobs]
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(cli, "two_stage_rate", lambda tau, cfg: 0.0)
+    monkeypatch.setenv("ZCHANNEL_THREADS", str(10**12))
+    argv = ["two-stage-curve", "--lup", "2", "--grid", "3"]
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert main([*argv, "--out", str(tmp_path / "a")]) == 0
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert main([*argv, "--out", str(tmp_path / "b")]) == 0
+    assert requested == [3, 2]  # the job count, then the CPU count
 
 
 def test_thread_env_must_be_integer(tmp_path, monkeypatch):

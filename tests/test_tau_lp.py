@@ -11,6 +11,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from zchannel.tau_lp import (
     TAU_TABLE,
@@ -19,18 +20,20 @@ from zchannel.tau_lp import (
     build_pair_matrix,
     solve_tau,
     tau_of_L,
-    tau_of_L_info,
     verify_certificate,
 )
 from zchannel.tau_lp import _solve_covering
+from zchannel.words import BitWord
+
+from oracles import packing_violations, pattern_covers_pair
 
 
 def test_pair_matrix_smallest_case():
     pm = build_pair_matrix(2)
     assert pm.pairs == ((1, 2),)
     assert len(pm.patterns) == 1
-    assert pm.pattern_strings() == ("01",)
-    assert pm.entry(pm.patterns[0], (1, 2)) == 1
+    assert str(BitWord(2, pm.patterns[0])) == "01"
+    assert pm.column_rows(pm.patterns[0]) == (0,)
 
 
 def test_pair_matrix_three():
@@ -41,7 +44,6 @@ def test_pair_matrix_three():
     assert mask in pm.patterns
     covered = [pm.pairs[r] for r in pm.column_rows(mask)]
     assert covered == [(1, 2), (1, 3)]
-    assert pm.entry(mask, (2, 3)) == 0
 
 
 def test_pair_matrix_prune_accounting():
@@ -53,6 +55,15 @@ def test_pair_matrix_prune_accounting():
         assert stats["dropped_empty"] == m + 1
         assert stats["kept"] + stats["dropped_empty"] + stats["dropped_dominated"] == 1 << m
         assert len(pm.patterns) == stats["kept"]
+
+
+@given(st.text(alphabet="01", min_size=2, max_size=12))
+def test_column_rows_matches_oracle(bits):
+    pm = build_pair_matrix(len(bits))
+    want = tuple(
+        r for r, (i, j) in enumerate(pm.pairs) if pattern_covers_pair(bits, i, j)
+    )
+    assert pm.column_rows(BitWord.from_string(bits).mask) == want
 
 
 def test_pair_matrix_range():
@@ -91,6 +102,10 @@ def test_certificate_json_round_trip():
     assert back.dual == cert.dual
     assert verify_certificate(back)
 
+    doc["dual"] = {"0a11": "1"}
+    with pytest.raises(ValueError):
+        TauCertificate.from_json_dict(doc)
+
 
 def test_perturbed_certificate_fails():
     cert = solve_tau(5)
@@ -123,11 +138,27 @@ def test_perturbed_certificate_fails():
     assert not verify_certificate(doctored)
 
 
+def test_out_of_range_negative_dual_key_is_diagnosed():
+    cert = solve_tau(4)
+    bad_dual = dict(cert.dual)
+    bad_dual[1 << 4] = Fraction(-1)
+    check = verify_certificate(
+        TauCertificate(cert.m, cert.tau, cert.value, cert.primal, bad_dual)
+    )
+    assert not check
+    assert "dual key 0x10 is not an 4-bit pattern" in check.diagnostics
+    assert "dual weight for 0x10 negative" in check.diagnostics
+
+
 def test_pruning_is_lossless_on_small_sizes():
-    for m in (3, 4, 5, 6):
-        pruned = _solve_covering(m, column_generation=False)
-        full = _solve_covering(m, column_generation=False, use_all_columns=True)
-        assert pruned.tau == full.tau == TAU_TABLE[m]
+    # the pruned solve's packing weights meet all 2^M constraints, pruned
+    # or not, and match the covering side's value, so by weak duality the
+    # pruned optimum is the optimum over every column
+    for m in range(3, 9):
+        cert = solve_tau(m)
+        assert verify_certificate(cert)
+        assert sum(cert.primal.values()) == cert.value
+        assert packing_violations(cert.primal, m) == []
 
 
 def test_column_generation_agrees_with_direct():
@@ -159,12 +190,8 @@ def test_table_is_monotone_and_above_asymptote():
 
 
 def test_tau_of_l_branches():
-    v, solved = tau_of_L_info(18)
-    assert solved
-    assert v == TAU_TABLE[18]
-    v, solved = tau_of_L_info(19)
-    assert not solved
-    assert v == Fraction(19, 74)
+    assert tau_of_L(18) == TAU_TABLE[18]
+    assert tau_of_L(19) == Fraction(19, 74)
     assert tau_of_L(2) == Fraction(1)
     with pytest.raises(ValueError):
         tau_of_L(1)
