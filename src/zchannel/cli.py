@@ -48,6 +48,8 @@ class RunManifest:
     outputs: list[str] = field(default_factory=list)
     status: str = "ok"
     error: str | None = None
+    # tau-table only: each size's solver counters and time, keyed by M
+    solver: dict[str, dict] | None = None
 
     def write(self, out_dir: Path) -> None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -85,6 +87,7 @@ def _cmd_tau_table(args, out: Path, manifest: RunManifest) -> int:
         raise ValueError("--max-m must lie in 2..18")
     rows = []
     unresolved = []
+    manifest.solver = {}
     for m in range(2, args.max_m + 1):
         try:
             cert = solve_tau(m)
@@ -93,6 +96,7 @@ def _cmd_tau_table(args, out: Path, manifest: RunManifest) -> int:
             unresolved.append(f"M={m}: {exc}")
             continue
         rows.append((m, cert.tau.numerator, cert.tau.denominator))
+        manifest.solver[str(m)] = cert.meta
         cert_path = out / f"certificate_{m}.json"
         _write_json(cert_path, cert.to_json_dict(), sort_keys=True)
         manifest.outputs.append(cert_path.name)
@@ -133,6 +137,8 @@ def _cmd_two_stage_curve(args, out: Path, manifest: RunManifest) -> int:
 
     if args.lup < 1:
         raise ValueError("--lup must be positive")
+    if args.grid < 1:
+        raise ValueError("--grid must be at least 1")
     cfg = TwoStageConfig(l_up=args.lup)
     taus = [args.tau_max * k / args.grid for k in range(1, args.grid + 1)]
     jobs = [(t, cfg) for t in taus]

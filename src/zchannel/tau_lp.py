@@ -5,9 +5,12 @@ reciprocal of the optimum of a small packing LP: variables y over ordered
 pairs (i, j), i < j, constrained by one column per binary pattern b of
 length M, whose (i, j) entry is 1 exactly when b_i = 0 and b_j = 1.  We
 solve the equivalent covering form (minimize the total dual weight over
-patterns subject to every pair being covered) with a dense simplex over
-`fractions.Fraction`, so results are exact and come with a primal/dual
-certificate that can be re-verified independently.
+patterns subject to every pair being covered) with a dense simplex on a
+fraction-free integer tableau: every entry is an exact integer over one
+shared denominator, held in int64 while a bound checked before each pivot
+rules out overflow and in Python ints from then on.  Results are exact
+`fractions.Fraction`s and come with a primal/dual certificate that
+`verify_certificate` re-checks independently, in Fractions.
 
 Pattern pruning: a pattern starting with 1 or ending with 0 is either
 empty or dominated by the pattern obtained by forcing b_1 = 0, b_M = 1
@@ -26,7 +29,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
+
+import numpy as np
 
 from .words import BitWord
 
@@ -66,6 +71,7 @@ _DIRECT_LIMIT = 12  # build every pruned column up to here; column generation be
 _BLAND_AFTER = 2000  # pivots per phase before entering switches to smallest index
 _CG_BATCH = 40  # columns added per column-generation round
 _CG_ROUNDS_CAP = 400
+_INT64_LIMIT = 1 << 63  # tableau values at or past this switch to Python ints
 
 
 class UnresolvedError(RuntimeError):
@@ -105,10 +111,13 @@ class PairMatrix:
         """Indices into ``pairs`` of the (i, j) with b_i = 0 and b_j = 1 in
         the given pattern: the one incidence rule behind columns, row sums
         and the covering check."""
-        return tuple(
+        # a list, not a generator: tuple() over a generator resizes as it
+        # goes and leaves tuples of many sizes on the free lists, which
+        # raises peak memory when columns are built and dropped repeatedly
+        return tuple([
             r for r, (i, j) in enumerate(self.pairs)
             if (pattern >> (i - 1) & 1) == 0 and (pattern >> (j - 1) & 1)
-        )
+        ])
 
 
 def build_pair_matrix(M: int) -> PairMatrix:
@@ -176,142 +185,156 @@ class CertificateCheck:
         return self.ok
 
 
-class _ExactSimplex:
-    """Dense two-phase simplex on Fractions, built for column generation.
+def _absmax(a: np.ndarray) -> int:
+    return max(int(a.max()), -int(a.min())) if a.size else 0
 
-    Column layout per tableau row: the first ``m`` columns are the
-    artificial variables (their block stays equal to the basis inverse,
-    which hands us duals and lets new columns be priced into the current
-    basis), followed by structural columns; the right-hand side is kept
-    separately.  Entering choice is steepest-coefficient with a switch to
-    smallest-index after ``_BLAND_AFTER`` pivots, so runs terminate even on
-    degenerate bases.  Leaving ties always break on smallest basis label.
+
+class _ExactSimplex:
+    """Dense two-phase simplex over a fraction-free integer tableau.
+
+    The tableau ``T`` (rows by columns), the right-hand side ``rhs`` and the
+    reduced-cost row ``red`` hold integers over one shared positive
+    denominator ``den``: entry (i, j) of the true tableau is
+    ``T[i, j] / den``.  Pivoting on (r, c) with p = T[r, c] keeps row r,
+    maps every other row to ``(T[i] * p - T[i, c] * T[r]) // den`` and sets
+    ``den = p`` (Edmonds; Bareiss).  That division is exact: every entry is
+    a minor of the integer input, and ``den`` is the absolute determinant
+    of the current basis.  A negative pivot, which only the forced pivots
+    of ``_drive_out_artificials`` can meet, negates everything so that
+    ``den`` stays positive.  Fractions appear only when results are read.
+
+    The arrays start as int64.  Before each update the largest value it can
+    produce is bounded; the first time the bound reaches 2**63 the arrays
+    are converted once to ``dtype=object`` (Python ints) and the same
+    expressions carry on exactly.
+
+    Column layout: the first ``m`` columns are the artificial variables
+    (their block stays equal to ``den`` times the basis inverse, which
+    hands us duals and lets new columns be priced into the current basis),
+    followed by structural columns.  Entering choice is the most negative
+    reduced cost, first index on ties, with a switch to smallest index
+    after ``_BLAND_AFTER`` pivots, so runs terminate even on degenerate
+    bases.  The ratio test compares ``rhs[i] / T[i, c]`` by cross
+    multiplication; ties break on smallest basis label.
     """
 
     def __init__(
         self,
-        num_rows: int,
-        columns: Sequence[dict[int, Fraction]],
-        costs: Sequence[Fraction],
-        rhs: Sequence[Fraction],
+        matrix: np.ndarray,
+        costs: Sequence[int],
+        rhs: Sequence[int],
         pivot_cap: int,
     ):
-        self.m = num_rows
+        self.m = len(rhs)
         self.pivot_cap = pivot_cap
         self.pivots = 0
-        self.rows: list[list[Fraction]] = []
-        for i in range(num_rows):
-            row = [_ZERO] * num_rows
-            row[i] = _ONE
-            self.rows.append(row)
-        self.rhs = [F(v) for v in rhs]
-        if any(v < 0 for v in self.rhs):
+        self.den = 1
+        self.T = np.eye(self.m, dtype=np.int64)
+        self.rhs = np.array(rhs, dtype=np.int64)
+        if (self.rhs < 0).any():
             raise ValueError("right-hand side must be nonnegative")
-        self.costs: list[Fraction] = []  # structural only, parallel to appended cols
-        self.basis = list(range(num_rows))  # artificial i basic in row i
-        # basis is the identity here, so raw columns need no pricing
-        for col, cost in zip(columns, costs):
-            for i, row in enumerate(self.rows):
-                row.append(col.get(i, _ZERO))
-            self.costs.append(F(cost))
+        self.red = np.zeros(self.m, dtype=np.int64)  # set at the start of each phase
+        self.costs = np.zeros(0, dtype=np.int64)  # structural, phase 2
+        self.basis = list(range(self.m))  # artificial i basic in row i
+        self._append_columns(matrix, costs)
 
     # -- column bookkeeping ------------------------------------------------
 
-    def _append_column(self, col: dict[int, Fraction], cost: Fraction) -> None:
-        """Price a raw column (dict row->coeff) into the current basis."""
-        for i, row in enumerate(self.rows):
-            acc = _ZERO
-            for k, a in col.items():
-                t = row[k]
-                if t:
-                    acc += t * a
-            row.append(acc)
-        self.costs.append(F(cost))
+    def _promote_if(self, bound: int) -> None:
+        """Switch to exact Python ints before an update whose values may
+        reach ``bound`` in magnitude, if int64 cannot hold that."""
+        if bound >= _INT64_LIMIT and self.T.dtype != object:
+            self.T, self.rhs, self.red = (
+                a.astype(object) for a in (self.T, self.rhs, self.red)
+            )
 
-    @property
-    def width(self) -> int:
-        return self.m + len(self.costs)
+    def _append_columns(self, matrix: np.ndarray, costs: Sequence[int]) -> None:
+        """Price raw integer columns (rows by k) into the current basis."""
+        cols = np.asarray(matrix, dtype=np.int64)
+        self._promote_if(
+            _absmax(self.T[:, : self.m]) * int(np.abs(cols).sum(axis=0).max(initial=0))
+        )
+        priced = self.T[:, : self.m] @ cols.astype(self.T.dtype)
+        self.T = np.hstack([self.T, priced])
+        self.costs = np.concatenate([self.costs, np.asarray(costs, dtype=np.int64)])
 
-    def _column_cost(self, j: int, phase: int) -> Fraction:
-        if j < self.m:
-            return _ONE if phase == 1 else _ZERO
-        return _ZERO if phase == 1 else self.costs[j - self.m]
+    def _phase_costs(self, phase: int) -> np.ndarray:
+        if phase == 1:
+            return np.concatenate(
+                [np.ones(self.m, dtype=np.int64), np.zeros_like(self.costs)]
+            )
+        return np.concatenate([np.zeros(self.m, dtype=np.int64), self.costs])
 
     # -- core pivoting -----------------------------------------------------
 
-    def _reduced_costs(self, phase: int) -> list[Fraction]:
-        width = self.width
-        red = [self._column_cost(j, phase) for j in range(width)]
-        for i, b in enumerate(self.basis):
-            cb = self._column_cost(b, phase)
-            if cb:
-                row = self.rows[i]
-                for j in range(width):
-                    t = row[j]
-                    if t:
-                        red[j] -= cb * t
-        return red
+    def _set_reduced_costs(self, phase: int) -> None:
+        c = self._phase_costs(phase)
+        cb = c[self.basis]
+        self._promote_if(
+            int(np.abs(cb).sum()) * _absmax(self.T) + _absmax(c) * self.den
+        )
+        c = c.astype(self.T.dtype)
+        self.red = c * self.den - c[self.basis] @ self.T
 
-    def _pivot(self, r: int, c: int, red: list[Fraction]) -> None:
-        rows, rhs = self.rows, self.rhs
-        prow = rows[r]
-        inv = _ONE / prow[c]
-        if inv != 1:
-            rows[r] = prow = [v * inv for v in prow]
-            rhs[r] *= inv
-        nz = [j for j, v in enumerate(prow) if v]
-        for i, row in enumerate(rows):
-            if i == r:
-                continue
-            f = row[c]
-            if f:
-                for j in nz:
-                    row[j] -= f * prow[j]
-                rhs[i] -= f * rhs[r]
-        f = red[c]
-        if f:
-            for j in nz:
-                red[j] -= f * prow[j]
+    def _pivot(self, r: int, c: int) -> None:
+        p = int(self.T[r, c])
+        if self.T.dtype != object:
+            col, row = _absmax(self.T[:, c]), _absmax(self.T[r])
+            self._promote_if(max(
+                _absmax(self.T) * abs(p) + col * row,
+                _absmax(self.rhs) * abs(p) + col * abs(int(self.rhs[r])),
+                _absmax(self.red) * abs(p) + abs(int(self.red[c])) * row,
+            ))
+        # in place, so that no full-size temporary but the outer product is
+        # made; the pivot row and column are copied first
+        T, rhs, red, den = self.T, self.rhs, self.red, self.den
+        prow, pcol, prhs, pred = T[r].copy(), T[:, c].copy(), rhs[r], red[c]
+        T *= p
+        T -= np.outer(pcol, prow)
+        T //= den
+        T[r] = prow
+        rhs *= p
+        rhs -= pcol * prhs
+        rhs //= den
+        rhs[r] = prhs
+        red *= p
+        red -= pred * prow
+        red //= den
+        if p < 0:
+            for a in (T, rhs, red):
+                np.negative(a, out=a)
+            p = -p
+        self.den = p
         self.basis[r] = c
         self.pivots += 1
 
     def _run_phase(self, phase: int) -> None:
-        red = self._reduced_costs(phase)
-        in_basis = set(self.basis)
+        self._set_reduced_costs(phase)
+        lo = 0 if phase == 1 else self.m  # artificials may enter in phase 1 only
         phase_pivots = 0
         while True:
-            entering = -1
+            red = self.red[lo:]
             if phase_pivots < _BLAND_AFTER:
-                best = _ZERO
-                for j, v in enumerate(red):
-                    if v < best and j not in in_basis and (phase == 1 or j >= self.m):
-                        best = v
-                        entering = j
+                j = int(np.argmin(red))
+                if red[j] >= 0:
+                    return
             else:
-                for j, v in enumerate(red):
-                    if v < 0 and j not in in_basis and (phase == 1 or j >= self.m):
-                        entering = j
-                        break
-            if entering < 0:
-                return
-            leaving = -1
-            best_ratio: Fraction | None = None
-            for i, row in enumerate(self.rows):
-                a = row[entering]
-                if a > 0:
-                    ratio = self.rhs[i] / a
-                    if (
-                        best_ratio is None
-                        or ratio < best_ratio
-                        or (ratio == best_ratio and self.basis[i] < self.basis[leaving])
-                    ):
-                        best_ratio = ratio
-                        leaving = i
+                negative = np.flatnonzero(red < 0)
+                if not negative.size:
+                    return
+                j = int(negative[0])
+            entering = lo + j
+            leaving, best_b, best_a = -1, 0, 1
+            for i, (a, b) in enumerate(zip(self.T[:, entering].tolist(), self.rhs.tolist())):
+                if a > 0 and (
+                    leaving < 0
+                    or b * best_a < best_b * a
+                    or (b * best_a == best_b * a and self.basis[i] < self.basis[leaving])
+                ):
+                    leaving, best_b, best_a = i, b, a
             if leaving < 0:
                 raise RuntimeError("phase objective unbounded; malformed input")
-            in_basis.discard(self.basis[leaving])
-            in_basis.add(entering)
-            self._pivot(leaving, entering, red)
+            self._pivot(leaving, entering)
             phase_pivots += 1
             if self.pivots > self.pivot_cap:
                 raise UnresolvedError(
@@ -330,47 +353,40 @@ class _ExactSimplex:
         for i in range(self.m):
             if self.basis[i] >= self.m:
                 continue
-            row = self.rows[i]
-            pivot_col = next(
-                (j for j in range(self.m, self.width) if row[j] != 0), None
-            )
-            if pivot_col is None:
+            nonzero = np.flatnonzero(self.T[i, self.m :])
+            if not nonzero.size:
                 continue  # redundant row; artificial stays basic at zero
-            red = [_ZERO] * self.width  # values irrelevant for a forced pivot
-            self._pivot(i, pivot_col, red)
+            self._pivot(i, self.m + int(nonzero[0]))
 
     # -- extraction --------------------------------------------------------
 
     def objective(self) -> Fraction:
-        total = _ZERO
-        for i, b in enumerate(self.basis):
-            if b >= self.m:
-                total += self.costs[b - self.m] * self.rhs[i]
-        return total
+        cb = self._phase_costs(2)[self.basis].tolist()
+        return F(sum(v * b for v, b in zip(cb, self.rhs.tolist())), self.den)
 
     def structural_solution(self) -> dict[int, Fraction]:
-        out = {}
-        for i, b in enumerate(self.basis):
-            if b >= self.m and self.rhs[i] != 0:
-                out[b - self.m] = self.rhs[i]
-        return out
+        return {
+            b - self.m: F(v, self.den)
+            for b, v in zip(self.basis, self.rhs.tolist())
+            if b >= self.m and v
+        }
 
     def duals(self) -> list[Fraction]:
         """Simplex multipliers for the original rows (phase-2 costs)."""
-        pi = [_ZERO] * self.m
-        for i, b in enumerate(self.basis):
-            cb = self._column_cost(b, 2)
+        pi = [0] * self.m
+        for i, cb in enumerate(self._phase_costs(2)[self.basis].tolist()):
             if cb:
-                row = self.rows[i]
-                for k in range(self.m):
-                    t = row[k]
-                    if t:
-                        pi[k] += cb * t
-        return pi
+                for k, t in enumerate(self.T[i, : self.m].tolist()):
+                    pi[k] += cb * t
+        return [F(v, self.den) for v in pi]
 
 
-def _covering_columns(pm: PairMatrix, masks: Iterable[int]) -> list[dict[int, Fraction]]:
-    return [dict.fromkeys(pm.column_rows(mask), _ONE) for mask in masks]
+def _covering_matrix(pm: PairMatrix, masks: Sequence[int]) -> np.ndarray:
+    """0/1 pair-by-pattern incidence for the given patterns."""
+    cols = np.zeros((len(pm.pairs), len(masks)), dtype=np.int64)
+    for j, mask in enumerate(masks):
+        cols[list(pm.column_rows(mask)), j] = 1
+    return cols
 
 
 def _exact_row_sum(y: Sequence[Fraction], pm: PairMatrix, mask: int) -> Fraction:
@@ -402,22 +418,18 @@ def _solve_covering(
     pm = build_pair_matrix(M)
     pairs = pm.pairs
     K = len(pairs)
-    rhs = [_ONE] * K
     started = time.monotonic()
 
     # col_mask runs parallel to the structural columns: the pattern behind
     # each one, or None for a surplus variable.
     initial = _seed_masks(M) if column_generation else list(pm.patterns)
-    cols = _covering_columns(pm, initial) + [{r: -_ONE} for r in range(K)]
-    costs = [_ONE] * len(initial) + [_ZERO] * K
+    cols = np.hstack([_covering_matrix(pm, initial), -np.eye(K, dtype=np.int64)])
     col_mask: list[int | None] = list(initial) + [None] * K
-    sx = _ExactSimplex(K, cols, costs, rhs, pivot_cap)
+    sx = _ExactSimplex(cols, [1] * len(initial) + [0] * K, [1] * K, pivot_cap)
     sx.solve()
     rounds = 0
 
     if column_generation:
-        import numpy as np
-
         all_masks = pm.patterns
         bits = np.zeros((len(all_masks), M), dtype=np.float64)
         for idx, mask in enumerate(all_masks):
@@ -470,8 +482,7 @@ def _solve_covering(
                     break
             fresh.sort(key=lambda item: (-item[0], item[1]))
             new_masks = [mask for _, mask in fresh[:_CG_BATCH]]
-            for col in _covering_columns(pm, new_masks):
-                sx._append_column(col, _ONE)
+            sx._append_columns(_covering_matrix(pm, new_masks), [1] * len(new_masks))
             col_mask.extend(new_masks)
             active_set.update(new_masks)
             sx._run_phase(2)  # appended columns leave the basis feasible

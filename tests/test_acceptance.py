@@ -8,7 +8,7 @@ Two knobs:
 
 * ``ZCHANNEL_STRETCH=1`` extends the exact-table criterion from the
   default stretch sizes (13, 14) to the full 15..18 range, which takes
-  about half an hour more.
+  about five minutes more.
 * Criterion 8 is expected to fail as stated: the sampled statistic at
   length 32 sits near 0.16, far from the asymptotic 0.25 the window is
   centered on.  The test asserts the stated window faithfully and the

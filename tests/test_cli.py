@@ -41,6 +41,10 @@ def test_tau_table_small(tmp_path):
     assert "tau_table.csv" in manifest["outputs"]
     assert manifest["parameters"]["max_m"] == 5
     assert manifest["wall_seconds"] >= 0
+    solver = manifest["solver"]
+    assert {int(m): meta["pivots"] for m, meta in solver.items()} == {2: 1, 3: 3, 4: 6, 5: 11}
+    for meta in solver.values():
+        assert {"rounds", "active_columns", "wall_seconds"} <= meta.keys()
 
 
 def test_tau_table_leaves_out_unresolved_sizes(tmp_path, monkeypatch):
@@ -105,6 +109,7 @@ def test_rcb_curve_list_size_bounds(tmp_path):
     [
         ["search", "max-code", "--n", "30"],
         ["rcb-curve", "--list-size", "3", "--grid", "1"],
+        ["two-stage-curve", "--grid", "0"],
     ],
 )
 def test_range_errors_below_the_cli_exit_one(tmp_path, argv):

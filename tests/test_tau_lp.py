@@ -8,11 +8,17 @@ solve paths.
 """
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import zchannel
 from zchannel.tau_lp import (
     TAU_TABLE,
     TauCertificate,
@@ -22,10 +28,16 @@ from zchannel.tau_lp import (
     tau_of_L,
     verify_certificate,
 )
-from zchannel.tau_lp import _solve_covering
+from zchannel.tau_lp import _ExactSimplex, _solve_covering
 from zchannel.words import BitWord
 
 from oracles import packing_violations, pattern_covers_pair
+
+GOLDEN = Path(__file__).parent / "golden" / "solve_tau"
+
+# pivots per direct solve, recorded with the earlier Fraction tableau,
+# whose entering and leaving rules the integer tableau keeps
+DIRECT_PIVOTS = {2: 1, 3: 3, 4: 6, 5: 11, 6: 18, 7: 30, 8: 50, 9: 79, 10: 158, 11: 169}
 
 
 def test_pair_matrix_smallest_case():
@@ -159,6 +171,76 @@ def test_pruning_is_lossless_on_small_sizes():
         assert verify_certificate(cert)
         assert sum(cert.primal.values()) == cert.value
         assert packing_violations(cert.primal, m) == []
+
+
+def test_certificates_match_recorded_solves():
+    # M=9 and M=10 were recorded with the Fraction tableau; the tau-table
+    # golden files stop at M=8
+    for m in (9, 10):
+        cert = solve_tau(m)
+        text = json.dumps(cert.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        assert text == (GOLDEN / f"certificate_{m}.json").read_text(), m
+
+
+def test_pivot_counts_are_pinned():
+    for m, pivots in DIRECT_PIVOTS.items():
+        meta = solve_tau(m).meta
+        assert (meta["pivots"], meta["rounds"]) == (pivots, 0), m
+    meta = solve_tau(13).meta
+    assert meta["column_generation"]
+    assert (meta["pivots"], meta["rounds"]) == (497, 7)
+
+
+def test_large_coefficients_switch_to_python_ints():
+    # minimize x1 + x2 subject to B*x1 + x2 >= B and x1 + B*x2 >= B: the
+    # optimum is x1 = x2 = B/(B+1), with duals 1/(B+1) on both rows.  The
+    # first pivot multiplies B by B, past int64, so the tableau must switch.
+    B = 1 << 40
+    matrix = [[B, 1, -1, 0], [1, B, 0, -1]]
+    sx = _ExactSimplex(matrix, [1, 1, 0, 0], [B, B], pivot_cap=100)
+    assert sx.T.dtype == np.int64
+    sx.solve()
+    assert sx.T.dtype == object
+    assert sx.objective() == Fraction(2 * B, B + 1)
+    assert sx.structural_solution() == {0: Fraction(B, B + 1), 1: Fraction(B, B + 1)}
+    assert sx.duals() == [Fraction(1, B + 1)] * 2
+
+
+def test_forced_negative_pivot_keeps_the_denominator_positive():
+    # 2*x1 = 2 and 2*x1 - 3*x2 = 2: phase 1 ends with the second artificial
+    # basic at zero, and driving it out pivots on the -3 entry.  Minimizing
+    # x1 + x2 gives x = (1, 0) with duals (5/6, -1/3).
+    sx = _ExactSimplex([[2, 0], [2, -3]], [1, 1], [2, 2], pivot_cap=100)
+    sx.solve()
+    assert sx.basis == [2, 3]
+    assert sx.den == 6
+    assert sx.objective() == 1
+    assert sx.structural_solution() == {0: 1}
+    assert sx.duals() == [Fraction(5, 6), Fraction(-1, 3)]
+
+
+def test_repeated_solves_do_not_raise_peak_memory():
+    pytest.importorskip("resource")  # Unix only; the child process uses it
+    script = (
+        "import resource\n"
+        "from zchannel.tau_lp import solve_tau\n"
+        "def solve_all():\n"
+        "    for m in range(2, 11):\n"
+        "        solve_tau(m)\n"
+        "solve_all()\n"
+        "first = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "for _ in range(20):\n"
+        "    solve_all()\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - first)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(zchannel.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        check=True, timeout=300,
+    )
+    # ru_maxrss is in KiB on Linux; before column_rows built its tuple from
+    # a list, these 20 passes raised it by about 2.5 MiB
+    assert int(done.stdout) < 1024
 
 
 def test_column_generation_agrees_with_direct():
