@@ -153,7 +153,8 @@ def _cmd_two_stage_curve(args, out: Path, manifest: RunManifest) -> int:
     path = out / "two_stage.csv"
     _csv_curve(path, taus, rates)
     manifest.outputs.append(path.name)
-    gv_taus = [t for t in taus if t <= 0.25] or taus[:1]
+    # both reference curves end at tau = 1/4; past it they get no rows
+    gv_taus = [t for t in taus if t <= 0.25]
     path = out / "gv.csv"
     _csv_curve(path, gv_taus, [gv_rate(t) for t in gv_taus])
     manifest.outputs.append(path.name)

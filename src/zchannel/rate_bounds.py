@@ -16,11 +16,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from math import comb, exp, fsum, log, sqrt
+from operator import mul
+from typing import Callable
 
 import numpy as np
 
 LN2 = log(2.0)
 _TAU_TOL = 1e-10  # bisection width for the scalar tau_star root
+_VEC_HALVINGS = 64  # bisection steps for the lane-parallel tau_star
 
 
 def binary_entropy(p: float) -> float:
@@ -145,13 +148,35 @@ def _binom_terms(L: int, omega: float) -> tuple[float, list[float], list[float]]
     return const, g_terms, d_terms
 
 
-def _e_and_slope(
-    h: float, L: int, const: float, g_terms: list[float], d_terms: list[float]
-) -> tuple[float, float]:
-    weights = [exp(-h * i / (L + 1)) for i in range(1, L + 1)]
-    e = const + fsum(g * w for g, w in zip(g_terms, weights))
-    num = fsum(d * w for d, w in zip(d_terms, weights))
-    return e, num / e
+def _evaluator(L: int, omega: float) -> Callable[[float], tuple[float, float]]:
+    """h -> (e(h), g'(h)): the tilted moment sum and the slope of
+    g = -ln e, with e = const + sum_k g_k e^(-h k/(L+1)) over k = 1..L.
+
+    The one kernel behind tau_star_info, rcb_g and rcb_delta.  ``ks`` and
+    ``lp1`` are floats holding small integers, so ``-h * k / lp1`` rounds
+    exactly as it does with int operands.  For L = 1 the single term is
+    added without ``fsum``, which returns a lone finite term unchanged, and
+    ``-h / lp1`` stands for ``-h * 1 / lp1``, since ``-h * 1`` is ``-h``.
+    """
+    const, g_terms, d_terms = _binom_terms(L, omega)
+    lp1 = float(L + 1)
+    if L == 1:
+        (g1,), (d1,) = g_terms, d_terms
+
+        def one_term(h: float) -> tuple[float, float]:
+            w = exp(-h / lp1)
+            e = const + g1 * w
+            return e, d1 * w / e
+
+        return one_term
+    ks = [float(k) for k in range(1, L + 1)]
+
+    def terms(h: float) -> tuple[float, float]:
+        w = [exp(-h * k / lp1) for k in ks]
+        e = const + fsum(map(mul, g_terms, w))
+        return e, fsum(map(mul, d_terms, w)) / e
+
+    return terms
 
 
 def _snap_omega(omega: float) -> float:
@@ -168,8 +193,7 @@ def _snap_omega(omega: float) -> float:
 def rcb_g(h: float, L: int, omega: float) -> float:
     """Negative log of the tilted moment sum; increasing and concave in h."""
     omega = _check_rcb_args(h, L, omega)
-    const, g_terms, d_terms = _binom_terms(L, omega)
-    e, _ = _e_and_slope(h, L, const, g_terms, d_terms)
+    e, _ = _evaluator(L, omega)(h)
     return -log(e)
 
 
@@ -182,8 +206,7 @@ def rcb_delta(h: float, L: int, omega: float) -> float:
     omega = _check_rcb_args(h, L, omega)
     if h == 0.0:
         return omega - omega ** (L + 1)
-    const, g_terms, d_terms = _binom_terms(L, omega)
-    _, slope = _e_and_slope(h, L, const, g_terms, d_terms)
+    _, slope = _evaluator(L, omega)(h)
     return slope
 
 
@@ -210,6 +233,16 @@ def tau_star_info(R: float, L: int, omega: float) -> TauStarResult:
     (1-omega)^(L+1)); rates demanding more than that are infeasible and
     yield 0 with the flag down.  R = 0 short-circuits to the h=0 slope
     omega - omega^(L+1).
+
+    Contract: the root comes from bisection on [0, 1], the upper end
+    doubled until it brackets, the bracket halved to width 1e-10 and read
+    at its midpoint, with every evaluation made by ``_evaluator``.  These
+    are float for float the operations of the reference bisection in
+    tests/oracles.py, so value and tilt, and every CSV built on them, are
+    bit-identical to it.  Bracketed Newton steps would stop at a different
+    h, and numpy's exp differs from math.exp in the last bit on some
+    inputs, so either would change printed digits; they wait for a change
+    that accepts new outputs.
     """
     if R < 0.0:
         raise ValueError("rate must be nonnegative")
@@ -222,26 +255,24 @@ def tau_star_info(R: float, L: int, omega: float) -> TauStarResult:
     ceiling = -log(omega ** (L + 1) + (1.0 - omega) ** (L + 1))
     if target >= ceiling:
         return TauStarResult(0.0, False, math.inf)
-    const, g_terms, d_terms = _binom_terms(L, omega)
-
-    def phi(h: float) -> float:
-        e, slope = _e_and_slope(h, L, const, g_terms, d_terms)
-        return -log(e) - h * slope
-
+    at = _evaluator(L, omega)
     lo, hi = 0.0, 1.0
-    while phi(hi) < target:
+    e, slope = at(hi)
+    while -log(e) - hi * slope < target:
         lo, hi = hi, hi * 2.0
         if hi > 2.0**64:
             # the plateau sits essentially at the target; treat as infeasible
             return TauStarResult(0.0, False, math.inf)
+        e, slope = at(hi)
     while hi - lo > _TAU_TOL:
         mid = (lo + hi) / 2.0
-        if phi(mid) < target:
+        e, slope = at(mid)
+        if -log(e) - mid * slope < target:
             lo = mid
         else:
             hi = mid
     h_star = (lo + hi) / 2.0
-    _, slope = _e_and_slope(h_star, L, const, g_terms, d_terms)
+    _, slope = at(h_star)
     return TauStarResult(slope, True, h_star)
 
 
@@ -249,7 +280,7 @@ def tau_star(R: float, L: int, omega: float) -> float:
     return tau_star_info(R, L, omega).value
 
 
-def _tau_star_vec(R: float, L: int, omegas: np.ndarray, iters: int = 64) -> np.ndarray:
+def _tau_star_vec(R: float, L: int, omegas: np.ndarray) -> np.ndarray:
     """tau_star over an array of bit probabilities at one (R, L).
 
     Same bisection as the scalar path, run lane-parallel; infeasible lanes
@@ -285,7 +316,7 @@ def _tau_star_vec(R: float, L: int, omegas: np.ndarray, iters: int = 64) -> np.n
             break
         lo = np.where(short, hi, lo)
         hi = np.where(short, hi * 2.0, hi)
-    for _ in range(iters):
+    for _ in range(_VEC_HALVINGS):
         mid = (lo + hi) / 2.0
         e, num = e_and_num(mid)
         phi = -np.log(e) - mid * (num / e)

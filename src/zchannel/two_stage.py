@@ -19,6 +19,7 @@ near the threshold.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
@@ -59,10 +60,18 @@ class TwoStageConfig:
 DEFAULT_CONFIG = TwoStageConfig()
 
 
-def r2(alpha: float, tau1: float, omega: float, R1: float) -> float:
+def r2(
+    alpha: float,
+    tau1: float,
+    omega: float,
+    R1: float,
+    *,
+    list1_tau: float | None = None,
+) -> float:
     """Rate still extractable from the second stage after stage-1 damage
     tau1, per the shortened-code argument.
 
+    ``list1_tau`` is tau_star(R1, 1, omega), computed here when not given.
     Zero whenever the expression degenerates (negative square-root
     argument or negative bracket): those regimes leave at most polynomial
     list growth, which costs no rate.
@@ -75,8 +84,10 @@ def r2(alpha: float, tau1: float, omega: float, R1: float) -> float:
         raise ValueError("stage-1 rate must be nonnegative")
     if tau1 == 0.0:
         return 0.0
+    if list1_tau is None:
+        list1_tau = tau_star(R1, 1, omega)
     shrink = 1.0 - omega + tau1
-    sqrt_arg = 1.0 - 4.0 * tau_star(R1, 1, omega) / (1.0 + omega - tau1)
+    sqrt_arg = 1.0 - 4.0 * list1_tau / (1.0 + omega - tau1)
     if sqrt_arg < 0.0:
         return 0.0
     bracket = binary_entropy(tau1 / shrink) - binary_entropy((1.0 - sqrt(sqrt_arg)) / 2.0)
@@ -85,12 +96,17 @@ def r2(alpha: float, tau1: float, omega: float, R1: float) -> float:
     return alpha * shrink / (1.0 - alpha) * bracket
 
 
+# float(tau_of_L(L)) for every solved list size: constant data, read by
+# check_star for each grade it checks
+_GRADE_BOUNDS = {L: float(tau_of_L(L)) for L in TAU_TABLE}
+
+
 def _thresholds(R: float, omega: float, l_up: int) -> list[float]:
     """tau_star(R, L, omega) for L = 1..l_up (non-decreasing in L)."""
     return [tau_star(R, L, omega) for L in range(1, l_up + 1)]
 
 
-def _x_grid(xmax: float, thresholds: list[float], nx: int, tol: float) -> list[float]:
+def _x_grid(xmax: float, thresholds: list[float], nx: int) -> list[float]:
     xs = [xmax * k / (nx + 1) for k in range(1, nx + 1)]
     just_inside = xmax * (1.0 - 1e-9)
     for thr in thresholds:
@@ -123,6 +139,15 @@ def check_star(
     (tau - alpha x)/(1 - alpha) <= tau_of_L(L); beyond the cap the
     shortened-code rate takes over.  Comparisons are conservative by
     ``cfg.boundary_tol``: anything within tolerance of failing fails.
+
+    ``thresholds`` is tau_star(R, L, omega) for L = 1..cfg.l_up, computed
+    here when not given; its first entry doubles as r2's list-1 threshold.
+
+    The grade of x, the first L with x <= thresholds[L-1] - tol, never
+    falls as x grows, and the float (tau - alpha x)/(1 - alpha) never
+    rises, so within one grade only the smallest probed x can fail.  Each
+    grade therefore costs one binary search of the sorted grid, and the
+    verdict is the same as checking every x.
     """
     if not 0.0 < omega < 1.0 or not 0.0 < alpha < 1.0 or R < 0.0:
         raise ValueError("need omega, alpha in (0, 1) and R >= 0")
@@ -133,19 +158,24 @@ def check_star(
     tol = cfg.boundary_tol
     xmax = min(omega, tau / alpha)
     one_minus = 1.0 - alpha
-    for x in _x_grid(xmax, thresholds, cfg.x_points, tol):
+    xs = sorted(_x_grid(xmax, thresholds, cfg.x_points))
+    # x has grade L exactly when covered < x <= cut, where covered is the
+    # largest cut of the grades below L
+    covered = thresholds[0] - tol
+    for L, thr in enumerate(thresholds[1:], start=2):
+        cut = thr - tol
+        if cut > covered:
+            i = bisect_right(xs, covered)
+            if i < len(xs) and xs[i] <= cut:
+                lhs = (tau - alpha * xs[i]) / one_minus
+                bound = _GRADE_BOUNDS[L] if L in _GRADE_BOUNDS else float(tau_of_L(L))
+                if lhs > bound - tol:
+                    return False
+            covered = cut
+    # past every grade: the shortened-code rate bounds the second stage
+    for x in xs[bisect_right(xs, covered):]:
         lhs = (tau - alpha * x) / one_minus
-        grade = None
-        for L, thr in enumerate(thresholds, start=1):
-            if x <= thr - tol:
-                grade = L
-                break
-        if grade == 1:
-            continue
-        if grade is not None:
-            bound = float(tau_of_L(grade))
-        else:
-            bound = tau_star(r2(alpha, x, omega, R), 1, 0.5)
+        bound = tau_star(r2(alpha, x, omega, R, list1_tau=thresholds[0]), 1, 0.5)
         if lhs > bound - tol:
             return False
     return True

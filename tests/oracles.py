@@ -4,10 +4,18 @@ These deliberately avoid the package's own formulas: the list radius is
 found by enumerating every receivable word, and the exponent functions
 are summed term by term from their definitions.  Agreement between these
 and the package routes is what the oracle tests assert.
+
+The last section is different in kind: it keeps the scalar ``tau_star``
+bisection and the ``check_star`` scan as they were before their fast paths,
+so the package can be held to the same float results bit for bit.
 """
 
+import math
 from itertools import product
-from math import comb, exp, log
+from math import comb, exp, fsum, log, sqrt
+
+from zchannel.rate_bounds import binary_entropy
+from zchannel.tau_lp import tau_of_L
 
 
 def list_radius_by_enumeration(masks, n, list_size):
@@ -76,3 +84,142 @@ def count_ball(center, t, n):
         if center & y == y and center.bit_count() - y.bit_count() <= t:
             out.append(y)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Float-for-float references for the tau_star kernel and check_star: the
+# bisection and the x-scan as they stood before their fast paths, kept
+# verbatim so the fast paths can be held to bit-identical results.
+
+LN2 = log(2.0)
+_TAU_TOL = 1e-10
+
+
+def _binom_terms(L, omega):
+    const = omega ** (L + 1) + (1.0 - omega) ** (L + 1)
+    g_terms = [
+        comb(L + 1, i) * omega**i * (1.0 - omega) ** (L + 1 - i) for i in range(1, L + 1)
+    ]
+    d_terms = [
+        comb(L, i - 1) * omega**i * (1.0 - omega) ** (L + 1 - i) for i in range(1, L + 1)
+    ]
+    return const, g_terms, d_terms
+
+
+def _e_and_slope(h, L, const, g_terms, d_terms):
+    weights = [exp(-h * i / (L + 1)) for i in range(1, L + 1)]
+    e = const + fsum(g * w for g, w in zip(g_terms, weights))
+    num = fsum(d * w for d, w in zip(d_terms, weights))
+    return e, num / e
+
+
+def _snap_omega(omega):
+    if not 0.0 <= omega <= 1.0:
+        raise ValueError(f"bit probability {omega} outside [0, 1]")
+    if omega <= 1e-12:
+        return 0.0
+    if omega >= 1.0 - 1e-12:
+        return 1.0
+    return omega
+
+
+def tau_star_info(R, L, omega):
+    """(value, feasible, tilt) of the list-L random-coding threshold."""
+    if R < 0.0:
+        raise ValueError("rate must be nonnegative")
+    if L < 1:
+        raise ValueError("list size must be at least 1")
+    omega = _snap_omega(omega)
+    if R == 0.0:
+        return omega - omega ** (L + 1), True, 0.0
+    target = R * L * LN2
+    ceiling = -log(omega ** (L + 1) + (1.0 - omega) ** (L + 1))
+    if target >= ceiling:
+        return 0.0, False, math.inf
+    const, g_terms, d_terms = _binom_terms(L, omega)
+
+    def phi(h):
+        e, slope = _e_and_slope(h, L, const, g_terms, d_terms)
+        return -log(e) - h * slope
+
+    lo, hi = 0.0, 1.0
+    while phi(hi) < target:
+        lo, hi = hi, hi * 2.0
+        if hi > 2.0**64:
+            return 0.0, False, math.inf
+    while hi - lo > _TAU_TOL:
+        mid = (lo + hi) / 2.0
+        if phi(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    h_star = (lo + hi) / 2.0
+    _, slope = _e_and_slope(h_star, L, const, g_terms, d_terms)
+    return slope, True, h_star
+
+
+def tau_star(R, L, omega):
+    return tau_star_info(R, L, omega)[0]
+
+
+def r2(alpha, tau1, omega, R1):
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"stage split {alpha} outside (0, 1)")
+    if not 0.0 <= tau1 <= omega:
+        raise ValueError(f"stage-1 fraction {tau1} outside [0, {omega}]")
+    if R1 < 0.0:
+        raise ValueError("stage-1 rate must be nonnegative")
+    if tau1 == 0.0:
+        return 0.0
+    shrink = 1.0 - omega + tau1
+    sqrt_arg = 1.0 - 4.0 * tau_star(R1, 1, omega) / (1.0 + omega - tau1)
+    if sqrt_arg < 0.0:
+        return 0.0
+    bracket = binary_entropy(tau1 / shrink) - binary_entropy((1.0 - sqrt(sqrt_arg)) / 2.0)
+    if bracket <= 0.0:
+        return 0.0
+    return alpha * shrink / (1.0 - alpha) * bracket
+
+
+def _x_grid(xmax, thresholds, nx, tol):
+    xs = [xmax * k / (nx + 1) for k in range(1, nx + 1)]
+    just_inside = xmax * (1.0 - 1e-9)
+    for thr in thresholds:
+        if 0.0 < thr < xmax:
+            xs.append(min(thr + 1e-12, just_inside))
+    top = thresholds[-1]
+    if top < xmax:
+        span = xmax - top
+        for frac in (1e-9, 0.25, 0.5, 0.75):
+            xs.append(min(top + frac * span, just_inside))
+    xs.append(xmax * (1.0 - 1e-6))
+    return xs
+
+
+def check_star(omega, alpha, R, tau, cfg, *, thresholds=None):
+    """Scan every probed x in grid order, grading each one from scratch."""
+    if not 0.0 < omega < 1.0 or not 0.0 < alpha < 1.0 or R < 0.0:
+        raise ValueError("need omega, alpha in (0, 1) and R >= 0")
+    if tau <= 0.0:
+        return True
+    if thresholds is None:
+        thresholds = [tau_star(R, L, omega) for L in range(1, cfg.l_up + 1)]
+    tol = cfg.boundary_tol
+    xmax = min(omega, tau / alpha)
+    one_minus = 1.0 - alpha
+    for x in _x_grid(xmax, thresholds, cfg.x_points, tol):
+        lhs = (tau - alpha * x) / one_minus
+        grade = None
+        for L, thr in enumerate(thresholds, start=1):
+            if x <= thr - tol:
+                grade = L
+                break
+        if grade == 1:
+            continue
+        if grade is not None:
+            bound = float(tau_of_L(grade))
+        else:
+            bound = tau_star(r2(alpha, x, omega, R), 1, 0.5)
+        if lhs > bound - tol:
+            return False
+    return True

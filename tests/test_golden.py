@@ -20,8 +20,15 @@ DATA = HERE / "data"
 RUNS = {
     "tau_table": ["tau-table", "--max-m", "8"],
     "rcb_curve": ["rcb-curve", "--list-size", "3", "--grid", "50"],
+    "rcb_curve_l1": ["rcb-curve", "--list-size", "1", "--grid", "50"],
+    "rcb_curve_l17": ["rcb-curve", "--list-size", "17", "--grid", "50"],
     "two_stage_curve": [
         "two-stage-curve", "--lup", "17", "--grid", "1", "--tau-max", "0.15",
+    ],
+    # tau = 0.30 scans most candidates before one passes; past tau = 1/4 the
+    # reference curves are header-only
+    "two_stage_curve_late": [
+        "two-stage-curve", "--lup", "17", "--grid", "1", "--tau-max", "0.30",
     ],
     "plotkin_point": ["plotkin-point"],
     "verify_remains": ["verify-remains", "--lup", "17"],

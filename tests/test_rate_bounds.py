@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from zchannel.rate_bounds import (
     bassalygo_size_bound,
@@ -19,6 +20,7 @@ from zchannel.rate_bounds import (
     zplotkin_size_bound,
 )
 
+import oracles
 from oracles import direct_exponent
 
 
@@ -151,6 +153,45 @@ def test_tilted_rate_infeasible_region():
     ok = tau_star_info(0.3, 1, 0.5)
     assert ok.feasible
     assert ok.value > 0
+
+
+_OMEGAS = st.one_of(
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 2e-12),  # snaps to 0 below 1e-12
+    st.floats(1.0 - 2e-12, 1.0),  # snaps to 1 above 1 - 1e-12
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    R=st.one_of(st.just(0.0), st.floats(0.0, 0.01), st.floats(0.0, 1.5)),
+    L=st.integers(1, 17),
+    omega=_OMEGAS,
+)
+@example(R=0.0, L=3, omega=0.4)
+@example(R=1.0, L=1, omega=0.5)  # target R ln2 equals the ceiling ln2
+@example(R=1.2, L=4, omega=0.3)  # above the ceiling
+@example(R=0.1, L=2, omega=1e-13)
+@example(R=0.0, L=2, omega=1.0 - 1e-13)
+@example(R=0.9, L=17, omega=0.5)  # bracket doubles up to h = 128
+@example(R=0.3, L=1, omega=0.5)
+def test_tau_star_info_matches_reference_bisection_bit_for_bit(R, L, omega):
+    got = tau_star_info(R, L, omega)
+    value, feasible, tilt = oracles.tau_star_info(R, L, omega)
+    assert got.value.hex() == value.hex()
+    assert got.feasible == feasible
+    assert got.tilt.hex() == tilt.hex()
+
+
+@settings(max_examples=200, deadline=None)
+@given(h=st.floats(0.0, 200.0), L=st.integers(1, 17), omega=_OMEGAS)
+def test_exponent_kernel_matches_reference_bit_for_bit(h, L, omega):
+    omega_ref = oracles._snap_omega(omega)
+    const, g_terms, d_terms = oracles._binom_terms(L, omega_ref)
+    e, slope = oracles._e_and_slope(h, L, const, g_terms, d_terms)
+    assert rcb_g(h, L, omega).hex() == (-math.log(e)).hex()
+    if h > 0.0:
+        assert rcb_delta(h, L, omega).hex() == slope.hex()
 
 
 def test_tilted_rate_monotone_in_rate():

@@ -2,6 +2,9 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracles
 
 from zchannel.two_stage import (
     DEFAULT_CONFIG,
@@ -12,7 +15,7 @@ from zchannel.two_stage import (
     two_stage_rate,
     verify_remains,
 )
-from zchannel.rate_bounds import binary_entropy
+from zchannel.rate_bounds import binary_entropy, tau_star
 from zchannel.tau_lp import tau_of_L
 
 
@@ -51,6 +54,98 @@ def test_threshold_check_trivial_cases():
 def test_threshold_check_accepts_small_fractions():
     cfg = TwoStageConfig(l_up=4, x_points=40)
     assert check_star(0.6, 0.5, 0.05, 0.05, cfg)
+
+
+def _threshold_on(x, tol):
+    """A threshold whose cut thr - tol is exactly the float x."""
+    thr = x + tol
+    while thr - tol < x:
+        thr = math.nextafter(thr, math.inf)
+    while thr - tol > x:
+        thr = math.nextafter(thr, -math.inf)
+    assert thr - tol == x
+    return thr
+
+
+_CHECK_ARGS = dict(
+    omega=st.floats(0.02, 0.98),
+    alpha=st.floats(0.02, 0.98),
+    R=st.sampled_from(DEFAULT_CONFIG.rate_ladder),
+    tau=st.floats(0.001, 0.5),
+    l_up=st.integers(1, 17),
+    x_points=st.sampled_from((8, 40, 140)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_CHECK_ARGS)
+def test_check_star_matches_reference_scan(omega, alpha, R, tau, l_up, x_points):
+    cfg = TwoStageConfig(l_up=l_up, x_points=x_points)
+    assert check_star(omega, alpha, R, tau, cfg) == oracles.check_star(
+        omega, alpha, R, tau, cfg
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), **_CHECK_ARGS)
+def test_check_star_matches_reference_scan_on_made_up_thresholds(
+    data, omega, alpha, R, tau, l_up, x_points
+):
+    """Unsorted threshold lists exercise the running maximum of the grade
+    cuts; a cut placed exactly on a probed x exercises the boundary.  The
+    first entry stays tau_star(R, 1, omega), which r2 reads from it."""
+    cfg = TwoStageConfig(l_up=l_up, x_points=x_points)
+    rest = data.draw(st.lists(st.floats(0.0, 0.8), min_size=l_up - 1, max_size=l_up - 1))
+    thresholds = [tau_star(R, 1, omega), *rest]
+    if l_up > 1 and data.draw(st.booleans()):
+        # a cut on a probed x of the uniform part of the grid
+        xmax = min(omega, tau / alpha)
+        x = xmax * data.draw(st.integers(1, x_points)) / (x_points + 1)
+        thresholds[data.draw(st.integers(1, l_up - 1))] = _threshold_on(x, cfg.boundary_tol)
+    assert check_star(omega, alpha, R, tau, cfg, thresholds=thresholds) == (
+        oracles.check_star(omega, alpha, R, tau, cfg, thresholds=thresholds)
+    )
+
+
+# At omega = 0.6 and alpha = 1/2 the third probe of an 8-point grid is
+# x0 = 0.6 * 3/9 and xmax = omega.  The lhs 2 tau - x0 clears the list-3
+# bound 1/2 by half a tolerance; a probe 1e-9 further up passes it.
+_ON_CUT_CFG = TwoStageConfig(l_up=4, x_points=8)
+_ON_CUT_OMEGA, _ON_CUT_ALPHA, _ON_CUT_R = 0.6, 0.5, 0.9
+_X0 = _ON_CUT_OMEGA * 3 / 9
+_TAU_ON_CUT = (_X0 + 0.5 - _ON_CUT_CFG.boundary_tol + 0.5e-9) / 2
+
+
+def _on_cut_verdicts(cut2, cut3):
+    """(check_star, reference) verdicts for the thresholds
+    [tau_star(R, 1, omega), cut2 + tol, cut3 + tol, 0.8]."""
+    tol = _ON_CUT_CFG.boundary_tol
+    thresholds = [
+        tau_star(_ON_CUT_R, 1, _ON_CUT_OMEGA),
+        _threshold_on(cut2, tol),
+        _threshold_on(cut3, tol),
+        0.8,
+    ]
+    assert thresholds[0] < _X0 - tol
+    lhs = (_TAU_ON_CUT - _ON_CUT_ALPHA * _X0) / (1 - _ON_CUT_ALPHA)
+    assert lhs > float(tau_of_L(3)) - tol
+    args = (_ON_CUT_OMEGA, _ON_CUT_ALPHA, _ON_CUT_R, _TAU_ON_CUT, _ON_CUT_CFG)
+    return (
+        check_star(*args, thresholds=thresholds),
+        oracles.check_star(*args, thresholds=thresholds),
+    )
+
+
+def test_check_star_grades_x_on_a_cut_by_the_lower_list():
+    """x0 on the list-2 cut has grade 2 (bound 1) and passes; the first
+    grade-3 probe is the one just past that threshold, which passes too."""
+    assert _on_cut_verdicts(_X0, 0.7) == (True, True)
+
+
+def test_check_star_checks_x_on_a_cut_at_that_grade():
+    """x0 on the list-3 cut is the only probe of grade 3, so it is checked
+    against the list-3 bound and fails."""
+    assert _on_cut_verdicts(_X0 - 0.5e-9, _X0) == (False, False)
 
 
 def test_rate_bracketing_small_config():
