@@ -22,6 +22,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heapreplace
 from math import sqrt
 
 from .rate_bounds import binary_entropy, tau_star
@@ -184,8 +185,8 @@ def check_star(
 def two_stage_rate(tau: float, cfg: TwoStageConfig = DEFAULT_CONFIG) -> float:
     """Best alpha * R over the grid subject to check_star; 0 if nothing
     passes.  Deterministic: candidates are ranked by value with ties
-    toward smaller omega, then alpha, then R, and the first feasible one
-    wins."""
+    toward smaller omega, then alpha, then larger R, and the first
+    feasible one wins."""
     if not 0.0 <= tau < 1.0:
         raise ValueError(f"error fraction {tau} outside [0, 1)")
     if tau == 0.0:
@@ -200,18 +201,24 @@ def two_stage_rate(tau: float, cfg: TwoStageConfig = DEFAULT_CONFIG) -> float:
         {k / (n_al + 1) for k in range(1, n_al + 1)}
         | {a for a in cfg.alpha_extras if 0.0 < a < 1.0}
     )
-    candidates = []
+    # Candidates come off a heap holding one entry per (omega, alpha), which
+    # walks that pair's rates from the top of the ladder down, so its
+    # -alpha*R never falls; the full ranked list (some 48k tuples) is never
+    # built.
+    ladder = sorted(cfg.rate_ladder, reverse=True)
+    heap = []
     for om in omegas:
         hcap = binary_entropy(om)
-        for al in alphas:
-            for R in cfg.rate_ladder:
-                if R < hcap:
-                    candidates.append((-al * R, om, al, R))
-    candidates.sort()
+        rates = [R for R in ladder if R < hcap]
+        if rates:
+            heap.extend((-al * rates[0], om, al, 0, rates) for al in alphas)
+    heapify(heap)
     cache: dict[tuple[float, float], list[float]] = {}
-    for neg_value, om, al, R in candidates:
+    while heap:
+        neg_value, om, al, i, rates = heap[0]
         if tau < 0.0:
             return -neg_value
+        R = rates[i]
         key = (om, R)
         thresholds = cache.get(key)
         if thresholds is None:
@@ -219,6 +226,10 @@ def two_stage_rate(tau: float, cfg: TwoStageConfig = DEFAULT_CONFIG) -> float:
             cache[key] = thresholds
         if check_star(om, al, R, tau, cfg, thresholds=thresholds):
             return -neg_value
+        if i + 1 < len(rates):
+            heapreplace(heap, (-al * rates[i + 1], om, al, i + 1, rates))
+        else:
+            heappop(heap)
     return 0.0
 
 

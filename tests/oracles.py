@@ -223,3 +223,26 @@ def check_star(omega, alpha, R, tau, cfg, *, thresholds=None):
         if lhs > bound - tol:
             return False
     return True
+
+
+def ranked_candidates(cfg):
+    """Every (-alpha*R, omega, alpha, R) of the two-stage grid, in the order
+    two_stage_rate checks them, built and sorted in full."""
+    n_om, n_al = cfg.omega_points, cfg.alpha_points
+    omegas = sorted(
+        {k / (n_om + 1) for k in range(1, n_om + 1)}
+        | {w for w in cfg.omega_extras if 0.0 < w < 1.0}
+    )
+    alphas = sorted(
+        {k / (n_al + 1) for k in range(1, n_al + 1)}
+        | {a for a in cfg.alpha_extras if 0.0 < a < 1.0}
+    )
+    candidates = []
+    for om in omegas:
+        hcap = binary_entropy(om)
+        for al in alphas:
+            for R in cfg.rate_ladder:
+                if R < hcap:
+                    candidates.append((-al * R, om, al, R))
+    candidates.sort()
+    return candidates

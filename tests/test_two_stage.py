@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 
+from zchannel import two_stage
 from zchannel.two_stage import (
     DEFAULT_CONFIG,
     TwoStageConfig,
@@ -146,6 +147,48 @@ def test_check_star_checks_x_on_a_cut_at_that_grade():
     """x0 on the list-3 cut is the only probe of grade 3, so it is checked
     against the list-3 bound and fails."""
     assert _on_cut_verdicts(_X0 - 0.5e-9, _X0) == (False, False)
+
+
+def _checked_candidates(cfg):
+    """Every (omega, alpha, R) that two_stage_rate hands to check_star, in
+    order, when none passes."""
+    seen = []
+
+    def record(om, al, R, tau, cfg, *, thresholds):
+        seen.append((om, al, R))
+        return False
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(two_stage, "check_star", record)
+        mp.setattr(two_stage, "_thresholds", lambda R, om, l_up: [])
+        assert two_stage_rate(0.3, cfg) == 0.0
+    return seen
+
+
+def test_two_stage_rate_checks_candidates_in_ranked_order():
+    want = oracles.ranked_candidates(DEFAULT_CONFIG)
+    assert _checked_candidates(DEFAULT_CONFIG) == [c[1:] for c in want]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ladder=st.lists(
+        st.one_of(st.floats(0.0, 0.95), st.sampled_from((0.3, math.nextafter(0.3, 1.0)))),
+        min_size=1,
+        max_size=8,
+    ),
+    points=st.integers(2, 6),
+)
+def test_two_stage_rate_checks_made_up_ladders_in_value_order(ladder, points):
+    """Only candidates of equal value for one (omega, alpha) pair may come
+    in another order than the full sort, and they return the same rate."""
+    cfg = TwoStageConfig(
+        omega_points=points, alpha_points=points, rate_ladder=tuple(ladder)
+    )
+    got = _checked_candidates(cfg)
+    want = oracles.ranked_candidates(cfg)
+    assert [-al * R for _, al, R in got] == [c[0] for c in want]
+    assert sorted(got) == sorted(c[1:] for c in want)
 
 
 def test_rate_bracketing_small_config():
