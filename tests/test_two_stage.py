@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 
@@ -58,14 +58,14 @@ def test_threshold_check_accepts_small_fractions():
 
 
 def _threshold_on(x, tol):
-    """A threshold whose cut thr - tol is exactly the float x."""
+    """A threshold whose cut thr - tol is exactly the float x, or None for
+    the rare x that no float threshold reaches."""
     thr = x + tol
     while thr - tol < x:
         thr = math.nextafter(thr, math.inf)
     while thr - tol > x:
         thr = math.nextafter(thr, -math.inf)
-    assert thr - tol == x
-    return thr
+    return thr if thr - tol == x else None
 
 
 _CHECK_ARGS = dict(
@@ -102,7 +102,9 @@ def test_check_star_matches_reference_scan_on_made_up_thresholds(
         # a cut on a probed x of the uniform part of the grid
         xmax = min(omega, tau / alpha)
         x = xmax * data.draw(st.integers(1, x_points)) / (x_points + 1)
-        thresholds[data.draw(st.integers(1, l_up - 1))] = _threshold_on(x, cfg.boundary_tol)
+        thr = _threshold_on(x, cfg.boundary_tol)
+        assume(thr is not None)
+        thresholds[data.draw(st.integers(1, l_up - 1))] = thr
     assert check_star(omega, alpha, R, tau, cfg, thresholds=thresholds) == (
         oracles.check_star(omega, alpha, R, tau, cfg, thresholds=thresholds)
     )
@@ -127,6 +129,7 @@ def _on_cut_verdicts(cut2, cut3):
         _threshold_on(cut3, tol),
         0.8,
     ]
+    assert None not in thresholds
     assert thresholds[0] < _X0 - tol
     lhs = (_TAU_ON_CUT - _ON_CUT_ALPHA * _X0) / (1 - _ON_CUT_ALPHA)
     assert lhs > float(tau_of_L(3)) - tol
