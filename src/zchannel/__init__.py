@@ -67,6 +67,7 @@ from .tau_lp import (
 )
 from .two_stage import (
     DEFAULT_CONFIG,
+    CurvePoint,
     PlotkinPoint,
     RemainsReport,
     RemainsRow,
@@ -74,6 +75,7 @@ from .two_stage import (
     check_star,
     plotkin_point,
     r2,
+    two_stage_curve,
     two_stage_rate,
     verify_remains,
 )

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import __version__
@@ -31,11 +30,10 @@ from .protocol import (
     validate_parameters,
     write_code_file,
 )
+from .rate_bounds import gv_rate, mrrw_rate, rcb_lower_curve
 from .search import SearchBudget, best_list_code, max_code
 from .tau_lp import UnresolvedError, solve_tau
-from .two_stage import TwoStageConfig, plotkin_point, two_stage_rate, verify_remains
-
-THREADS_ENV = "ZCHANNEL_THREADS"
+from .two_stage import TwoStageConfig, plotkin_point, two_stage_curve, verify_remains
 
 
 @dataclass
@@ -50,6 +48,8 @@ class RunManifest:
     error: str | None = None
     # tau-table only: each size's solver counters and time, keyed by M
     solver: dict[str, dict] | None = None
+    # two-stage-curve only: one two_stage.CurvePoint per tau
+    two_stage: list[dict] | None = None
 
     def write(self, out_dir: Path) -> None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -60,22 +60,12 @@ def _write_json(path: Path, doc, *, sort_keys: bool = False) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n")
 
 
-def _csv_curve(path: Path, taus, rates) -> None:
+def _csv_curve(path: Path, taus, rates, manifest: RunManifest) -> None:
     with path.open("w", newline="") as fh:
         fh.write("tau,rate\n")
         for t, r in zip(taus, rates):
             fh.write(f"{t:.9f},{r:.9f}\n")
-
-
-def _thread_count(jobs: int) -> int:
-    """Worker processes for ``jobs`` independent jobs: the environment's
-    request, capped at the CPU count and at the number of jobs."""
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV}={raw!r} is not an integer") from None
-    return max(1, min(n, os.cpu_count() or 1, jobs))
+    manifest.outputs.append(path.name)
 
 
 # ---------------------------------------------------------------------------
@@ -114,53 +104,27 @@ def _cmd_tau_table(args, out: Path, manifest: RunManifest) -> int:
 
 
 def _cmd_rcb_curve(args, out: Path, manifest: RunManifest) -> int:
-    from .rate_bounds import rcb_lower_curve
-
     if not 1 <= args.list_size <= 17:
         raise ValueError("--list-size must lie in 1..17")
     curve = rcb_lower_curve(
         args.list_size, r_points=args.grid, omega_points=args.grid
     )
-    path = out / f"rcb_lower_L{args.list_size}.csv"
-    _csv_curve(path, curve.taus, curve.rates)
-    manifest.outputs.append(path.name)
+    _csv_curve(out / f"rcb_lower_L{args.list_size}.csv", curve.taus, curve.rates, manifest)
     return 0
 
 
-def _two_stage_worker(job: tuple[float, TwoStageConfig]) -> float:
-    tau, cfg = job
-    return two_stage_rate(tau, cfg)
-
-
 def _cmd_two_stage_curve(args, out: Path, manifest: RunManifest) -> int:
-    from .rate_bounds import gv_rate, mrrw_rate
-
-    if args.lup < 1:
-        raise ValueError("--lup must be positive")
     if args.grid < 1:
         raise ValueError("--grid must be at least 1")
     cfg = TwoStageConfig(l_up=args.lup)
     taus = [args.tau_max * k / args.grid for k in range(1, args.grid + 1)]
-    jobs = [(t, cfg) for t in taus]
-    threads = _thread_count(len(jobs))
-    if threads > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(threads) as pool:
-            rates = pool.map(_two_stage_worker, jobs)
-    else:
-        rates = [_two_stage_worker(j) for j in jobs]
-    path = out / "two_stage.csv"
-    _csv_curve(path, taus, rates)
-    manifest.outputs.append(path.name)
+    curve = two_stage_curve(taus, cfg)
+    manifest.two_stage = [asdict(p) for p in curve]
+    _csv_curve(out / "two_stage.csv", taus, [p.rate for p in curve], manifest)
     # both reference curves end at tau = 1/4; past it they get no rows
     gv_taus = [t for t in taus if t <= 0.25]
-    path = out / "gv.csv"
-    _csv_curve(path, gv_taus, [gv_rate(t) for t in gv_taus])
-    manifest.outputs.append(path.name)
-    path = out / "mrrw.csv"
-    _csv_curve(path, gv_taus, [mrrw_rate(t) for t in gv_taus])
-    manifest.outputs.append(path.name)
+    _csv_curve(out / "gv.csv", gv_taus, [gv_rate(t) for t in gv_taus], manifest)
+    _csv_curve(out / "mrrw.csv", gv_taus, [mrrw_rate(t) for t in gv_taus], manifest)
     return 0
 
 
@@ -316,34 +280,32 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("tau-table", help="solved correctable fractions with certificates")
-    p.add_argument("--max-m", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_tau_table)
+    def command(name, fn, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--out", required=True)
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("rcb-curve", help="random-coding achievability curve")
+    p = command("tau-table", _cmd_tau_table, "solved correctable fractions with certificates")
+    p.add_argument("--max-m", type=int, required=True)
+
+    p = command("rcb-curve", _cmd_rcb_curve, "random-coding achievability curve")
     p.add_argument("--list-size", type=int, required=True)
     p.add_argument("--grid", type=int, default=2000)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_rcb_curve)
 
-    p = sub.add_parser("two-stage-curve", help="feedback rate curve with reference curves")
+    p = command("two-stage-curve", _cmd_two_stage_curve,
+                "feedback rate curve with reference curves")
     p.add_argument("--lup", type=int, default=17)
     p.add_argument("--grid", type=int, default=50)
     p.add_argument("--tau-max", type=float, default=0.5)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_two_stage_curve)
 
-    p = sub.add_parser("plotkin-point", help="zero-rate threshold point")
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_plotkin_point)
+    command("plotkin-point", _cmd_plotkin_point, "zero-rate threshold point")
 
-    p = sub.add_parser("verify-remains", help="exact certification of the threshold inequalities")
+    p = command("verify-remains", _cmd_verify_remains,
+                "exact certification of the threshold inequalities")
     p.add_argument("--lup", type=int, default=17)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_verify_remains)
 
-    p = sub.add_parser("search", help="exhaustive/seeded code searches")
+    p = command("search", _cmd_search, "exhaustive/seeded code searches")
     p.add_argument("mode", choices=["max-code", "best-list"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, default=2, help="even distance floor (max-code)")
@@ -352,17 +314,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list-size", type=int, help="list size (best-list)")
     p.add_argument("--max-nodes", type=int, default=SearchBudget.max_nodes)
     p.add_argument("--seed", type=int, default=SearchBudget.seed)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_search)
 
-    p = sub.add_parser("simulate", help="run the two-stage protocol against the adversary")
+    p = command("simulate", _cmd_simulate, "run the two-stage protocol against the adversary")
     p.add_argument("--stage1", required=True, help="stage-1 code file")
     p.add_argument("--stage2", action="append", default=[], metavar="GRADE=FILE",
                    help="stage-2 code for one list size (repeatable)")
     p.add_argument("--t", type=int, required=True, help="adversary budget")
     p.add_argument("--message", type=int, help="single message (default: all)")
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_simulate)
 
     return parser
 

@@ -7,8 +7,8 @@ supports error fraction tau when every split of the adversary's budget is
 covered: stage-1 damage x either leaves a list of some size L (handled by
 a size-L+1-grade second stage, whose guaranteed fraction is tau_of_L) or
 overflows the list cap and must be handled by the shortened-code rate
-bound.  ``two_stage_rate`` grid-searches the triple maximizing alpha * R
-subject to that feasibility check.
+bound.  ``two_stage_curve`` grid-searches the triple maximizing alpha * R
+subject to that feasibility check, for a whole list of taus in one pass.
 
 The degenerate point where the achievable rate hits zero is computed
 exactly from the stationarity cubic 1 + 3 omega^2 - 8 omega^3 = 0, and
@@ -182,16 +182,36 @@ def check_star(
     return True
 
 
-def two_stage_rate(tau: float, cfg: TwoStageConfig = DEFAULT_CONFIG) -> float:
-    """Best alpha * R over the grid subject to check_star; 0 if nothing
-    passes.  Deterministic: candidates are ranked by value with ties
-    toward smaller omega, then alpha, then larger R, and the first
-    feasible one wins."""
-    if not 0.0 <= tau < 1.0:
-        raise ValueError(f"error fraction {tau} outside [0, 1)")
-    if tau == 0.0:
-        # noiseless: feasibility is vacuous, take the best grid value
-        tau = -1.0  # sentinel: every candidate passes
+@dataclass(frozen=True)
+class CurvePoint:
+    """One tau of ``two_stage_curve``: rate, winning (omega, alpha, R) or
+    None, check_star calls made, and pairs dropped at their bottom rung."""
+
+    tau: float
+    rate: float
+    omega: float | None
+    alpha: float | None
+    R: float | None
+    checks: int
+    killed: int
+
+
+def two_stage_curve(
+    taus: list[float], cfg: TwoStageConfig = DEFAULT_CONFIG
+) -> list[CurvePoint]:
+    """Best alpha * R over the grid subject to check_star at each tau of a
+    non-decreasing list, 0 where nothing passes.  At each tau, candidates
+    rank by value with ties toward smaller omega, then alpha, then larger
+    R, and the first feasible one wins.  The heap of (omega, alpha) pairs,
+    each walking its rates down the ladder, carries over from tau to tau
+    on two facts the tests check but no theorem gives: a pair failing at R
+    fails at every larger R and at every larger tau.  So a failed rung is
+    never checked again, and a pair is dropped for good once its bottom
+    rung fails, which is checked on its first pop at each tau.
+    """
+    for prev, tau in zip([0.0, *taus], taus):
+        if not prev <= tau < 1.0:
+            raise ValueError(f"error fraction {tau} outside [0, 1) or below {prev}")
     n_om, n_al = cfg.omega_points, cfg.alpha_points
     omegas = sorted(
         {k / (n_om + 1) for k in range(1, n_om + 1)}
@@ -201,10 +221,6 @@ def two_stage_rate(tau: float, cfg: TwoStageConfig = DEFAULT_CONFIG) -> float:
         {k / (n_al + 1) for k in range(1, n_al + 1)}
         | {a for a in cfg.alpha_extras if 0.0 < a < 1.0}
     )
-    # Candidates come off a heap holding one entry per (omega, alpha), which
-    # walks that pair's rates from the top of the ladder down, so its
-    # -alpha*R never falls; the full ranked list (some 48k tuples) is never
-    # built.
     ladder = sorted(cfg.rate_ladder, reverse=True)
     heap = []
     for om in omegas:
@@ -214,23 +230,45 @@ def two_stage_rate(tau: float, cfg: TwoStageConfig = DEFAULT_CONFIG) -> float:
             heap.extend((-al * rates[0], om, al, 0, rates) for al in alphas)
     heapify(heap)
     cache: dict[tuple[float, float], list[float]] = {}
-    while heap:
-        neg_value, om, al, i, rates = heap[0]
-        if tau < 0.0:
-            return -neg_value
-        R = rates[i]
-        key = (om, R)
-        thresholds = cache.get(key)
+    checks = 0
+
+    def passes(om: float, al: float, R: float, tau: float) -> bool:
+        nonlocal checks
+        checks += 1
+        thresholds = cache.get((om, R))
         if thresholds is None:
-            thresholds = _thresholds(R, om, cfg.l_up)
-            cache[key] = thresholds
-        if check_star(om, al, R, tau, cfg, thresholds=thresholds):
-            return -neg_value
-        if i + 1 < len(rates):
-            heapreplace(heap, (-al * rates[i + 1], om, al, i + 1, rates))
+            thresholds = cache[om, R] = _thresholds(R, om, cfg.l_up)
+        return check_star(om, al, R, tau, cfg, thresholds=thresholds)
+
+    points = []
+    for tau in taus:
+        before, killed, popped = checks, 0, set()
+        while heap:
+            neg_value, om, al, i, rates = heap[0]
+            bottom = len(rates) - 1
+            # on a pair's first pop at this tau its bottom rung goes first;
+            # at tau 0 feasibility is vacuous and nothing is checked
+            first = i < bottom and (om, al) not in popped
+            popped.add((om, al))
+            alive = tau == 0.0 or not first or passes(om, al, rates[bottom], tau)
+            if alive and (tau == 0.0 or passes(om, al, rates[i], tau)):
+                point = CurvePoint(tau, -neg_value, om, al, rates[i], checks - before, killed)
+                break
+            if alive and i < bottom:
+                heapreplace(heap, (-al * rates[i + 1], om, al, i + 1, rates))
+            else:
+                heappop(heap)
+                killed += 1
         else:
-            heappop(heap)
-    return 0.0
+            point = CurvePoint(tau, 0.0, None, None, None, checks - before, killed)
+        points.append(point)
+    return points
+
+
+def two_stage_rate(tau: float, cfg: TwoStageConfig = DEFAULT_CONFIG) -> float:
+    """Best alpha * R over the grid subject to check_star at one tau; 0 if
+    nothing passes.  See ``two_stage_curve``."""
+    return two_stage_curve([tau], cfg)[0].rate
 
 
 @dataclass(frozen=True)

@@ -6,14 +6,17 @@ are summed term by term from their definitions.  Agreement between these
 and the package routes is what the oracle tests assert.
 
 The last section is different in kind: it keeps the scalar ``tau_star``
-bisection and the ``check_star`` scan as they were before their fast paths,
-so the package can be held to the same float results bit for bit.
+bisection, the ``check_star`` scan and the per-tau heap scan of
+``two_stage_rate`` as they were before their fast paths, so the package
+can be held to the same float results bit for bit.
 """
 
 import math
+from heapq import heapify, heappop, heapreplace
 from itertools import product
 from math import comb, exp, fsum, log, sqrt
 
+from zchannel import two_stage
 from zchannel.rate_bounds import binary_entropy
 from zchannel.tau_lp import tau_of_L
 
@@ -227,7 +230,8 @@ def check_star(omega, alpha, R, tau, cfg, *, thresholds=None):
 
 def ranked_candidates(cfg):
     """Every (-alpha*R, omega, alpha, R) of the two-stage grid, in the order
-    two_stage_rate checks them, built and sorted in full."""
+    the heap scan ``two_stage_rate`` below checks them, built and sorted in
+    full."""
     n_om, n_al = cfg.omega_points, cfg.alpha_points
     omegas = sorted(
         {k / (n_om + 1) for k in range(1, n_om + 1)}
@@ -246,3 +250,56 @@ def ranked_candidates(cfg):
                     candidates.append((-al * R, om, al, R))
     candidates.sort()
     return candidates
+
+
+def two_stage_rate(tau, cfg):
+    """The per-tau heap scan: every candidate of the grid in value order,
+    each checked with the package's ``check_star`` until one passes.
+
+    It reaches ``check_star`` and ``_thresholds`` through the
+    ``two_stage`` module, so a test can record the candidates it checks.
+    """
+    if not 0.0 <= tau < 1.0:
+        raise ValueError(f"error fraction {tau} outside [0, 1)")
+    if tau == 0.0:
+        # noiseless: feasibility is vacuous, take the best grid value
+        tau = -1.0  # sentinel: every candidate passes
+    n_om, n_al = cfg.omega_points, cfg.alpha_points
+    omegas = sorted(
+        {k / (n_om + 1) for k in range(1, n_om + 1)}
+        | {w for w in cfg.omega_extras if 0.0 < w < 1.0}
+    )
+    alphas = sorted(
+        {k / (n_al + 1) for k in range(1, n_al + 1)}
+        | {a for a in cfg.alpha_extras if 0.0 < a < 1.0}
+    )
+    # Candidates come off a heap holding one entry per (omega, alpha), which
+    # walks that pair's rates from the top of the ladder down, so its
+    # -alpha*R never falls; the full ranked list (some 48k tuples) is never
+    # built.
+    ladder = sorted(cfg.rate_ladder, reverse=True)
+    heap = []
+    for om in omegas:
+        hcap = binary_entropy(om)
+        rates = [R for R in ladder if R < hcap]
+        if rates:
+            heap.extend((-al * rates[0], om, al, 0, rates) for al in alphas)
+    heapify(heap)
+    cache = {}
+    while heap:
+        neg_value, om, al, i, rates = heap[0]
+        if tau < 0.0:
+            return -neg_value
+        R = rates[i]
+        key = (om, R)
+        thresholds = cache.get(key)
+        if thresholds is None:
+            thresholds = two_stage._thresholds(R, om, cfg.l_up)
+            cache[key] = thresholds
+        if two_stage.check_star(om, al, R, tau, cfg, thresholds=thresholds):
+            return -neg_value
+        if i + 1 < len(rates):
+            heapreplace(heap, (-al * rates[i + 1], om, al, i + 1, rates))
+        else:
+            heappop(heap)
+    return 0.0

@@ -7,13 +7,11 @@ convention (success / usage error / unresolved or failed work).
 """
 
 import json
-import multiprocessing
-import os
 from pathlib import Path
 
 import pytest
 
-from zchannel import cli
+from zchannel import cli, two_stage
 from zchannel.cli import main
 from zchannel.tau_lp import TauCertificate, UnresolvedError, verify_certificate
 
@@ -110,6 +108,7 @@ def test_rcb_curve_list_size_bounds(tmp_path):
         ["search", "max-code", "--n", "30"],
         ["rcb-curve", "--list-size", "3", "--grid", "1"],
         ["two-stage-curve", "--grid", "0"],
+        ["two-stage-curve", "--lup", "0"],
     ],
 )
 def test_range_errors_below_the_cli_exit_one(tmp_path, argv):
@@ -120,8 +119,7 @@ def test_range_errors_below_the_cli_exit_one(tmp_path, argv):
     assert manifest["error"]
 
 
-def test_two_stage_curve_files(tmp_path, monkeypatch):
-    monkeypatch.setenv("ZCHANNEL_THREADS", "2")
+def test_two_stage_curve_files(tmp_path):
     out = tmp_path / "a"
     argv = [
         "two-stage-curve",
@@ -142,6 +140,16 @@ def test_two_stage_curve_files(tmp_path, monkeypatch):
     for line in gv[1:]:
         tau, rate = line.split(",")
         assert rates[tau] >= float(rate) - 1e-9
+
+    record = read_manifest(out)["two_stage"]
+    assert [f"{p['tau']:.9f},{p['rate']:.9f}" for p in record] == two_stage[1:]
+    for p in record:
+        assert p["checks"] > 0
+        assert p["killed"] >= 0
+        if p["rate"]:
+            assert p["rate"] == p["alpha"] * p["R"]
+        else:
+            assert p["omega"] is p["alpha"] is p["R"] is None
 
     out2 = tmp_path / "b"
     argv[-1] = str(out2)
@@ -269,38 +277,15 @@ def test_simulate_rejects_malformed_code_file(tmp_path):
     assert "bad header" in manifest["error"]
 
 
-def test_thread_env_is_capped(tmp_path, monkeypatch):
-    requested = []
+def test_two_stage_curve_checks_every_tau_before_any_work(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("check_star called")
 
-    class RecordingPool:
-        """Stands in for multiprocessing.Pool; runs the jobs in process."""
-
-        def __init__(self, processes):
-            requested.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            return False
-
-        def map(self, fn, jobs):
-            return [fn(job) for job in jobs]
-
-    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-    monkeypatch.setattr(cli, "two_stage_rate", lambda tau, cfg: 0.0)
-    monkeypatch.setenv("ZCHANNEL_THREADS", str(10**12))
-    argv = ["two-stage-curve", "--lup", "2", "--grid", "3"]
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    assert main([*argv, "--out", str(tmp_path / "a")]) == 0
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert main([*argv, "--out", str(tmp_path / "b")]) == 0
-    assert requested == [3, 2]  # the job count, then the CPU count
-
-
-def test_thread_env_must_be_integer(tmp_path, monkeypatch):
-    monkeypatch.setenv("ZCHANNEL_THREADS", "many")
+    monkeypatch.setattr(two_stage, "check_star", refuse)
     out = tmp_path / "run"
-    argv = ["two-stage-curve", "--lup", "2", "--grid", "2", "--out", str(out)]
+    argv = ["two-stage-curve", "--tau-max", "1.0", "--grid", "50", "--out", str(out)]
     assert main(argv) == 1
-    assert read_manifest(out)["status"] == "usage-error"
+    manifest = read_manifest(out)
+    assert manifest["status"] == "usage-error"
+    assert "1.0" in manifest["error"]
+    assert not (out / "two_stage.csv").exists()

@@ -30,6 +30,11 @@ RUNS = {
     "two_stage_curve_late": [
         "two-stage-curve", "--lup", "17", "--grid", "1", "--tau-max", "0.30",
     ],
+    # taus 0.12, 0.24, 0.36 and 0.48 in one call: the walk carries each
+    # pair's failed rungs and dead pairs across the zero-rate threshold
+    "two_stage_curve_walk": [
+        "two-stage-curve", "--lup", "17", "--grid", "4", "--tau-max", "0.48",
+    ],
     "plotkin_point": ["plotkin-point"],
     "verify_remains": ["verify-remains", "--lup", "17"],
     "search_max_code": ["search", "max-code", "--n", "6", "--d", "4"],

@@ -13,6 +13,7 @@ from zchannel.two_stage import (
     check_star,
     plotkin_point,
     r2,
+    two_stage_curve,
     two_stage_rate,
     verify_remains,
 )
@@ -153,8 +154,8 @@ def test_check_star_checks_x_on_a_cut_at_that_grade():
 
 
 def _checked_candidates(cfg):
-    """Every (omega, alpha, R) that two_stage_rate hands to check_star, in
-    order, when none passes."""
+    """Every (omega, alpha, R) that the reference heap scan hands to
+    check_star, in order, when none passes."""
     seen = []
 
     def record(om, al, R, tau, cfg, *, thresholds):
@@ -164,7 +165,7 @@ def _checked_candidates(cfg):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(two_stage, "check_star", record)
         mp.setattr(two_stage, "_thresholds", lambda R, om, l_up: [])
-        assert two_stage_rate(0.3, cfg) == 0.0
+        assert oracles.two_stage_rate(0.3, cfg) == 0.0
     return seen
 
 
@@ -192,6 +193,133 @@ def test_two_stage_rate_checks_made_up_ladders_in_value_order(ladder, points):
     want = oracles.ranked_candidates(cfg)
     assert [-al * R for _, al, R in got] == [c[0] for c in want]
     assert sorted(got) == sorted(c[1:] for c in want)
+
+
+def test_curve_equals_heap_scan_on_default_grid():
+    """Both sides of the threshold near 0.44, where every pair dies."""
+    taus = [0.15, 0.30, 0.43, 0.44]
+    curve = two_stage_curve(taus, DEFAULT_CONFIG)
+    assert [p.tau for p in curve] == taus
+    assert [p.rate for p in curve] == [oracles.two_stage_rate(t, DEFAULT_CONFIG) for t in taus]
+    for p in curve:
+        if p.rate:
+            assert p.rate == p.alpha * p.R
+            assert check_star(p.omega, p.alpha, p.R, p.tau, DEFAULT_CONFIG)
+        else:
+            assert p.omega is p.alpha is p.R is None
+    assert curve[-1].rate == 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    l_up=st.integers(1, 17),
+    omega_points=st.integers(2, 6),
+    alpha_points=st.integers(2, 6),
+    ladder=st.lists(
+        st.one_of(st.sampled_from(DEFAULT_CONFIG.rate_ladder), st.floats(0.0, 0.95)),
+        min_size=1,
+        max_size=6,
+    ),
+    x_points=st.integers(8, 40),
+    taus=st.lists(st.floats(0.0, 0.6, exclude_max=True), min_size=1, max_size=6),
+    repeat=st.integers(0, 5),
+)
+def test_curve_equals_heap_scan_on_small_configs(
+    l_up, omega_points, alpha_points, ladder, x_points, taus, repeat
+):
+    cfg = TwoStageConfig(
+        l_up=l_up,
+        omega_points=omega_points,
+        alpha_points=alpha_points,
+        rate_ladder=tuple(ladder),
+        x_points=x_points,
+    )
+    # tau 0 and one repeated tau in every walk
+    taus = sorted([0.0, *taus, taus[repeat % len(taus)]])
+    got = [p.rate for p in two_stage_curve(taus, cfg)]
+    assert got == [oracles.two_stage_rate(t, cfg) for t in taus]
+
+
+def test_curve_never_rechecks_a_failed_rung_or_a_dead_pair(monkeypatch):
+    cfg = TwoStageConfig(l_up=6, omega_points=8, alpha_points=8, x_points=40)
+    real = two_stage.check_star
+    calls = []
+
+    def spy(om, al, R, tau, cfg, *, thresholds):
+        ok = real(om, al, R, tau, cfg, thresholds=thresholds)
+        calls.append((om, al, R, ok))
+        return ok
+
+    monkeypatch.setattr(two_stage, "check_star", spy)
+    curve = two_stage_curve([0.1, 0.2, 0.3, 0.3, 0.4, 0.45], cfg)
+    assert sum(p.checks for p in curve) == len(calls)
+    failed, dead = set(), set()
+    for om, al, R, ok in calls:
+        assert (om, al, R) not in failed and (om, al) not in dead
+        if not ok:
+            failed.add((om, al, R))
+            if R == min(r for r in cfg.rate_ladder if r < binary_entropy(om)):
+                dead.add((om, al))
+    assert sum(p.killed for p in curve) == len(dead)
+    # past the threshold every live pair costs one check and dies
+    assert curve[-1].rate == 0.0
+    assert curve[-1].checks == curve[-1].killed > 0
+
+
+def test_curve_checks_every_tau_before_any_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("check_star called")
+
+    monkeypatch.setattr(two_stage, "check_star", refuse)
+    for taus in ([0.1, 1.0], [0.1, -0.1], [0.2, 0.1], [0.1, math.nan]):
+        with pytest.raises(ValueError):
+            two_stage_curve(taus)
+    assert two_stage_curve([]) == []
+
+
+_LADDER = sorted(DEFAULT_CONFIG.rate_ladder)
+_MONOTONE_ARGS = dict(
+    omega=st.floats(0.02, 0.98),
+    alpha=st.floats(0.02, 0.98),
+    rung=st.integers(0, len(_LADDER) - 2),
+    tau=st.floats(0.001, 0.5),
+    l_up=st.integers(1, 17),
+    x_points=st.sampled_from((8, 40, 140)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), **_MONOTONE_ARGS)
+def test_check_star_failure_persists_up_the_ladder(
+    data, omega, alpha, rung, tau, l_up, x_points
+):
+    """The fact behind the bottom-rung kill: a pair that fails at one rate
+    fails at every larger rate of the ladder."""
+    cfg = TwoStageConfig(l_up=l_up, x_points=x_points)
+    R, higher = _LADDER[rung], _LADDER[data.draw(st.integers(rung + 1, len(_LADDER) - 1))]
+
+    def ok(R):
+        return oracles.check_star(
+            omega, alpha, R, tau, cfg, thresholds=two_stage._thresholds(R, omega, l_up)
+        )
+
+    assert ok(R) or not ok(higher)
+
+
+@settings(max_examples=100, deadline=None)
+@given(larger=st.floats(0.001, 0.6), **_MONOTONE_ARGS)
+def test_check_star_failure_persists_at_larger_tau(
+    larger, omega, alpha, rung, tau, l_up, x_points
+):
+    """The fact behind the tau walk: a rung that fails at one tau fails at
+    every larger tau."""
+    cfg = TwoStageConfig(l_up=l_up, x_points=x_points)
+    R = _LADDER[rung]
+    thresholds = two_stage._thresholds(R, omega, l_up)
+    lo, hi = sorted((tau, larger))
+    assert oracles.check_star(omega, alpha, R, lo, cfg, thresholds=thresholds) or not (
+        oracles.check_star(omega, alpha, R, hi, cfg, thresholds=thresholds)
+    )
 
 
 def test_rate_bracketing_small_config():
