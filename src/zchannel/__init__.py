@@ -49,7 +49,6 @@ from .rate_bounds import (
 )
 from .search import (
     CodeSearchResult,
-    SearchBudget,
     best_list_code,
     max_code,
     sample_code_radius,

@@ -31,7 +31,7 @@ from .protocol import (
     write_code_file,
 )
 from .rate_bounds import gv_rate, mrrw_rate, rcb_lower_curve
-from .search import SearchBudget, best_list_code, max_code
+from .search import MAX_NODES, best_list_code, max_code
 from .tau_lp import UnresolvedError, solve_tau
 from .two_stage import TwoStageConfig, plotkin_point, two_stage_curve, verify_remains
 
@@ -41,7 +41,6 @@ class RunManifest:
     subcommand: str
     parameters: dict
     version: str = __version__
-    seed: int | None = None
     wall_seconds: float = 0.0
     outputs: list[str] = field(default_factory=list)
     status: str = "ok"
@@ -168,14 +167,13 @@ def _cmd_verify_remains(args, out: Path, manifest: RunManifest) -> int:
 
 
 def _cmd_search(args, out: Path, manifest: RunManifest) -> int:
-    budget = SearchBudget(max_nodes=args.max_nodes, seed=args.seed)
-    manifest.seed = args.seed
     if args.mode == "max-code":
-        result = max_code(args.n, args.d, budget)
+        result = max_code(args.n, args.d, max_nodes=args.max_nodes)
     else:
         if args.w is None or args.size is None or args.list_size is None:
             raise ValueError("best-list needs --w, --size and --list-size")
-        result = best_list_code(args.n, args.w, args.size, args.list_size, budget)
+        result = best_list_code(args.n, args.w, args.size, args.list_size,
+                                max_nodes=args.max_nodes)
     code_path = out / "code.txt"
     write_code_file(code_path, result.code)
     manifest.outputs.append(code_path.name)
@@ -305,15 +303,14 @@ def _build_parser() -> argparse.ArgumentParser:
                 "exact certification of the threshold inequalities")
     p.add_argument("--lup", type=int, default=17)
 
-    p = command("search", _cmd_search, "exhaustive/seeded code searches")
+    p = command("search", _cmd_search, "exact code searches with a node cap")
     p.add_argument("mode", choices=["max-code", "best-list"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, default=2, help="even distance floor (max-code)")
     p.add_argument("--w", type=int, help="constant weight (best-list)")
     p.add_argument("--size", type=int, help="code size (best-list)")
     p.add_argument("--list-size", type=int, help="list size (best-list)")
-    p.add_argument("--max-nodes", type=int, default=SearchBudget.max_nodes)
-    p.add_argument("--seed", type=int, default=SearchBudget.seed)
+    p.add_argument("--max-nodes", type=int, default=MAX_NODES, help="search node cap")
 
     p = command("simulate", _cmd_simulate, "run the two-stage protocol against the adversary")
     p.add_argument("--stage1", required=True, help="stage-1 code file")

@@ -1,8 +1,9 @@
-"""Exhaustive and randomized searches over small codes.
+"""Exact searches over small codes, and a sampled radius statistic.
 
-Everything here is desk-scale: word lengths around 20 and below, code sizes
-in the single digits.  The searches are deterministic; randomized fallbacks
-take an explicit seed and use the stdlib Mersenne Twister.
+Everything here is desk-scale: word lengths up to 24, code sizes in the
+single digits.  Both searches are depth-first in canonical order and stop
+once their node count passes ``max_nodes``, returning the incumbent with
+``optimal`` False.  ``sample_code_radius`` draws from an explicit seed.
 """
 
 from __future__ import annotations
@@ -13,19 +14,9 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .words import BitWord, Code, _subset_radius
+from .words import BitWord, Code, _dz_masks, _subset_radius
 
-
-@dataclass(frozen=True)
-class SearchBudget:
-    """Caps that keep exhaustive searches from running away."""
-
-    max_nodes: int = 10_000_000
-    restarts: int = 200  # randomized fallback only
-    seed: int = 2024
-
-
-DEFAULT_BUDGET = SearchBudget()
+MAX_NODES = 10_000_000
 
 
 @dataclass
@@ -37,11 +28,14 @@ class CodeSearchResult:
     note: str = ""
 
 
-def _dz_masks(a: int, b: int) -> int:
-    return 2 * max((a & ~b).bit_count(), (b & ~a).bit_count())
+def _check_caps(n: int, max_nodes: int) -> None:
+    if not 1 <= n <= 24:
+        raise ValueError(f"length {n} out of supported range 1..24")
+    if max_nodes < 1:
+        raise ValueError(f"node budget must be at least 1, got {max_nodes}")
 
 
-def max_code(n: int, d: int, budget: SearchBudget | None = None) -> CodeSearchResult:
+def max_code(n: int, d: int, *, max_nodes: int = MAX_NODES) -> CodeSearchResult:
     """Largest code of length n with pairwise distance at least d.
 
     Depth-first search over words in canonical order, branching on
@@ -50,11 +44,9 @@ def max_code(n: int, d: int, budget: SearchBudget | None = None) -> CodeSearchRe
     is returned.  If the node cap trips, ``optimal`` is False and the
     incumbent so far is returned.
     """
-    if n < 1 or n > 24:
-        raise ValueError(f"length {n} out of supported range 1..24")
+    _check_caps(n, max_nodes)
     if d < 2 or d % 2:
         raise ValueError("distance must be even and at least 2")
-    budget = budget or DEFAULT_BUDGET
     universe = 1 << n
 
     # adjacency[v] = bitset of words compatible with v (distance >= d)
@@ -83,7 +75,7 @@ def max_code(n: int, d: int, budget: SearchBudget | None = None) -> CodeSearchRe
             if len(chosen) + pool.bit_count() <= len(best):
                 return
             nodes += 1
-            if nodes > budget.max_nodes:
+            if nodes > max_nodes:
                 truncated = True
                 return
             v = (pool & -pool).bit_length() - 1
@@ -101,60 +93,63 @@ def max_code(n: int, d: int, budget: SearchBudget | None = None) -> CodeSearchRe
 
 
 def best_list_code(
-    n: int,
-    w: int,
-    size: int,
-    list_size: int,
-    budget: SearchBudget | None = None,
+    n: int, w: int, size: int, list_size: int, *, max_nodes: int = MAX_NODES
 ) -> CodeSearchResult:
     """Constant-weight code of the given size maximizing the list radius.
 
-    Exhaustive over all weight-w selections when the count of candidate
-    codes fits the node budget; otherwise seeded random restarts.  Ties go
-    to the canonically smallest code, so exhaustive runs are reproducible
-    by construction and randomized runs via the seed.
+    Depth-first search over the weight-w words, meeting codes in
+    ``itertools.combinations`` order.  Adding a word only adds
+    (list_size + 1)-subsets, so a prefix whose list radius is at most the
+    incumbent's is pruned, and ties go to the first code in that order.
+    ``nodes`` counts candidate codes decided, a pruned prefix deciding all
+    its completions, so a finished search reports C(|shell|, size).  Once
+    it passes ``max_nodes`` with work left, the incumbent is returned with
+    ``optimal`` False; the first code decided is always a new incumbent.
     """
+    _check_caps(n, max_nodes)
     if not 0 <= w <= n:
         raise ValueError(f"weight {w} out of range for n={n}")
     if size < 1:
         raise ValueError("code size must be positive")
-    budget = budget or DEFAULT_BUDGET
+    if list_size < 1:
+        raise ValueError("list size must be at least 1")
+    if size > comb(n, w):
+        raise ValueError(f"only {comb(n, w)} words of weight {w} exist")
     shell = [m for m in range(1 << n) if m.bit_count() == w]
-    if size > len(shell):
-        raise ValueError(f"only {len(shell)} words of weight {w} exist")
 
     if size <= list_size:
         # any selection already attains radius n; keep the first
         code = Code(BitWord(n, m) for m in shell[:size])
         return CodeSearchResult(code, n, True, 0, "size within list bound")
 
-    total = comb(len(shell), size)
-    if total <= budget.max_nodes:
-        best_obj = -1
-        best_masks: tuple[int, ...] | None = None
-        for masks in combinations(shell, size):
-            obj = _subset_radius(masks, list_size)
-            if obj > best_obj:
-                best_obj = obj
-                best_masks = masks
-        assert best_masks is not None
-        code = Code(BitWord(n, m) for m in best_masks)
-        return CodeSearchResult(code, best_obj, True, total, "")
+    best_obj, best, chosen, nodes = -1, [], [], 0
 
-    rng = random.Random(budget.seed)
-    best_obj = -1
-    best_masks = None
-    for _ in range(budget.restarts):
-        masks = tuple(sorted(rng.sample(shell, size)))
-        obj = _subset_radius(masks, list_size)
-        if obj > best_obj or (obj == best_obj and (best_masks is None or masks < best_masks)):
-            best_obj = obj
-            best_masks = masks
-    assert best_masks is not None
-    code = Code(BitWord(n, m) for m in best_masks)
-    return CodeSearchResult(
-        code, best_obj, False, budget.restarts, "randomized search, optimum not certified"
-    )
+    def dfs(start: int, radius: int) -> None:
+        # radius: list radius of ``chosen``, or n while it has no full subset
+        nonlocal best_obj, nodes
+        need = size - len(chosen)
+        for i in range(start, len(shell) - need + 1):
+            if nodes > max_nodes:
+                return  # every caller up the stack returns here too
+            chosen.append(shell[i])
+            r = radius
+            if len(chosen) > list_size:
+                r = min(r, _subset_radius(chosen, list_size, last=True))
+            if r <= best_obj:
+                nodes += comb(len(shell) - 1 - i, need - 1)
+            elif need > 1:
+                dfs(i + 1, r)
+            else:
+                nodes += 1
+                best_obj, best[:] = r, chosen
+            chosen.pop()
+
+    dfs(0, n)
+    code = Code(BitWord(n, m) for m in best)
+    # a stopped search leaves at least one code undecided
+    optimal = nodes == comb(len(shell), size)
+    note = "" if optimal else "node budget exhausted"
+    return CodeSearchResult(code, best_obj, optimal, nodes, note)
 
 
 def sample_code_radius(

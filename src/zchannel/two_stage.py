@@ -29,14 +29,20 @@ from .rate_bounds import binary_entropy, tau_star
 from .tau_lp import TAU_TABLE, tau_of_L
 
 
+# Extra grid points pinning down the neighborhood of the zero-rate point,
+# which a uniform grid of the default size would straddle.
+OMEGA_EXTRAS = (0.65, 0.6610498029, 0.67)
+ALPHA_EXTRAS = (0.4639337308, 0.995, 0.999)
+# check_star fails anything within this distance of failing
+BOUNDARY_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class TwoStageConfig:
-    """Grids and tolerances for the feasibility search.
+    """Grids for the feasibility search.
 
-    The omega and alpha extras pin down the neighborhood of the zero-rate
-    point, which a uniform grid of this size would straddle; rates come
-    from a fixed ladder because alpha * R is maximized at either tiny or
-    moderate R, never at finely tuned interior values.
+    Rates come from a fixed ladder because alpha * R is maximized at
+    either tiny or moderate R, never at finely tuned interior values.
     """
 
     l_up: int = 17
@@ -46,10 +52,7 @@ class TwoStageConfig:
         1e-6, 1e-5, 1e-4, 1e-3, 0.003, 0.01, 0.03, 0.05,
         0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9,
     )
-    omega_extras: tuple[float, ...] = (0.65, 0.6610498029, 0.67)
-    alpha_extras: tuple[float, ...] = (0.4639337308, 0.995, 0.999)
     x_points: int = 140
-    boundary_tol: float = 1e-9
 
     def __post_init__(self) -> None:
         if self.l_up < 1:
@@ -139,7 +142,7 @@ def check_star(
     candidate needs no second stage).  2 <= L <= the cap imposes
     (tau - alpha x)/(1 - alpha) <= tau_of_L(L); beyond the cap the
     shortened-code rate takes over.  Comparisons are conservative by
-    ``cfg.boundary_tol``: anything within tolerance of failing fails.
+    ``BOUNDARY_TOL``: anything within tolerance of failing fails.
 
     ``thresholds`` is tau_star(R, L, omega) for L = 1..cfg.l_up, computed
     here when not given; its first entry doubles as r2's list-1 threshold.
@@ -156,7 +159,7 @@ def check_star(
         return True
     if thresholds is None:
         thresholds = _thresholds(R, omega, cfg.l_up)
-    tol = cfg.boundary_tol
+    tol = BOUNDARY_TOL
     xmax = min(omega, tau / alpha)
     one_minus = 1.0 - alpha
     xs = sorted(_x_grid(xmax, thresholds, cfg.x_points))
@@ -213,14 +216,8 @@ def two_stage_curve(
         if not prev <= tau < 1.0:
             raise ValueError(f"error fraction {tau} outside [0, 1) or below {prev}")
     n_om, n_al = cfg.omega_points, cfg.alpha_points
-    omegas = sorted(
-        {k / (n_om + 1) for k in range(1, n_om + 1)}
-        | {w for w in cfg.omega_extras if 0.0 < w < 1.0}
-    )
-    alphas = sorted(
-        {k / (n_al + 1) for k in range(1, n_al + 1)}
-        | {a for a in cfg.alpha_extras if 0.0 < a < 1.0}
-    )
+    omegas = sorted({k / (n_om + 1) for k in range(1, n_om + 1)}.union(OMEGA_EXTRAS))
+    alphas = sorted({k / (n_al + 1) for k in range(1, n_al + 1)}.union(ALPHA_EXTRAS))
     ladder = sorted(cfg.rate_ladder, reverse=True)
     heap = []
     for om in omegas:

@@ -109,7 +109,13 @@ def dz(x: BitWord, y: BitWord) -> int:
     Equals dh(x, y) + |weight(x) - weight(y)|, which the tests check
     independently.
     """
-    return 2 * max(delta(x, y), delta(y, x))
+    x._check_compatible(y)
+    return _dz_masks(x.mask, y.mask)
+
+
+def _dz_masks(a: int, b: int) -> int:
+    """dz on raw masks of one length."""
+    return 2 * max((a & ~b).bit_count(), (b & ~a).bit_count())
 
 
 def zball_contains(center: BitWord, t: int, candidate: BitWord) -> bool:
@@ -228,13 +234,18 @@ def list_radius(code: Code | Sequence[BitWord], list_size: int) -> int:
     return _subset_radius([w.mask for w in words], list_size)
 
 
-def _subset_radius(masks: Sequence[int], list_size: int) -> int:
-    """list_radius on raw masks; callers guarantee len(masks) > list_size."""
+def _subset_radius(masks: Sequence[int], list_size: int, *, last: bool = False) -> int:
+    """list_radius on raw masks; callers guarantee len(masks) > list_size.
+
+    With ``last``, only the subsets holding the final mask are scored: the
+    radius a prefix search can lose by appending the final word.
+    """
+    # each subset's AND starts from all ones (-1) or from the final mask
+    meet0, top0 = (masks[-1], masks[-1].bit_count()) if last else (-1, 0)
     best: int | None = None
-    for sub in combinations(masks, list_size + 1):
-        meet = sub[0]
-        top = sub[0].bit_count()
-        for m in sub[1:]:
+    for sub in combinations(masks[:-1] if last else masks, list_size + 1 - last):
+        meet, top = meet0, top0
+        for m in sub:
             meet &= m
             c = m.bit_count()
             if c > top:

@@ -5,20 +5,23 @@ found by enumerating every receivable word, and the exponent functions
 are summed term by term from their definitions.  Agreement between these
 and the package routes is what the oracle tests assert.
 
-The last section is different in kind: it keeps the scalar ``tau_star``
-bisection, the ``check_star`` scan and the per-tau heap scan of
-``two_stage_rate`` as they were before their fast paths, so the package
-can be held to the same float results bit for bit.
+The last two sections are different in kind.  They keep the exhaustive
+``best_list_code`` scan, the scalar ``tau_star`` bisection, the
+``check_star`` scan and the per-tau heap scan of ``two_stage_rate`` as
+they were before the faster designs replaced them, so the package can be
+held to the same results bit for bit.
 """
 
 import math
 from heapq import heapify, heappop, heapreplace
-from itertools import product
+from itertools import combinations, product
 from math import comb, exp, fsum, log, sqrt
 
 from zchannel import two_stage
 from zchannel.rate_bounds import binary_entropy
+from zchannel.search import CodeSearchResult
 from zchannel.tau_lp import tau_of_L
+from zchannel.words import BitWord, Code, _subset_radius
 
 
 def list_radius_by_enumeration(masks, n, list_size):
@@ -87,6 +90,36 @@ def count_ball(center, t, n):
         if center & y == y and center.bit_count() - y.bit_count() <= t:
             out.append(y)
     return out
+
+
+# ---------------------------------------------------------------------------
+# The exhaustive list-code scan that the pruned ``search.best_list_code``
+# replaced, kept verbatim (it ran whenever C(|shell|, size) fit the node
+# budget): every candidate code in ``combinations`` order, the first
+# maximum kept.
+
+
+def best_list_code(n, w, size, list_size):
+    shell = [m for m in range(1 << n) if m.bit_count() == w]
+    if size > len(shell):
+        raise ValueError(f"only {len(shell)} words of weight {w} exist")
+
+    if size <= list_size:
+        # any selection already attains radius n; keep the first
+        code = Code(BitWord(n, m) for m in shell[:size])
+        return CodeSearchResult(code, n, True, 0, "size within list bound")
+
+    total = comb(len(shell), size)
+    best_obj = -1
+    best_masks = None
+    for masks in combinations(shell, size):
+        obj = _subset_radius(masks, list_size)
+        if obj > best_obj:
+            best_obj = obj
+            best_masks = masks
+    assert best_masks is not None
+    code = Code(BitWord(n, m) for m in best_masks)
+    return CodeSearchResult(code, best_obj, True, total, "")
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +240,7 @@ def check_star(omega, alpha, R, tau, cfg, *, thresholds=None):
         return True
     if thresholds is None:
         thresholds = [tau_star(R, L, omega) for L in range(1, cfg.l_up + 1)]
-    tol = cfg.boundary_tol
+    tol = two_stage.BOUNDARY_TOL
     xmax = min(omega, tau / alpha)
     one_minus = 1.0 - alpha
     for x in _x_grid(xmax, thresholds, cfg.x_points, tol):
@@ -235,11 +268,11 @@ def ranked_candidates(cfg):
     n_om, n_al = cfg.omega_points, cfg.alpha_points
     omegas = sorted(
         {k / (n_om + 1) for k in range(1, n_om + 1)}
-        | {w for w in cfg.omega_extras if 0.0 < w < 1.0}
+        | {w for w in two_stage.OMEGA_EXTRAS if 0.0 < w < 1.0}
     )
     alphas = sorted(
         {k / (n_al + 1) for k in range(1, n_al + 1)}
-        | {a for a in cfg.alpha_extras if 0.0 < a < 1.0}
+        | {a for a in two_stage.ALPHA_EXTRAS if 0.0 < a < 1.0}
     )
     candidates = []
     for om in omegas:
@@ -267,11 +300,11 @@ def two_stage_rate(tau, cfg):
     n_om, n_al = cfg.omega_points, cfg.alpha_points
     omegas = sorted(
         {k / (n_om + 1) for k in range(1, n_om + 1)}
-        | {w for w in cfg.omega_extras if 0.0 < w < 1.0}
+        | {w for w in two_stage.OMEGA_EXTRAS if 0.0 < w < 1.0}
     )
     alphas = sorted(
         {k / (n_al + 1) for k in range(1, n_al + 1)}
-        | {a for a in cfg.alpha_extras if 0.0 < a < 1.0}
+        | {a for a in two_stage.ALPHA_EXTRAS if 0.0 < a < 1.0}
     )
     # Candidates come off a heap holding one entry per (omega, alpha), which
     # walks that pair's rates from the top of the ladder down, so its

@@ -109,6 +109,11 @@ def test_rcb_curve_list_size_bounds(tmp_path):
         ["rcb-curve", "--list-size", "3", "--grid", "1"],
         ["two-stage-curve", "--grid", "0"],
         ["two-stage-curve", "--lup", "0"],
+        ["search", "max-code", "--n", "4", "--d", "2", "--max-nodes", "0"],
+        ["search", "best-list", "--n", "40", "--w", "3", "--size", "4", "--list-size", "1"],
+        ["search", "best-list", "--n", "6", "--w", "3", "--size", "4", "--list-size", "1",
+         "--max-nodes", "0"],
+        ["search", "best-list", "--n", "6", "--w", "3", "--size", "4", "--list-size", "0"],
     ],
 )
 def test_range_errors_below_the_cli_exit_one(tmp_path, argv):
@@ -199,8 +204,6 @@ def test_search_best_list_run(tmp_path):
     doc = json.loads((out / "search.json").read_text())
     assert doc["objective"] == 0
     assert doc["words"] == ["1100", "1010", "0110"]
-    manifest = read_manifest(out)
-    assert manifest["seed"] is not None
 
 
 def test_search_best_list_needs_shape_flags(tmp_path):

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from math import comb
 from statistics import mean
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
+import oracles
 from zchannel.search import (
-    SearchBudget,
     best_list_code,
     max_code,
     sample_code_radius,
@@ -38,10 +40,14 @@ def test_max_code_input_validation():
         max_code(4, 3)  # odd distance can never be attained exactly
     with pytest.raises(ValueError):
         max_code(0, 2)
+    with pytest.raises(ValueError):
+        max_code(25, 2)
+    with pytest.raises(ValueError, match="node budget"):
+        max_code(4, 2, max_nodes=0)
 
 
 def test_max_code_respects_node_cap():
-    r = max_code(8, 4, SearchBudget(max_nodes=10))
+    r = max_code(8, 4, max_nodes=10)
     assert not r.optimal
     assert r.note
     assert r.code.min_dz() is None or r.code.min_dz() >= 4
@@ -75,18 +81,56 @@ def test_best_list_size_within_list_bound():
     assert r.note
 
 
-def test_best_list_randomized_path_is_seeded():
-    budget = SearchBudget(max_nodes=50, restarts=20, seed=99)
-    a = best_list_code(7, 3, 4, 1, budget)
-    b = best_list_code(7, 3, 4, 1, budget)
+def _fields(r):
+    return [str(x) for x in r.code], r.objective, r.optimal, r.nodes, r.note
+
+
+@given(
+    n=st.integers(2, 7),
+    data=st.data(),
+    list_size=st.integers(1, 3),
+    max_nodes=st.integers(1, 200),
+)
+def test_best_list_matches_exhaustive_scan(n, data, list_size, max_nodes):
+    w = data.draw(st.integers(1, n - 1))
+    size = data.draw(st.integers(1, min(comb(n, w), 6)))
+    assume(comb(comb(n, w), size) <= 20_000)
+    want = oracles.best_list_code(n, w, size, list_size)
+    assert _fields(best_list_code(n, w, size, list_size)) == _fields(want)
+    # under a cap: the scan's answer, or an incumbent that is stopped early
+    capped = best_list_code(n, w, size, list_size, max_nodes=max_nodes)
+    if capped.optimal:
+        assert _fields(capped) == _fields(want)
+    else:
+        assert max_nodes < capped.nodes < want.nodes
+        assert capped.objective <= want.objective
+        assert list_radius(capped.code, list_size) == capped.objective
+
+
+def test_best_list_node_cap_keeps_the_incumbent():
+    a = best_list_code(7, 3, 4, 1, max_nodes=50)
+    assert _fields(a) == _fields(best_list_code(7, 3, 4, 1, max_nodes=50))
     assert not a.optimal
-    assert [str(x) for x in a.code] == [str(x) for x in b.code]
-    assert a.objective == b.objective
-    # a different seed may find a different argmax but never a better-than
-    # exhaustive objective
+    assert a.note == "node budget exhausted"
+    assert a.nodes > 50
+    assert list_radius(a.code, 1) == a.objective
     exhaustive = best_list_code(7, 3, 4, 1)
     assert exhaustive.optimal
+    assert exhaustive.nodes == comb(35, 4)
     assert a.objective <= exhaustive.objective
+
+
+def test_best_list_input_validation():
+    with pytest.raises(ValueError):
+        best_list_code(25, 3, 4, 1)  # refused before the 2^n shell scan
+    with pytest.raises(ValueError):
+        best_list_code(6, 7, 1, 1)
+    with pytest.raises(ValueError):
+        best_list_code(6, 3, 21, 1)
+    with pytest.raises(ValueError):
+        best_list_code(6, 3, 4, 0)
+    with pytest.raises(ValueError, match="node budget"):
+        best_list_code(6, 3, 4, 1, max_nodes=0)
 
 
 def test_sample_code_radius_exact_means():

@@ -103,7 +103,7 @@ def test_check_star_matches_reference_scan_on_made_up_thresholds(
         # a cut on a probed x of the uniform part of the grid
         xmax = min(omega, tau / alpha)
         x = xmax * data.draw(st.integers(1, x_points)) / (x_points + 1)
-        thr = _threshold_on(x, cfg.boundary_tol)
+        thr = _threshold_on(x, two_stage.BOUNDARY_TOL)
         assume(thr is not None)
         thresholds[data.draw(st.integers(1, l_up - 1))] = thr
     assert check_star(omega, alpha, R, tau, cfg, thresholds=thresholds) == (
@@ -117,13 +117,13 @@ def test_check_star_matches_reference_scan_on_made_up_thresholds(
 _ON_CUT_CFG = TwoStageConfig(l_up=4, x_points=8)
 _ON_CUT_OMEGA, _ON_CUT_ALPHA, _ON_CUT_R = 0.6, 0.5, 0.9
 _X0 = _ON_CUT_OMEGA * 3 / 9
-_TAU_ON_CUT = (_X0 + 0.5 - _ON_CUT_CFG.boundary_tol + 0.5e-9) / 2
+_TAU_ON_CUT = (_X0 + 0.5 - two_stage.BOUNDARY_TOL + 0.5e-9) / 2
 
 
 def _on_cut_verdicts(cut2, cut3):
     """(check_star, reference) verdicts for the thresholds
     [tau_star(R, 1, omega), cut2 + tol, cut3 + tol, 0.8]."""
-    tol = _ON_CUT_CFG.boundary_tol
+    tol = two_stage.BOUNDARY_TOL
     thresholds = [
         tau_star(_ON_CUT_R, 1, _ON_CUT_OMEGA),
         _threshold_on(cut2, tol),
@@ -394,6 +394,6 @@ def test_remains_report_subrange():
 
 def test_default_config_shape():
     assert DEFAULT_CONFIG.l_up == 17
-    assert DEFAULT_CONFIG.boundary_tol == 1e-9
+    assert two_stage.BOUNDARY_TOL == 1e-9
     with pytest.raises(ValueError):
         TwoStageConfig(l_up=0)

@@ -3,6 +3,7 @@ from itertools import combinations
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from zchannel.words import (
     BitWord,
@@ -64,13 +65,10 @@ def test_length_mismatch_raises():
         dz(w("110"), w("0110"))
 
 
-def test_dz_equals_dh_plus_weight_gap():
-    rng = random.Random(7)
-    for _ in range(300):
-        n = rng.randint(1, 10)
-        a = BitWord(n, rng.getrandbits(n))
-        b = BitWord(n, rng.getrandbits(n))
-        assert dz(a, b) == dh(a, b) + abs(a.weight() - b.weight())
+@given(st.integers(1, 64), st.data())
+def test_dz_equals_dh_plus_weight_gap(n, data):
+    a, b = (BitWord(n, data.draw(st.integers(0, (1 << n) - 1))) for _ in range(2))
+    assert dz(a, b) == dh(a, b) + abs(a.weight() - b.weight())
 
 
 def test_zball_membership():
