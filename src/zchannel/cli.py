@@ -188,6 +188,11 @@ def _cmd_search(args, out: Path, manifest: RunManifest) -> int:
     path = out / "search.json"
     _write_json(path, doc)
     manifest.outputs.append(path.name)
+    if not result.optimal:
+        # the code is written, but nothing certifies it as the optimum
+        manifest.status = "unresolved"
+        manifest.error = result.note
+        return 2
     return 0
 
 

@@ -87,8 +87,14 @@ class ProtocolParams:
         smallest L whose list radius covers e."""
         if e < 0:
             raise ProtocolError("error count must be nonnegative")
+        # radii[L - 1] = list_radius(stage1, L), extended only as far as
+        # asked.  It lives in this instance's __dict__ (the dataclass is
+        # frozen, not slotted), so it goes when the instance goes.
+        radii = self.__dict__.setdefault("_radii", [])
         for L in range(1, len(self.stage1) + 1):
-            if e <= list_radius(self.stage1, L):
+            if L > len(radii):
+                radii.append(list_radius(self.stage1, L))
+            if e <= radii[L - 1]:
                 return L
         return len(self.stage1)
 

@@ -3,7 +3,9 @@
 Everything here is desk-scale: word lengths up to 24, code sizes in the
 single digits.  Both searches are depth-first in canonical order and stop
 once their node count passes ``max_nodes``, returning the incumbent with
-``optimal`` False.  ``sample_code_radius`` draws from an explicit seed.
+``optimal`` False.  ``max_code`` builds a word's compatibility row only
+when it first branches on that word, so the cap bounds that work as well.
+``sample_code_radius`` draws from an explicit seed.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .words import BitWord, Code, _dz_masks, _subset_radius
+from .words import BitWord, Code, _dz_row, _subset_radius, _weight_table
 
 MAX_NODES = 10_000_000
 
@@ -42,54 +44,55 @@ def max_code(n: int, d: int, *, max_nodes: int = MAX_NODES) -> CodeSearchResult:
     include/exclude and pruning when the candidate pool cannot beat the
     incumbent.  The first maximum found (hence the canonically smallest)
     is returned.  If the node cap trips, ``optimal`` is False and the
-    incumbent so far is returned.
+    incumbent so far is returned.  A word's row of compatible words is
+    built (``words._dz_row``) when the search first branches on it, so at
+    most one row per node.
     """
     _check_caps(n, max_nodes)
     if d < 2 or d % 2:
         raise ValueError("distance must be even and at least 2")
     universe = 1 << n
-
-    # adjacency[v] = bitset of words compatible with v (distance >= d)
-    adjacency: dict[int, int] = {}
-
-    def adj(v: int) -> int:
-        got = adjacency.get(v)
-        if got is None:
-            got = 0
-            for u in range(universe):
-                if u != v and _dz_masks(u, v) >= d:
-                    got |= 1 << u
-            adjacency[v] = got
-        return got
-
+    weights = _weight_table(n)
+    # rows[v]: bitset of the words compatible with v; None until the
+    # search first branches on v
+    rows: list[int | None] = [None] * universe
     best: list[int] = []
+    best_size = 0
     chosen: list[int] = []
-    nodes = 0
-    truncated = False
-
-    def dfs(pool: int) -> None:
-        nonlocal nodes, truncated
-        if truncated:
-            return
-        while pool:
-            if len(chosen) + pool.bit_count() <= len(best):
-                return
+    # stack[k]: the pool left at depth k for when its current branch ends.
+    # A loop, not recursion, since a code (so the depth) can hold all 2^n
+    # words.
+    stack: list[int] = []
+    pool, depth, nodes = (1 << universe) - 1, 0, 0
+    while True:
+        if pool and depth + pool.bit_count() > best_size:
             nodes += 1
-            if nodes > max_nodes:
-                truncated = True
-                return
-            v = (pool & -pool).bit_length() - 1
-            pool ^= 1 << v
-            chosen.append(v)
-            if len(chosen) > len(best):
-                best[:] = chosen
-            dfs(pool & adj(v))
-            chosen.pop()
-
-    dfs((1 << universe) - 1)
+            if nodes <= max_nodes:
+                low = pool & -pool
+                v = low.bit_length() - 1
+                chosen.append(v)
+                if depth >= best_size:
+                    best, best_size = chosen[:], depth + 1
+                row = rows[v]
+                if row is None:
+                    row = rows[v] = _dz_row(v, d, weights)
+                pool ^= low
+                stack.append(pool)
+                pool &= row
+                depth += 1
+                continue
+        # this depth is done, or the cap tripped: go back one depth.  After
+        # a trip every depth on the way back counts one more node unless
+        # its bound ends it first, and ``nodes`` keeps that count.
+        if not stack:
+            break
+        pool = stack.pop()
+        chosen.pop()
+        depth -= 1
+    truncated = nodes > max_nodes
     code = Code(BitWord(n, m) for m in best)
     note = "node budget exhausted" if truncated else ""
-    return CodeSearchResult(code, len(best), not truncated, nodes, note)
+    return CodeSearchResult(code, best_size, not truncated, nodes, note)
 
 
 def best_list_code(

@@ -15,6 +15,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 
 @dataclass(frozen=True, slots=True)
 class BitWord:
@@ -116,6 +118,27 @@ def dz(x: BitWord, y: BitWord) -> int:
 def _dz_masks(a: int, b: int) -> int:
     """dz on raw masks of one length."""
     return 2 * max((a & ~b).bit_count(), (b & ~a).bit_count())
+
+
+def _weight_table(n: int) -> np.ndarray:
+    """Weight of every n-bit mask, indexed by the mask."""
+    weights = np.zeros(1 << n, dtype=np.uint8)
+    for k in range(n):
+        weights[1 << k : 2 << k] = weights[: 1 << k] + 1
+    return weights
+
+
+def _dz_row(v: int, d: int, weights: np.ndarray) -> int:
+    """Bitset of the masks u with ``_dz_masks(u, v) >= d``, for an even
+    d >= 2, over every mask of ``weights = _weight_table(n)``.
+
+    With c = |u & v| the one-sided gaps are |u| - c and |v| - c, so
+    dz(u, v) >= d exactly when max(|u|, |v|) - c >= d/2; bit v is never
+    set.  One vectorised pass over all 2^n masks, packed into a Python int.
+    """
+    meet = weights[np.arange(weights.size, dtype=np.uint32) & v]
+    row = np.maximum(weights, weights[v]) - meet >= d // 2
+    return int.from_bytes(np.packbits(row, bitorder="little"), "little")
 
 
 def zball_contains(center: BitWord, t: int, candidate: BitWord) -> bool:

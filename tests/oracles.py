@@ -5,11 +5,12 @@ found by enumerating every receivable word, and the exponent functions
 are summed term by term from their definitions.  Agreement between these
 and the package routes is what the oracle tests assert.
 
-The last two sections are different in kind.  They keep the exhaustive
-``best_list_code`` scan, the scalar ``tau_star`` bisection, the
-``check_star`` scan and the per-tau heap scan of ``two_stage_rate`` as
-they were before the faster designs replaced them, so the package can be
-held to the same results bit for bit.
+The last sections are different in kind.  They keep the exhaustive
+``best_list_code`` scan, ``max_code`` with its eager adjacency rows, the
+scalar ``tau_star`` bisection, the ``check_star`` scan and the per-tau
+heap scan of ``two_stage_rate`` as they were before the faster designs
+replaced them, so the package can be held to the same results bit for
+bit.
 """
 
 import math
@@ -19,9 +20,9 @@ from math import comb, exp, fsum, log, sqrt
 
 from zchannel import two_stage
 from zchannel.rate_bounds import binary_entropy
-from zchannel.search import CodeSearchResult
+from zchannel.search import MAX_NODES, CodeSearchResult, _check_caps
 from zchannel.tau_lp import tau_of_L
-from zchannel.words import BitWord, Code, _subset_radius
+from zchannel.words import BitWord, Code, _dz_masks, _subset_radius
 
 
 def list_radius_by_enumeration(masks, n, list_size):
@@ -120,6 +121,68 @@ def best_list_code(n, w, size, list_size):
     assert best_masks is not None
     code = Code(BitWord(n, m) for m in best_masks)
     return CodeSearchResult(code, best_obj, True, total, "")
+
+
+# ---------------------------------------------------------------------------
+# ``max_code`` as it stood before its adjacency rows were built lazily in
+# numpy, kept verbatim: every row scans all 2^n words through ``_dz_masks``.
+
+
+def max_code(n: int, d: int, *, max_nodes: int = MAX_NODES) -> CodeSearchResult:
+    """Largest code of length n with pairwise distance at least d.
+
+    Depth-first search over words in canonical order, branching on
+    include/exclude and pruning when the candidate pool cannot beat the
+    incumbent.  The first maximum found (hence the canonically smallest)
+    is returned.  If the node cap trips, ``optimal`` is False and the
+    incumbent so far is returned.
+    """
+    _check_caps(n, max_nodes)
+    if d < 2 or d % 2:
+        raise ValueError("distance must be even and at least 2")
+    universe = 1 << n
+
+    # adjacency[v] = bitset of words compatible with v (distance >= d)
+    adjacency: dict[int, int] = {}
+
+    def adj(v: int) -> int:
+        got = adjacency.get(v)
+        if got is None:
+            got = 0
+            for u in range(universe):
+                if u != v and _dz_masks(u, v) >= d:
+                    got |= 1 << u
+            adjacency[v] = got
+        return got
+
+    best: list[int] = []
+    chosen: list[int] = []
+    nodes = 0
+    truncated = False
+
+    def dfs(pool: int) -> None:
+        nonlocal nodes, truncated
+        if truncated:
+            return
+        while pool:
+            if len(chosen) + pool.bit_count() <= len(best):
+                return
+            nodes += 1
+            if nodes > max_nodes:
+                truncated = True
+                return
+            v = (pool & -pool).bit_length() - 1
+            pool ^= 1 << v
+            chosen.append(v)
+            if len(chosen) > len(best):
+                best[:] = chosen
+            dfs(pool & adj(v))
+            chosen.pop()
+
+    dfs((1 << universe) - 1)
+    code = Code(BitWord(n, m) for m in best)
+    note = "node budget exhausted" if truncated else ""
+    return CodeSearchResult(code, len(best), not truncated, nodes, note)
 
 
 # ---------------------------------------------------------------------------

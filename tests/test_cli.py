@@ -206,6 +206,29 @@ def test_search_best_list_run(tmp_path):
     assert doc["words"] == ["1100", "1010", "0110"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "best-list", "--n", "7", "--w", "3", "--size", "4", "--list-size", "1",
+         "--max-nodes", "50"],
+        ["search", "max-code", "--n", "8", "--d", "4", "--max-nodes", "10"],
+    ],
+)
+def test_search_stopped_by_node_cap_exits_two(tmp_path, argv):
+    out = tmp_path / "run"
+    assert main([*argv, "--out", str(out)]) == 2
+    manifest = read_manifest(out)
+    assert manifest["status"] == "unresolved"
+    assert manifest["error"] == "node budget exhausted"
+    doc = json.loads((out / "search.json").read_text())
+    assert doc["optimal"] is False
+    assert doc["note"] == "node budget exhausted"
+    assert doc["nodes"] > int(argv[-1])
+    code_lines = (out / "code.txt").read_text().splitlines()
+    assert code_lines[1:] == doc["words"]
+    assert sorted(manifest["outputs"]) == ["code.txt", "search.json"]
+
+
 def test_search_best_list_needs_shape_flags(tmp_path):
     out = tmp_path / "run"
     assert main(["search", "best-list", "--n", "4", "--out", str(out)]) == 1

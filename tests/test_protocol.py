@@ -6,10 +6,13 @@ stage-2 code for doubtful outcomes, and the trivial single-word code for
 settled ones.
 """
 
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from zchannel import protocol
 from zchannel.protocol import (
     BudgetExceededError,
     ProtocolError,
@@ -24,7 +27,7 @@ from zchannel.protocol import (
     write_code_file,
 )
 from zchannel.search import best_list_code, max_code
-from zchannel.words import BitWord, Code
+from zchannel.words import BitWord, Code, list_radius
 
 DATA = Path(__file__).parent / "data"
 
@@ -181,6 +184,25 @@ def test_adversary_all_messages_and_determinism(fixture_params):
     ]
     assert digests == again
     assert len(set(digests)) == len(digests)
+
+
+def test_list_radii_are_computed_once_per_instance(fixture_params, monkeypatch):
+    calls = Counter()
+
+    def counting_radius(code, list_size):
+        calls[code, list_size] += 1
+        return list_radius(code, list_size)
+
+    monkeypatch.setattr(protocol, "list_radius", counting_radius)
+    messages = range(fixture_params.message_count)
+    digests = [adversary_exhaustive(fixture_params, m).digest for m in messages]
+    assert max(calls.values(), default=0) <= 1
+    # a fresh instance starts its own ladder and reaches the same digests
+    calls.clear()
+    fresh = replace(fixture_params)
+    assert [adversary_exhaustive(fresh, m).digest for m in messages] == digests
+    assert calls and set(calls.values()) == {1}
+    assert all(code is fresh.stage1 for code, _ in calls)
 
 
 def test_adversary_rejects_invalid_parameters(fixture_params):

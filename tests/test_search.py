@@ -3,15 +3,17 @@ from math import comb
 from statistics import mean
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
+from zchannel import search
 from zchannel.search import (
+    MAX_NODES,
     best_list_code,
     max_code,
     sample_code_radius,
 )
-from zchannel.words import list_radius
+from zchannel.words import _dz_masks, _dz_row, _weight_table, list_radius
 
 from oracles import list_radius_by_enumeration
 
@@ -51,6 +53,60 @@ def test_max_code_respects_node_cap():
     assert not r.optimal
     assert r.note
     assert r.code.min_dz() is None or r.code.min_dz() >= 4
+
+
+def test_max_code_whole_space_needs_no_recursion():
+    # at d = 2 every pair is compatible, so the search goes 2^n deep
+    r = max_code(10, 2)
+    assert r.optimal
+    assert r.objective == 1024
+    assert [x.mask for x in r.code] == list(range(1024))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 7),
+    half_d=st.integers(1, 8),
+    max_nodes=st.one_of(st.integers(1, 5000), st.none()),
+)
+def test_max_code_matches_eager_adjacency(n, half_d, max_nodes):
+    # (7, 4) runs into the default cap of 10M nodes, some 15 s on both sides
+    assume(max_nodes is not None or (n, half_d) != (7, 2))
+    cap = MAX_NODES if max_nodes is None else max_nodes
+    want = oracles.max_code(n, 2 * half_d, max_nodes=cap)
+    assert _fields(max_code(n, 2 * half_d, max_nodes=cap)) == _fields(want)
+
+
+def test_dz_row_matches_dz_masks():
+    for n in range(1, 9):
+        weights = _weight_table(n)
+        assert weights.tolist() == [u.bit_count() for u in range(1 << n)]
+        for d in range(2, 2 * n + 4, 2):
+            for v in range(1 << n):
+                row = _dz_row(v, d, weights)
+                want = sum(
+                    1 << u for u in range(1 << n) if u != v and _dz_masks(u, v) >= d
+                )
+                assert row == want, (n, d, v)
+
+
+@pytest.mark.parametrize("n, d, cap", [(22, 2, 1), (16, 4, 200), (6, 4, MAX_NODES)])
+def test_max_code_node_cap_bounds_the_rows_built(monkeypatch, n, d, cap):
+    built = []
+
+    def counting_row(v, d, weights):
+        built.append(v)
+        return _dz_row(v, d, weights)
+
+    monkeypatch.setattr(search, "_dz_row", counting_row)
+    r = max_code(n, d, max_nodes=cap)
+    assert r.optimal == (cap == MAX_NODES)
+    assert r.note == ("" if r.optimal else "node budget exhausted")
+    assert 1 <= len(built) <= r.nodes + 1
+    # no row is built twice, although a finished (6, 4) search branches on
+    # each word many times over its 269,547 nodes
+    assert len(set(built)) == len(built) <= 1 << n
+    assert r.code.min_dz() is None or r.code.min_dz() >= d
 
 
 def test_best_list_single_list_size():

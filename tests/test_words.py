@@ -142,6 +142,21 @@ def test_list_radius_matches_enumeration_on_random_codes():
             ), (n, sorted(masks), L)
 
 
+@given(
+    n=st.integers(1, 7),
+    data=st.data(),
+    list_size=st.integers(1, 4),
+)
+def test_list_radius_matches_enumeration_property(n, data, list_size):
+    masks = data.draw(
+        st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=6, unique=True)
+    )
+    code = Code(BitWord(n, m) for m in masks)
+    assert list_radius(code, list_size) == list_radius_by_enumeration(
+        masks, n, list_size
+    )
+
+
 def test_list_radius_matches_enumeration_constant_weight():
     n = 6
     shell = [m for m in range(1 << n) if m.bit_count() == 3]
