@@ -149,11 +149,7 @@ def validate_parameters(p: ProtocolParams) -> ValidationReport:
             rows.append(ValidationRow(e, bound, required, None, True, True,
                                       "single candidate, stage 2 unused"))
             continue
-        have = code.min_dz()
-        if have is None:
-            # one word but bound > 1 is impossible: size >= grade was enforced
-            rows.append(ValidationRow(e, bound, required, None, True, True))
-            continue
+        have = code.min_dz()  # not None: each grade >= 2 holds >= 2 words
         ok = have >= required
         note = "" if ok else f"distance {have} below required {required}"
         rows.append(ValidationRow(e, bound, required, have, True, ok, note))

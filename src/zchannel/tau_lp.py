@@ -18,10 +18,12 @@ empty or dominated by the pattern obtained by forcing b_1 = 0, b_M = 1
 b_M = 1 have pairwise incomparable pair-sets, so they are exactly the
 columns that survive pruning.
 
-Sizes 13 and up use column generation: the restricted LP is still solved
-exactly, floating point only screens for violated patterns, and every
-candidate is re-checked in exact arithmetic before it enters.  The final
-certificate is verified against the full pruned column set either way.
+Sizes 13 and up take their certificate from a float basis instead: one
+HiGHS dual-simplex solve over every pruned column names the supports of
+both LP sides, and the complementary-slackness equations on those supports
+are then solved exactly.  Floats only choose the supports; the certificate
+is verified against the full pruned column set either way, and a float
+answer that fails the check is refused, never repaired.
 """
 
 from __future__ import annotations
@@ -67,10 +69,9 @@ TAU_TABLE: dict[int, Fraction] = {
     18: F(13255, 42433),
 }
 
-_DIRECT_LIMIT = 12  # build every pruned column up to here; column generation beyond
+_DIRECT_LIMIT = 12  # exact simplex up to here; float basis beyond
 _BLAND_AFTER = 2000  # pivots per phase before entering switches to smallest index
-_CG_BATCH = 40  # columns added per column-generation round
-_CG_ROUNDS_CAP = 400
+_SUPPORT_TOL = 1e-9  # float values within this of zero (or of a tight bound) are zero
 _INT64_LIMIT = 1 << 63  # tableau values at or past this switch to Python ints
 
 
@@ -210,12 +211,11 @@ class _ExactSimplex:
 
     Column layout: the first ``m`` columns are the artificial variables
     (their block stays equal to ``den`` times the basis inverse, which
-    hands us duals and lets new columns be priced into the current basis),
-    followed by structural columns.  Entering choice is the most negative
-    reduced cost, first index on ties, with a switch to smallest index
-    after ``_BLAND_AFTER`` pivots, so runs terminate even on degenerate
-    bases.  The ratio test compares ``rhs[i] / T[i, c]`` by cross
-    multiplication; ties break on smallest basis label.
+    hands us duals), followed by structural columns.  Entering choice is
+    the most negative reduced cost, first index on ties, with a switch to
+    smallest index after ``_BLAND_AFTER`` pivots, so runs terminate even
+    on degenerate bases.  The ratio test compares ``rhs[i] / T[i, c]`` by
+    cross multiplication; ties break on smallest basis label.
     """
 
     def __init__(
@@ -229,16 +229,17 @@ class _ExactSimplex:
         self.pivot_cap = pivot_cap
         self.pivots = 0
         self.den = 1
-        self.T = np.eye(self.m, dtype=np.int64)
+        self.T = np.hstack(
+            [np.eye(self.m, dtype=np.int64), np.asarray(matrix, dtype=np.int64)]
+        )
         self.rhs = np.array(rhs, dtype=np.int64)
         if (self.rhs < 0).any():
             raise ValueError("right-hand side must be nonnegative")
         self.red = np.zeros(self.m, dtype=np.int64)  # set at the start of each phase
-        self.costs = np.zeros(0, dtype=np.int64)  # structural, phase 2
+        self.costs = np.asarray(costs, dtype=np.int64)  # structural, phase 2
         self.basis = list(range(self.m))  # artificial i basic in row i
-        self._append_columns(matrix, costs)
 
-    # -- column bookkeeping ------------------------------------------------
+    # -- core pivoting -----------------------------------------------------
 
     def _promote_if(self, bound: int) -> None:
         """Switch to exact Python ints before an update whose values may
@@ -248,24 +249,12 @@ class _ExactSimplex:
                 a.astype(object) for a in (self.T, self.rhs, self.red)
             )
 
-    def _append_columns(self, matrix: np.ndarray, costs: Sequence[int]) -> None:
-        """Price raw integer columns (rows by k) into the current basis."""
-        cols = np.asarray(matrix, dtype=np.int64)
-        self._promote_if(
-            _absmax(self.T[:, : self.m]) * int(np.abs(cols).sum(axis=0).max(initial=0))
-        )
-        priced = self.T[:, : self.m] @ cols.astype(self.T.dtype)
-        self.T = np.hstack([self.T, priced])
-        self.costs = np.concatenate([self.costs, np.asarray(costs, dtype=np.int64)])
-
     def _phase_costs(self, phase: int) -> np.ndarray:
         if phase == 1:
             return np.concatenate(
                 [np.ones(self.m, dtype=np.int64), np.zeros_like(self.costs)]
             )
         return np.concatenate([np.zeros(self.m, dtype=np.int64), self.costs])
-
-    # -- core pivoting -----------------------------------------------------
 
     def _set_reduced_costs(self, phase: int) -> None:
         c = self._phase_costs(phase)
@@ -383,7 +372,7 @@ class _ExactSimplex:
 
 def _covering_matrix(pm: PairMatrix, masks: Sequence[int]) -> np.ndarray:
     """0/1 pair-by-pattern incidence for the given patterns."""
-    cols = np.zeros((len(pm.pairs), len(masks)), dtype=np.int64)
+    cols = np.zeros((len(pm.pairs), len(masks)), dtype=np.int8)
     for j, mask in enumerate(masks):
         cols[list(pm.column_rows(mask)), j] = 1
     return cols
@@ -393,147 +382,134 @@ def _exact_row_sum(y: Sequence[Fraction], pm: PairMatrix, mask: int) -> Fraction
     return sum((y[r] for r in pm.column_rows(mask) if y[r]), _ZERO)
 
 
-def _seed_masks(m: int) -> list[int]:
-    """Starting columns for column generation: every 0-run/1-run split
-    0^a 1^b plus one alternating pattern.  All lie in the pruned set."""
-    seeds = []
-    for a in range(1, m):
-        seeds.append(((1 << (m - a)) - 1) << a)
-    alternating = 0
-    for i in range(1, m, 2):
-        alternating |= 1 << i
-    if m >= 2:
-        alternating &= ~1
-        alternating |= 1 << (m - 1)
-        seeds.append(alternating)
-    return sorted(set(seeds))
-
-
-def _solve_covering(
-    M: int,
-    *,
-    column_generation: bool,
-    pivot_cap: int = 2_000_000,
-) -> TauCertificate:
-    pm = build_pair_matrix(M)
-    pairs = pm.pairs
-    K = len(pairs)
-    started = time.monotonic()
-
-    # col_mask runs parallel to the structural columns: the pattern behind
-    # each one, or None for a surplus variable.
-    initial = _seed_masks(M) if column_generation else list(pm.patterns)
-    cols = np.hstack([_covering_matrix(pm, initial), -np.eye(K, dtype=np.int64)])
-    col_mask: list[int | None] = list(initial) + [None] * K
-    sx = _ExactSimplex(cols, [1] * len(initial) + [0] * K, [1] * K, pivot_cap)
+def _solve_exact_simplex(
+    pm: PairMatrix, pivot_cap: int
+) -> tuple[list[Fraction], dict[int, Fraction], int]:
+    """Packing weights y, covering weights z and the pivot count from the
+    exact simplex over every pruned column plus one surplus per pair."""
+    K, P = len(pm.pairs), len(pm.patterns)
+    cols = np.hstack([_covering_matrix(pm, pm.patterns), -np.eye(K, dtype=np.int64)])
+    sx = _ExactSimplex(cols, [1] * P + [0] * K, [1] * K, pivot_cap)
     sx.solve()
-    rounds = 0
+    z = {pm.patterns[j]: v for j, v in sx.structural_solution().items() if j < P}
+    return sx.duals(), z, sx.pivots
 
-    if column_generation:
-        all_masks = pm.patterns
-        bits = np.zeros((len(all_masks), M), dtype=np.float64)
-        for idx, mask in enumerate(all_masks):
-            for i in range(M):
-                if mask >> i & 1:
-                    bits[idx, i] = 1.0
-        active_set = set(initial)
-        while True:
-            rounds += 1
-            if rounds > _CG_ROUNDS_CAP:
-                raise UnresolvedError(
-                    f"column generation did not converge in {_CG_ROUNDS_CAP} rounds",
-                    {"tau_lower": _ONE / sx.objective()},
-                )
-            y = sx.duals()
-            yf = np.zeros((M, M))
-            for r, (i, j) in enumerate(pairs):
-                yf[i - 1, j - 1] = float(y[r])
-            # pattern p violates y.D <= 1 when sum_{j in p, i not in p, i<j} y_ij > 1
-            t = bits @ yf.T
-            viol = t.sum(axis=1) - (bits * t).sum(axis=1)
 
-            fresh: list[tuple[Fraction, int]] = []
-            strong = np.nonzero(viol > 1.0 + 1e-9)[0]
-            if strong.size:
-                order = strong[np.argsort(-viol[strong])]
-                for idx in order[: 6 * _CG_BATCH]:
-                    mask = all_masks[int(idx)]
-                    if mask in active_set:
-                        continue
-                    exact = _exact_row_sum(y, pm, mask)
-                    if exact > 1:
-                        fresh.append((exact, mask))
-                        if len(fresh) >= _CG_BATCH:
-                            break
-            if not fresh:
-                # nothing clearly violated in float: settle the borderline
-                # cases exactly before declaring optimality
-                near = np.nonzero(viol > 1.0 - 1e-6)[0]
-                for idx in near:
-                    mask = all_masks[int(idx)]
-                    if mask in active_set:
-                        continue
-                    exact = _exact_row_sum(y, pm, mask)
-                    if exact > 1:
-                        fresh.append((exact, mask))
-                        if len(fresh) >= _CG_BATCH:
-                            break
-                if not fresh:
-                    break
-            fresh.sort(key=lambda item: (-item[0], item[1]))
-            new_masks = [mask for _, mask in fresh[:_CG_BATCH]]
-            sx._append_columns(_covering_matrix(pm, new_masks), [1] * len(new_masks))
-            col_mask.extend(new_masks)
-            active_set.update(new_masks)
-            sx._run_phase(2)  # appended columns leave the basis feasible
+def _solve_unit_rhs(rows: np.ndarray) -> list[Fraction]:
+    """An exact solution x of ``rows @ x = 1``, by Gauss-Jordan over Fractions.
 
-    value = sx.objective()
-    if value <= 0:
-        raise RuntimeError("covering optimum must be positive")
-    tau = _ONE / value
+    Equations are taken in order until they fix every unknown; a dependent
+    one is skipped, and an unknown no equation fixes is 0.  The equations
+    left unread, and consistency, are not checked here: the certificate
+    check decides whether x is any good.
+    """
+    n = rows.shape[1]
+    reduced: dict[int, list[Fraction]] = {}  # pivot column -> row with a 1 there
+    for raw in rows.tolist():
+        row = [F(v) for v in raw] + [_ONE]
+        for c, prow in reduced.items():
+            f = row[c]
+            if f:
+                row = [a - f * b if b else a for a, b in zip(row, prow)]
+        c = next((k for k in range(n) if row[k]), None)
+        if c is None:
+            continue
+        p = row[c]
+        row = [a / p for a in row]
+        for k, prow in reduced.items():
+            f = prow[c]
+            if f:
+                reduced[k] = [a - f * b if b else a for a, b in zip(prow, row)]
+        reduced[c] = row
+        if len(reduced) == n:
+            break
+    x = [_ZERO] * n
+    for c, row in reduced.items():
+        x[c] = row[n]
+    return x
 
-    y = sx.duals()
-    primal = {pairs[r]: v for r, v in enumerate(y) if v != 0}
-    dual: dict[int, Fraction] = {}
-    for j, v in sx.structural_solution().items():
-        mask = col_mask[j]
-        if mask is not None:
-            dual[mask] = dual.get(mask, _ZERO) + v
 
-    cert = TauCertificate(
-        M,
-        tau,
-        value,
-        primal,
-        dual,
-        meta={
-            "pivots": sx.pivots,
-            "rounds": rounds,
-            "active_columns": sum(1 for m_ in col_mask if m_ is not None),
-            "wall_seconds": round(time.monotonic() - started, 3),
-            "column_generation": column_generation,
-        },
+def _solve_float_basis(
+    pm: PairMatrix,
+) -> tuple[list[Fraction], dict[int, Fraction], int]:
+    """Packing weights y, covering weights z and the float iteration count
+    from one HiGHS dual-simplex solve, made exact on its supports.
+
+    The float optimum of min 1.z subject to D z >= 1, z >= 0 names the
+    supports only.  z lives on S, the columns with z_j > 0, and must cover
+    the tight pair rows exactly; y lives on T, the rows with y_r > 0, and
+    must meet every dual-tight column J (|D^T y - 1| within tolerance)
+    with equality.  The columns S alone leave y underdetermined when the
+    float basis is degenerate, hence J.  Both systems are solved in
+    Fractions; ``verify_certificate`` decides whether the result is optimal.
+    """
+    from scipy import sparse
+    from scipy.optimize import linprog
+
+    D = _covering_matrix(pm, pm.patterns)
+    A = sparse.csc_array(D, dtype=np.float64)
+    K, P = D.shape
+    res = linprog(
+        np.ones(P), A_ub=-A, b_ub=-np.ones(K), bounds=(0, None), method="highs-ds"
     )
-    return cert
+    if res.status != 0:
+        raise UnresolvedError(f"float solve failed: {res.message}")
+    zf, yf = res.x, -res.ineqlin.marginals
+    S = np.flatnonzero(zf > _SUPPORT_TOL)
+    R = np.flatnonzero(np.abs(A @ zf - 1) < _SUPPORT_TOL)
+    T = np.flatnonzero(yf > _SUPPORT_TOL)
+    J = np.flatnonzero(np.abs(A.T @ yf - 1) < _SUPPORT_TOL)
+    y = [_ZERO] * K
+    for r, v in zip(T.tolist(), _solve_unit_rhs(D[np.ix_(T, J)].T)):
+        y[r] = v
+    z = {
+        pm.patterns[j]: v
+        for j, v in zip(S.tolist(), _solve_unit_rhs(D[np.ix_(R, S)]))
+        if v
+    }
+    return y, z, int(res.nit)
 
 
 def solve_tau(M: int, *, pivot_cap: int = 2_000_000) -> TauCertificate:
     """Exact optimum and certificate for the size-M pair LP.
 
-    Direct solve over every pruned column through M=12; column generation
-    beyond (still exact; floats only nominate columns).  Raises
-    UnresolvedError when an iteration cap trips first.
+    Through M=12 the exact simplex solves over every pruned column;
+    ``pivot_cap`` bounds its pivots and raises UnresolvedError when it
+    trips.  Beyond, a float basis is made exact (``_solve_float_basis``),
+    and a failed float solve or a certificate that fails the check raises
+    UnresolvedError: there is no fallback.  ``meta["method"]`` names the
+    path that ran (``"exact-simplex"`` or ``"float-basis"``) and
+    ``meta["pivots"]`` its simplex iterations.
     """
     if not 2 <= M <= 18:
         raise ValueError(f"size {M} outside supported range 2..18")
-    cert = _solve_covering(
-        M, column_generation=M > _DIRECT_LIMIT, pivot_cap=pivot_cap
+    pm = build_pair_matrix(M)
+    started = time.monotonic()
+    if M <= _DIRECT_LIMIT:
+        # a failed check here is a solver bug, not an unresolved size
+        method, failure = "exact-simplex", RuntimeError
+        y, z, pivots = _solve_exact_simplex(pm, pivot_cap)
+    else:
+        method, failure = "float-basis", UnresolvedError
+        y, z, pivots = _solve_float_basis(pm)
+    value = sum(z.values(), _ZERO)
+    cert = TauCertificate(
+        M,
+        _ONE / value if value > 0 else _ZERO,  # 0: verification reports it
+        value,
+        {pm.pairs[r]: v for r, v in enumerate(y) if v},
+        z,
+        meta={
+            "method": method,
+            "pivots": pivots,
+            "active_columns": len(pm.patterns),
+            "wall_seconds": round(time.monotonic() - started, 3),
+        },
     )
     check = verify_certificate(cert)
     if not check:
-        raise RuntimeError(
-            "solver produced a certificate that fails verification: "
-            + "; ".join(check.diagnostics)
+        raise failure(
+            f"{method} certificate fails verification: " + "; ".join(check.diagnostics)
         )
     return cert
 

@@ -9,9 +9,10 @@ convention (success / usage error / unresolved or failed work).
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from zchannel import cli, two_stage
+from zchannel import cli, tau_lp, two_stage
 from zchannel.cli import main
 from zchannel.tau_lp import TauCertificate, UnresolvedError, verify_certificate
 
@@ -42,7 +43,8 @@ def test_tau_table_small(tmp_path):
     solver = manifest["solver"]
     assert {int(m): meta["pivots"] for m, meta in solver.items()} == {2: 1, 3: 3, 4: 6, 5: 11}
     for meta in solver.values():
-        assert {"rounds", "active_columns", "wall_seconds"} <= meta.keys()
+        assert {"method", "active_columns", "wall_seconds"} <= meta.keys()
+        assert meta["method"] == "exact-simplex"
 
 
 def test_tau_table_leaves_out_unresolved_sizes(tmp_path, monkeypatch):
@@ -62,6 +64,33 @@ def test_tau_table_leaves_out_unresolved_sizes(tmp_path, monkeypatch):
     manifest = read_manifest(out)
     assert manifest["status"] == "unresolved"
     assert manifest["error"] == "M=4: pivot cap 3 reached in phase 1"
+
+
+def test_tau_table_refuses_a_float_basis_that_fails_the_check(tmp_path, monkeypatch):
+    opt = pytest.importorskip("scipy.optimize")
+    real = opt.linprog
+
+    def doctor_m13(*args, **kwargs):
+        res = real(*args, **kwargs)
+        if len(kwargs["b_ub"]) == 78:  # the 78 pairs of M=13
+            res.x[np.argmax(res.x)] = 0.0
+        return res
+
+    monkeypatch.setattr(opt, "linprog", doctor_m13)
+    # 9..12 take the float route too, undoctored, which keeps the run short
+    monkeypatch.setattr(tau_lp, "_DIRECT_LIMIT", 8)
+    out = tmp_path / "run"
+    assert main(["tau-table", "--max-m", "13", "--out", str(out)]) == 2
+    lines = (out / "tau_table.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == [str(m) for m in range(2, 13)]
+    assert not (out / "certificate_13.json").exists()
+    manifest = read_manifest(out)
+    assert manifest["status"] == "unresolved"
+    assert manifest["error"].startswith("M=13: float-basis certificate fails verification")
+    methods = {int(m): meta["method"] for m, meta in manifest["solver"].items()}
+    assert methods == {
+        m: "exact-simplex" if m <= 8 else "float-basis" for m in range(2, 13)
+    }
 
 
 def test_tau_table_range_is_enforced(tmp_path):

@@ -3,10 +3,11 @@
 The expensive full-table reproduction lives in the acceptance tests;
 here we keep to small sizes and to properties of the machinery itself:
 matrix construction, certificate round-trips, falsification of doctored
-certificates, and agreement between the direct and column-generating
-solve paths.
+certificates, and agreement between the exact simplex and the float-basis
+route.
 """
 
+import functools
 import json
 import os
 import subprocess
@@ -16,9 +17,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import zchannel
+from zchannel import tau_lp
 from zchannel.tau_lp import (
     TAU_TABLE,
     TauCertificate,
@@ -28,7 +30,7 @@ from zchannel.tau_lp import (
     tau_of_L,
     verify_certificate,
 )
-from zchannel.tau_lp import _ExactSimplex, _solve_covering
+from zchannel.tau_lp import _ExactSimplex
 from zchannel.words import BitWord
 
 from oracles import packing_violations, pattern_covers_pair
@@ -38,6 +40,13 @@ GOLDEN = Path(__file__).parent / "golden" / "solve_tau"
 # pivots per direct solve, recorded with the earlier Fraction tableau,
 # whose entering and leaving rules the integer tableau keeps
 DIRECT_PIVOTS = {2: 1, 3: 3, 4: 6, 5: 11, 6: 18, 7: 30, 8: 50, 9: 79, 10: 158, 11: 169}
+
+
+@functools.lru_cache(maxsize=None)
+def exact_solve(m: int) -> TauCertificate:
+    """solve_tau(m) on the exact simplex, once per size for this module."""
+    assert m <= tau_lp._DIRECT_LIMIT
+    return solve_tau(m)
 
 
 def test_pair_matrix_smallest_case():
@@ -184,11 +193,8 @@ def test_certificates_match_recorded_solves():
 
 def test_pivot_counts_are_pinned():
     for m, pivots in DIRECT_PIVOTS.items():
-        meta = solve_tau(m).meta
-        assert (meta["pivots"], meta["rounds"]) == (pivots, 0), m
-    meta = solve_tau(13).meta
-    assert meta["column_generation"]
-    assert (meta["pivots"], meta["rounds"]) == (497, 7)
+        meta = exact_solve(m).meta
+        assert (meta["method"], meta["pivots"]) == ("exact-simplex", pivots), m
 
 
 def test_large_coefficients_switch_to_python_ints():
@@ -243,12 +249,91 @@ def test_repeated_solves_do_not_raise_peak_memory():
     assert int(done.stdout) < 1024
 
 
-def test_column_generation_agrees_with_direct():
-    direct = _solve_covering(8, column_generation=False)
-    generated = _solve_covering(8, column_generation=True)
-    assert direct.tau == generated.tau == Fraction(4, 11)
-    assert verify_certificate(generated)
-    assert generated.meta["column_generation"]
+def test_float_basis_agrees_with_exact_simplex(monkeypatch):
+    exact = {m: exact_solve(m) for m in range(8, 13)}
+    monkeypatch.setattr(tau_lp, "_DIRECT_LIMIT", 7)
+    for m, want in exact.items():
+        got = solve_tau(m)
+        assert want.meta["method"] == "exact-simplex"
+        assert got.meta["method"] == "float-basis"
+        assert got.tau == want.tau == TAU_TABLE[m], m
+        assert verify_certificate(got) and verify_certificate(want), m
+
+
+def test_float_basis_that_fails_the_check_is_unresolved(monkeypatch):
+    opt = pytest.importorskip("scipy.optimize")
+    real = opt.linprog
+
+    def drop_heaviest_pattern(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.x[np.argmax(res.x)] = 0.0
+        return res
+
+    monkeypatch.setattr(opt, "linprog", drop_heaviest_pattern)
+    with pytest.raises(UnresolvedError, match="float-basis certificate fails verification"):
+        solve_tau(13)
+
+
+def test_failed_float_solve_is_unresolved(monkeypatch):
+    opt = pytest.importorskip("scipy.optimize")
+    real = opt.linprog
+
+    def stop_early(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.status, res.message = 1, "Iteration limit reached."
+        return res
+
+    monkeypatch.setattr(opt, "linprog", stop_early)
+    monkeypatch.setattr(tau_lp, "_DIRECT_LIMIT", 4)
+    with pytest.raises(UnresolvedError, match="float solve failed: Iteration limit"):
+        solve_tau(5)
+
+
+def test_exact_sizes_do_not_import_scipy():
+    # importing scipy.optimize costs about 50 MiB and 0.75 s; sizes the
+    # exact simplex solves must not pay it
+    script = (
+        "import sys\n"
+        "import zchannel, zchannel.cli\n"
+        "from zchannel.tau_lp import _DIRECT_LIMIT, solve_tau\n"
+        "for m in range(2, _DIRECT_LIMIT + 1):\n"
+        "    solve_tau(m)\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(zchannel.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        check=True, timeout=300,
+    )
+    assert done.stdout == "[]\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(2, 10), data=st.data())
+def test_any_single_change_breaks_a_certificate(m, data):
+    # sizes from 13 up rest on verify_certificate alone, so it must reject
+    # every one-entry edit of a valid certificate
+    cert = exact_solve(m)
+    primal, dual, tau = dict(cert.primal), dict(cert.dual), cert.tau
+    delta = data.draw(st.fractions(-3, 3, max_denominator=50).filter(bool))
+    change = data.draw(st.sampled_from(
+        ["shift primal", "shift dual", "drop primal", "drop dual", "tau"]
+    ))
+    if change == "shift primal":
+        pair = data.draw(st.sampled_from(build_pair_matrix(m).pairs))
+        primal[pair] = primal.get(pair, Fraction(0)) + delta
+    elif change == "shift dual":
+        mask = data.draw(st.integers(0, (1 << m) - 1))
+        dual[mask] = dual.get(mask, Fraction(0)) + delta
+    elif change == "drop primal":
+        del primal[data.draw(st.sampled_from(sorted(primal)))]
+    elif change == "drop dual":
+        del dual[data.draw(st.sampled_from(sorted(dual)))]
+    else:
+        tau += delta
+    check = verify_certificate(TauCertificate(m, tau, cert.value, primal, dual))
+    assert not check
+    assert check.diagnostics
 
 
 def test_unresolved_on_tiny_pivot_cap():
