@@ -10,7 +10,7 @@ fraction-free integer tableau: every entry is an exact integer over one
 shared denominator, held in int64 while a bound checked before each pivot
 rules out overflow and in Python ints from then on.  Results are exact
 `fractions.Fraction`s and come with a primal/dual certificate that
-`verify_certificate` re-checks independently, in Fractions.
+`verify_certificate` re-checks independently, in exact integers.
 
 Pattern pruning: a pattern starting with 1 or ending with 0 is either
 empty or dominated by the pattern obtained by forcing b_1 = 0, b_M = 1
@@ -28,6 +28,7 @@ answer that fails the check is refused, never repaired.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -95,7 +96,8 @@ def _pruned_masks(m: int) -> list[int]:
 
 @dataclass(frozen=True)
 class PairMatrix:
-    """Pair-versus-pattern incidence after pruning.
+    """Pairs and pruned patterns of the size-M LP; ``_covering_matrix``
+    builds their incidence.
 
     ``pairs`` are the 1-based (i, j) with i < j, in lexicographic order;
     ``patterns`` are the surviving column masks (coordinate 1 in the least
@@ -107,18 +109,6 @@ class PairMatrix:
     pairs: tuple[tuple[int, int], ...]
     patterns: tuple[int, ...]
     prune_stats: dict[str, int] = field(compare=False)
-
-    def column_rows(self, pattern: int) -> tuple[int, ...]:
-        """Indices into ``pairs`` of the (i, j) with b_i = 0 and b_j = 1 in
-        the given pattern: the one incidence rule behind columns, row sums
-        and the covering check."""
-        # a list, not a generator: tuple() over a generator resizes as it
-        # goes and leaves tuples of many sizes on the free lists, which
-        # raises peak memory when columns are built and dropped repeatedly
-        return tuple([
-            r for r, (i, j) in enumerate(self.pairs)
-            if (pattern >> (i - 1) & 1) == 0 and (pattern >> (j - 1) & 1)
-        ])
 
 
 def build_pair_matrix(M: int) -> PairMatrix:
@@ -371,15 +361,28 @@ class _ExactSimplex:
 
 
 def _covering_matrix(pm: PairMatrix, masks: Sequence[int]) -> np.ndarray:
-    """0/1 pair-by-pattern incidence for the given patterns."""
-    cols = np.zeros((len(pm.pairs), len(masks)), dtype=np.int8)
-    for j, mask in enumerate(masks):
-        cols[list(pm.column_rows(mask)), j] = 1
-    return cols
+    """Bool pair-by-pattern incidence, the one incidence rule: entry (r, k)
+    is set when pair r = (i, j) has coordinate i clear and j set in
+    ``masks[k]``.  Bool, not int64: at M=18 that is 21 MiB, not 160."""
+    i, j = np.triu_indices(pm.m, 1)  # the rows of pm.pairs, 0-based
+    bits = np.asarray(masks, dtype=np.int64) >> np.arange(pm.m)[:, None] & 1 == 1
+    covers = bits[j]
+    covers &= ~bits[i]
+    return covers
 
 
-def _exact_row_sum(y: Sequence[Fraction], pm: PairMatrix, mask: int) -> Fraction:
-    return sum((y[r] for r in pm.column_rows(mask) if y[r]), _ZERO)
+def _scaled_sums(weights: Sequence[Fraction], rows: np.ndarray) -> tuple[np.ndarray, int]:
+    """Exact ``sum_k weights[k] * rows[k]`` over 0/1 rows, as integer sums
+    times d and d, the weights' least common denominator.  int64 when the
+    scaled weights' total and d stay below 2**63, Python ints otherwise."""
+    den = math.lcm(*(w.denominator for w in weights))
+    scaled = [w.numerator * (den // w.denominator) for w in weights]
+    wide = sum(map(abs, scaled)) + den >= _INT64_LIMIT
+    sums = np.zeros(rows.shape[1], dtype=object if wide else np.int64)
+    for w, row in zip(scaled, rows):
+        if w:
+            sums[row] += w  # per row, so the 0/1 matrix is never upcast
+    return sums, den
 
 
 def _solve_exact_simplex(
@@ -515,7 +518,8 @@ def solve_tau(M: int, *, pivot_cap: int = 2_000_000) -> TauCertificate:
 
 
 def verify_certificate(cert: TauCertificate) -> CertificateCheck:
-    """Re-check both LP sides in exact arithmetic against a fresh matrix.
+    """Re-check both LP sides exactly against a fresh incidence matrix;
+    each side's constraints are integer sums over its common denominator.
 
     Pruning soundness makes the pruned column set sufficient for the
     packing side: every dropped column is dominated entrywise, so a
@@ -544,12 +548,11 @@ def verify_certificate(cert: TauCertificate) -> CertificateCheck:
         y[r] = v
 
     for mask, v in cert.dual.items():
-        if 0 <= mask < (1 << cert.m):
-            key = str(BitWord(cert.m, mask))
-        else:
-            key = f"{mask:#x}"
-            diags.append(f"dual key {key} is not an {cert.m}-bit pattern")
+        valid = 0 <= mask < (1 << cert.m)
+        if not valid:
+            diags.append(f"dual key {mask:#x} is not an {cert.m}-bit pattern")
         if v < 0:
+            key = str(BitWord(cert.m, mask)) if valid else f"{mask:#x}"
             diags.append(f"dual weight for {key} negative")
 
     sum_y = sum(y, _ZERO)
@@ -560,22 +563,18 @@ def verify_certificate(cert: TauCertificate) -> CertificateCheck:
         diags.append(f"covering total {sum_z} differs from objective {cert.value}")
 
     if not diags:
-        for mask in pm.patterns:
-            if _exact_row_sum(y, pm, mask) > 1:
-                diags.append(
-                    f"packing constraint violated at pattern {BitWord(cert.m, mask)}"
-                )
-                break
-        covered = [_ZERO] * len(pm.pairs)
-        for mask, v in cert.dual.items():
-            if v == 0:
-                continue
-            for r in pm.column_rows(mask):
-                covered[r] += v
-        for r, total in enumerate(covered):
-            if total < 1:
-                diags.append(f"pair {pm.pairs[r]} covered with weight {total} < 1")
-                break
+        packed, den = _scaled_sums(y, _covering_matrix(pm, pm.patterns))
+        over = np.flatnonzero(packed > den)
+        if over.size:
+            word = BitWord(cert.m, pm.patterns[over[0]])
+            diags.append(f"packing constraint violated at pattern {word}")
+        z = {mask: v for mask, v in cert.dual.items() if v}
+        covered, den = _scaled_sums(list(z.values()), _covering_matrix(pm, list(z)).T)
+        short = np.flatnonzero(covered < den)
+        if short.size:
+            r = short[0]
+            total = F(int(covered[r]), den)
+            diags.append(f"pair {pm.pairs[r]} covered with weight {total} < 1")
 
     return CertificateCheck(not diags, diags)
 

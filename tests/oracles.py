@@ -16,12 +16,13 @@ bit.
 import math
 from heapq import heapify, heappop, heapreplace
 from itertools import combinations, product
+from fractions import Fraction
 from math import comb, exp, fsum, log, sqrt
 
 from zchannel import two_stage
 from zchannel.rate_bounds import binary_entropy
 from zchannel.search import MAX_NODES, CodeSearchResult, _check_caps
-from zchannel.tau_lp import tau_of_L
+from zchannel.tau_lp import CertificateCheck, build_pair_matrix, tau_of_L
 from zchannel.words import BitWord, Code, _dz_masks, _subset_radius
 
 
@@ -399,3 +400,74 @@ def two_stage_rate(tau, cfg):
         else:
             heappop(heap)
     return 0.0
+
+
+# ---------------------------------------------------------------------------
+# ``tau_lp.verify_certificate`` as it stood before its integer form: one
+# Fraction sum per pruned pattern and per dual pattern.  Kept verbatim but
+# for the pair lists, which come from ``pattern_covers_pair`` here.
+
+
+def _pattern_rows(pm, mask):
+    bits = str(BitWord(pm.m, mask))
+    return [r for r, (i, j) in enumerate(pm.pairs) if pattern_covers_pair(bits, i, j)]
+
+
+def verify_certificate(cert):
+    diags = []
+    try:
+        pm = build_pair_matrix(cert.m)
+    except ValueError as exc:
+        return CertificateCheck(False, [str(exc)])
+    pair_index = {pair: r for r, pair in enumerate(pm.pairs)}
+
+    if cert.value <= 0:
+        diags.append(f"objective {cert.value} not positive")
+    elif cert.tau * cert.value != 1:
+        diags.append(f"tau {cert.tau} is not the reciprocal of value {cert.value}")
+
+    y = [Fraction(0)] * len(pm.pairs)
+    for pair, v in cert.primal.items():
+        r = pair_index.get(pair)
+        if r is None:
+            diags.append(f"primal key {pair} is not a pair of 1..{cert.m}")
+            continue
+        if v < 0:
+            diags.append(f"primal weight y{pair} = {v} negative")
+        y[r] = v
+
+    for mask, v in cert.dual.items():
+        if 0 <= mask < (1 << cert.m):
+            key = str(BitWord(cert.m, mask))
+        else:
+            key = f"{mask:#x}"
+            diags.append(f"dual key {key} is not an {cert.m}-bit pattern")
+        if v < 0:
+            diags.append(f"dual weight for {key} negative")
+
+    sum_y = sum(y, Fraction(0))
+    if sum_y != cert.value:
+        diags.append(f"packing total {sum_y} differs from objective {cert.value}")
+    sum_z = sum(cert.dual.values(), Fraction(0))
+    if sum_z != cert.value:
+        diags.append(f"covering total {sum_z} differs from objective {cert.value}")
+
+    if not diags:
+        for mask in pm.patterns:
+            if sum((y[r] for r in _pattern_rows(pm, mask) if y[r]), Fraction(0)) > 1:
+                diags.append(
+                    f"packing constraint violated at pattern {BitWord(cert.m, mask)}"
+                )
+                break
+        covered = [Fraction(0)] * len(pm.pairs)
+        for mask, v in cert.dual.items():
+            if v == 0:
+                continue
+            for r in _pattern_rows(pm, mask):
+                covered[r] += v
+        for r, total in enumerate(covered):
+            if total < 1:
+                diags.append(f"pair {pm.pairs[r]} covered with weight {total} < 1")
+                break
+
+    return CertificateCheck(not diags, diags)

@@ -1,9 +1,10 @@
 """Solver and certificate behavior for the pair-covering LP.
 
 The expensive full-table reproduction lives in the acceptance tests;
-here we keep to small sizes and to properties of the machinery itself:
-matrix construction, certificate round-trips, falsification of doctored
-certificates, and agreement between the exact simplex and the float-basis
+here we keep to sizes up to 14 and to properties of the machinery itself:
+matrix construction and its memory, certificate round-trips, falsification
+of doctored certificates, the integer check against the Fraction one it
+replaced, and agreement between the exact simplex and the float-basis
 route.
 """
 
@@ -30,9 +31,10 @@ from zchannel.tau_lp import (
     tau_of_L,
     verify_certificate,
 )
-from zchannel.tau_lp import _ExactSimplex
+from zchannel.tau_lp import _covering_matrix, _ExactSimplex, _scaled_sums
 from zchannel.words import BitWord
 
+import oracles
 from oracles import packing_violations, pattern_covers_pair
 
 GOLDEN = Path(__file__).parent / "golden" / "solve_tau"
@@ -54,7 +56,7 @@ def test_pair_matrix_smallest_case():
     assert pm.pairs == ((1, 2),)
     assert len(pm.patterns) == 1
     assert str(BitWord(2, pm.patterns[0])) == "01"
-    assert pm.column_rows(pm.patterns[0]) == (0,)
+    assert _covering_matrix(pm, pm.patterns).tolist() == [[True]]
 
 
 def test_pair_matrix_three():
@@ -63,7 +65,7 @@ def test_pair_matrix_three():
     # pattern 011: first bit low, others high, so it covers (1,2) and (1,3)
     mask = 0b110
     assert mask in pm.patterns
-    covered = [pm.pairs[r] for r in pm.column_rows(mask)]
+    covered = [pm.pairs[r] for r in np.flatnonzero(_covering_matrix(pm, [mask])[:, 0])]
     assert covered == [(1, 2), (1, 3)]
 
 
@@ -78,13 +80,27 @@ def test_pair_matrix_prune_accounting():
         assert len(pm.patterns) == stats["kept"]
 
 
-@given(st.text(alphabet="01", min_size=2, max_size=12))
-def test_column_rows_matches_oracle(bits):
-    pm = build_pair_matrix(len(bits))
-    want = tuple(
-        r for r, (i, j) in enumerate(pm.pairs) if pattern_covers_pair(bits, i, j)
-    )
-    assert pm.column_rows(BitWord.from_string(bits).mask) == want
+def oracle_matrix(pm, masks):
+    return np.array(
+        [[pattern_covers_pair(str(BitWord(pm.m, mask)), i, j) for mask in masks]
+         for i, j in pm.pairs],
+        dtype=bool,
+    ).reshape(len(pm.pairs), len(masks))
+
+
+def test_covering_matrix_matches_oracle_on_pruned_patterns():
+    for m in range(2, 13):
+        pm = build_pair_matrix(m)
+        got = _covering_matrix(pm, pm.patterns)
+        assert got.dtype == bool
+        assert np.array_equal(got, oracle_matrix(pm, pm.patterns)), m
+
+
+@given(m=st.integers(2, 20), data=st.data())
+def test_covering_matrix_matches_oracle_on_any_masks(m, data):
+    pm = build_pair_matrix(m)
+    masks = data.draw(st.lists(st.integers(0, (1 << m) - 1), max_size=8))
+    assert np.array_equal(_covering_matrix(pm, masks), oracle_matrix(pm, masks))
 
 
 def test_pair_matrix_range():
@@ -336,6 +352,94 @@ def test_any_single_change_breaks_a_certificate(m, data):
     assert check.diagnostics
 
 
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(2, 10), data=st.data())
+def test_certificate_check_matches_the_fraction_oracle(m, data):
+    # the integer check must give the verdict and the diagnostics, in their
+    # order, of the Fraction-by-Fraction check it replaced; weights moved
+    # between entries keep the totals, so the constraint checks run too
+    cert = exact_solve(m)
+    primal, dual, tau = dict(cert.primal), dict(cert.dual), cert.tau
+    pairs = st.sampled_from(build_pair_matrix(m).pairs)
+    masks = st.integers(0, (1 << m) - 1)  # every m-bit mask, pruned or not
+    huge = st.builds(lambda k, s: Fraction(s, (1 << 64) + k), st.integers(0, 99),
+                     st.sampled_from([-1, 1]))  # past int64 once scaled
+    deltas = st.one_of(st.fractions(-3, 3, max_denominator=50), huge)
+    shares = st.one_of(st.fractions(0, 1, max_denominator=20), huge.map(abs))
+    changes = st.sampled_from([
+        "shift primal", "shift dual", "move primal", "move dual", "drop primal",
+        "drop dual", "zero dual", "empty dual", "tau",
+    ])
+    for change in data.draw(st.lists(changes, max_size=3)):
+        weights, keys = (primal, pairs) if "primal" in change else (dual, masks)
+        if change.startswith("shift"):
+            key = data.draw(keys)
+            weights[key] = weights.get(key, Fraction(0)) + data.draw(deltas)
+        elif change.startswith("move") and weights:
+            source, target = data.draw(st.sampled_from(sorted(weights))), data.draw(keys)
+            amount = weights[source] * data.draw(shares)
+            weights[source] -= amount
+            weights[target] = weights.get(target, Fraction(0)) + amount
+        elif change.startswith("drop") and weights:
+            del weights[data.draw(st.sampled_from(sorted(weights)))]
+        elif change == "zero dual":
+            dual[data.draw(masks)] = Fraction(0)
+        elif change == "empty dual":
+            dual.clear()
+        elif change == "tau":
+            tau += data.draw(deltas)
+    doctored = TauCertificate(m, tau, cert.value, primal, dual)
+    new, old = verify_certificate(doctored), oracles.verify_certificate(doctored)
+    assert (new.ok, new.diagnostics) == (old.ok, old.diagnostics)
+
+
+def test_scaled_sums_are_exact_past_int64():
+    rows = np.array([[1, 1, 0], [0, 1, 1]], dtype=bool)
+    sums, den = _scaled_sums([Fraction(1, 3), Fraction(1, 6)], rows)
+    assert (sums.dtype, sums.tolist(), den) == (np.int64, [2, 3, 1], 6)
+    big = 1 << 70
+    sums, den = _scaled_sums([Fraction(1, big), Fraction(big - 1, big)], rows)
+    assert (sums.dtype, sums.tolist(), den) == (object, [1, big, big - 1], big)
+    sums, den = _scaled_sums([], rows[:0])
+    assert (sums.tolist(), den) == ([0, 0, 0], 1)
+
+
+@pytest.mark.parametrize("m", [13, 14])
+def test_float_basis_sizes_certify_to_the_table(m):
+    pytest.importorskip("scipy.optimize")
+    cert = solve_tau(m)
+    assert cert.meta["method"] == "float-basis"
+    assert cert.tau == TAU_TABLE[m]
+    assert verify_certificate(cert)
+    # both sides scale to int64, so the check never needs Python ints here
+    for weights in (cert.primal.values(), cert.dual.values()):
+        sums, _ = _scaled_sums(list(weights), np.ones((len(weights), 1), dtype=bool))
+        assert sums.dtype == np.int64
+
+
+def test_covering_matrix_at_18_stays_small():
+    pytest.importorskip("resource")  # Unix only; the child process uses it
+    script = (
+        "import resource\n"
+        "from zchannel.tau_lp import _covering_matrix, build_pair_matrix\n"
+        "pm = build_pair_matrix(18)\n"
+        "first = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "D = _covering_matrix(pm, pm.patterns)\n"
+        "grew = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - first\n"
+        "print(*D.shape, D.dtype, grew)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(zchannel.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        check=True, timeout=300,
+    )
+    rows, cols, dtype, grew = done.stdout.split()
+    assert (int(rows), int(cols), dtype) == (153, 65536, "bool")
+    # ru_maxrss is in KiB on Linux: the bool build adds about 21 MiB, an
+    # int8 one about 9 and an int64 broadcast about 163
+    assert int(grew) < 48 * 1024
+
+
 def test_unresolved_on_tiny_pivot_cap():
     with pytest.raises(UnresolvedError):
         solve_tau(9, pivot_cap=3)
@@ -377,10 +481,7 @@ def test_independent_float_solver_agrees():
     np = pytest.importorskip("numpy")
 
     pm = build_pair_matrix(10)
-    dense = np.zeros((len(pm.pairs), len(pm.patterns)))
-    for col, pattern in enumerate(pm.patterns):
-        for row in pm.column_rows(pattern):
-            dense[row, col] = 1.0
+    dense = oracle_matrix(pm, pm.patterns).astype(float)
     res = opt.linprog(
         c=np.ones(len(pm.patterns)),
         A_ub=-dense,
