@@ -14,9 +14,9 @@ bit.
 """
 
 import math
+from fractions import Fraction
 from heapq import heapify, heappop, heapreplace
 from itertools import combinations, product
-from fractions import Fraction
 from math import comb, exp, fsum, log, sqrt
 
 from zchannel import two_stage

@@ -85,7 +85,7 @@ def oracle_matrix(pm, masks):
         [[pattern_covers_pair(str(BitWord(pm.m, mask)), i, j) for mask in masks]
          for i, j in pm.pairs],
         dtype=bool,
-    ).reshape(len(pm.pairs), len(masks))
+    )
 
 
 def test_covering_matrix_matches_oracle_on_pruned_patterns():
@@ -260,8 +260,8 @@ def test_repeated_solves_do_not_raise_peak_memory():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True,
         check=True, timeout=300,
     )
-    # ru_maxrss is in KiB on Linux; before column_rows built its tuple from
-    # a list, these 20 passes raised it by about 2.5 MiB
+    # ru_maxrss is in KiB on Linux; when each column's pair tuple was built
+    # from a generator, these 20 passes raised it by about 2.5 MiB
     assert int(done.stdout) < 1024
 
 
