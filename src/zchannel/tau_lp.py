@@ -8,9 +8,11 @@ solve the equivalent covering form (minimize the total dual weight over
 patterns subject to every pair being covered) with a dense simplex on a
 fraction-free integer tableau: every entry is an exact integer over one
 shared denominator, held in int64 while a bound checked before each pivot
-rules out overflow and in Python ints from then on.  Results are exact
-`fractions.Fraction`s and come with a primal/dual certificate that
-`verify_certificate` re-checks independently, in exact integers.
+rules out overflow and in Python ints from then on.  One pivot routine,
+``_fraction_free_pivot``, does that for the simplex and for the support
+solve of the float route.  Results are exact `fractions.Fraction`s and
+come with a primal/dual certificate that `verify_certificate` re-checks
+independently, in exact integers.
 
 Pattern pruning: a pattern starting with 1 or ending with 0 is either
 empty or dominated by the pattern obtained by forcing b_1 = 0, b_M = 1
@@ -18,7 +20,7 @@ empty or dominated by the pattern obtained by forcing b_1 = 0, b_M = 1
 b_M = 1 have pairwise incomparable pair-sets, so they are exactly the
 columns that survive pruning.
 
-Sizes 13 and up take their certificate from a float basis instead: one
+Sizes 12 and up take their certificate from a float basis instead: one
 HiGHS dual-simplex solve over every pruned column names the supports of
 both LP sides, and the complementary-slackness equations on those supports
 are then solved exactly.  Floats only choose the supports; the certificate
@@ -70,7 +72,7 @@ TAU_TABLE: dict[int, Fraction] = {
     18: F(13255, 42433),
 }
 
-_DIRECT_LIMIT = 12  # exact simplex up to here; float basis beyond
+_DIRECT_LIMIT = 11  # exact simplex up to here; float basis beyond
 _BLAND_AFTER = 2000  # pivots per phase before entering switches to smallest index
 _SUPPORT_TOL = 1e-9  # float values within this of zero (or of a tight bound) are zero
 _INT64_LIMIT = 1 << 63  # tableau values at or past this switch to Python ints
@@ -180,24 +182,53 @@ def _absmax(a: np.ndarray) -> int:
     return max(int(a.max()), -int(a.min())) if a.size else 0
 
 
+def _widened(T: np.ndarray, bound: int) -> np.ndarray:
+    """T, converted once to exact Python ints (``dtype=object``) if an
+    update whose values may reach ``bound`` in magnitude would overflow
+    int64; the same expressions then carry on exactly."""
+    return T.astype(object) if bound >= _INT64_LIMIT and T.dtype != object else T
+
+
+def _fraction_free_pivot(
+    T: np.ndarray, den: int, r: int, c: int
+) -> tuple[np.ndarray, int]:
+    """One fraction-free pivot on (r, c); returns the array and its new
+    denominator.
+
+    ``T`` holds integers over the shared positive denominator ``den``:
+    entry (i, j) of the true array is ``T[i, j] / den``.  With p = T[r, c],
+    row r is kept and every other row becomes ``(T[i] * p - T[i, c] * T[r])
+    // den``, and abs(p) is the new denominator (Edmonds; Bareiss).  That
+    division is exact: every entry is a minor of the integer input, and
+    ``den`` is the absolute determinant of the pivot block.  A negative
+    pivot negates everything so that the denominator stays positive.  The
+    update runs in place (the outer product is the one full-size
+    temporary), after ``_widened`` has bounded it.
+    """
+    p = int(T[r, c])
+    if T.dtype != object:
+        T = _widened(T, _absmax(T) * abs(p) + _absmax(T[:, c]) * _absmax(T[r]))
+    prow, pcol = T[r].copy(), T[:, c].copy()
+    T *= p
+    T -= np.outer(pcol, prow)
+    T //= den
+    T[r] = prow
+    if p < 0:
+        np.negative(T, out=T)
+    return T, abs(p)
+
+
 class _ExactSimplex:
     """Dense two-phase simplex over a fraction-free integer tableau.
 
-    The tableau ``T`` (rows by columns), the right-hand side ``rhs`` and the
-    reduced-cost row ``red`` hold integers over one shared positive
-    denominator ``den``: entry (i, j) of the true tableau is
-    ``T[i, j] / den``.  Pivoting on (r, c) with p = T[r, c] keeps row r,
-    maps every other row to ``(T[i] * p - T[i, c] * T[r]) // den`` and sets
-    ``den = p`` (Edmonds; Bareiss).  That division is exact: every entry is
-    a minor of the integer input, and ``den`` is the absolute determinant
-    of the current basis.  A negative pivot, which only the forced pivots
-    of ``_drive_out_artificials`` can meet, negates everything so that
-    ``den`` stays positive.  Fractions appear only when results are read.
-
-    The arrays start as int64.  Before each update the largest value it can
-    produce is bounded; the first time the bound reaches 2**63 the arrays
-    are converted once to ``dtype=object`` (Python ints) and the same
-    expressions carry on exactly.
+    ``T`` has one row per constraint plus the reduced-cost row last, and
+    one column per variable plus the right-hand side last; it holds
+    integers over the shared positive denominator ``den``.  Pivots go
+    through ``_fraction_free_pivot``, so it starts as int64 and switches to
+    Python ints for good the first time a pivot's bound reaches 2**63.
+    Both the forced pivots of ``_drive_out_artificials`` and the support
+    solve can meet a negative pivot.  Fractions appear only when results
+    are read.
 
     Column layout: the first ``m`` columns are the artificial variables
     (their block stays equal to ``den`` times the basis inverse, which
@@ -215,84 +246,43 @@ class _ExactSimplex:
         rhs: Sequence[int],
         pivot_cap: int,
     ):
-        self.m = len(rhs)
+        self.m = m = len(rhs)
         self.pivot_cap = pivot_cap
         self.pivots = 0
         self.den = 1
-        self.T = np.hstack(
-            [np.eye(self.m, dtype=np.int64), np.asarray(matrix, dtype=np.int64)]
-        )
-        self.rhs = np.array(rhs, dtype=np.int64)
-        if (self.rhs < 0).any():
+        b = np.array(rhs, dtype=np.int64)
+        if (b < 0).any():
             raise ValueError("right-hand side must be nonnegative")
-        self.red = np.zeros(self.m, dtype=np.int64)  # set at the start of each phase
+        rows = np.hstack(
+            [np.eye(m, dtype=np.int64), np.asarray(matrix, dtype=np.int64), b[:, None]]
+        )
+        self.T = np.vstack([rows, np.zeros_like(rows[:1])])  # cost row: set each phase
         self.costs = np.asarray(costs, dtype=np.int64)  # structural, phase 2
-        self.basis = list(range(self.m))  # artificial i basic in row i
-
-    # -- core pivoting -----------------------------------------------------
-
-    def _promote_if(self, bound: int) -> None:
-        """Switch to exact Python ints before an update whose values may
-        reach ``bound`` in magnitude, if int64 cannot hold that."""
-        if bound >= _INT64_LIMIT and self.T.dtype != object:
-            self.T, self.rhs, self.red = (
-                a.astype(object) for a in (self.T, self.rhs, self.red)
-            )
-
-    def _phase_costs(self, phase: int) -> np.ndarray:
-        if phase == 1:
-            return np.concatenate(
-                [np.ones(self.m, dtype=np.int64), np.zeros_like(self.costs)]
-            )
-        return np.concatenate([np.zeros(self.m, dtype=np.int64), self.costs])
+        self.basis = list(range(m))  # artificial i basic in row i
 
     def _set_reduced_costs(self, phase: int) -> None:
-        c = self._phase_costs(phase)
+        """Cost row ``c * den - c_B @ rows``, with c the artificials' sum
+        in phase 1 and the structural costs in phase 2; its last entry, over
+        the right-hand side, is minus ``den`` times the objective."""
+        c = np.zeros(self.T.shape[1], dtype=np.int64)
+        if phase == 1:
+            c[: self.m] = 1
+        else:
+            c[self.m : -1] = self.costs
         cb = c[self.basis]
-        self._promote_if(
-            int(np.abs(cb).sum()) * _absmax(self.T) + _absmax(c) * self.den
+        rows = self.T[: self.m]
+        self.T = _widened(
+            self.T, int(np.abs(cb).sum()) * _absmax(rows) + _absmax(c) * self.den
         )
-        c = c.astype(self.T.dtype)
-        self.red = c * self.den - c[self.basis] @ self.T
-
-    def _pivot(self, r: int, c: int) -> None:
-        p = int(self.T[r, c])
-        if self.T.dtype != object:
-            col, row = _absmax(self.T[:, c]), _absmax(self.T[r])
-            self._promote_if(max(
-                _absmax(self.T) * abs(p) + col * row,
-                _absmax(self.rhs) * abs(p) + col * abs(int(self.rhs[r])),
-                _absmax(self.red) * abs(p) + abs(int(self.red[c])) * row,
-            ))
-        # in place, so that no full-size temporary but the outer product is
-        # made; the pivot row and column are copied first
-        T, rhs, red, den = self.T, self.rhs, self.red, self.den
-        prow, pcol, prhs, pred = T[r].copy(), T[:, c].copy(), rhs[r], red[c]
-        T *= p
-        T -= np.outer(pcol, prow)
-        T //= den
-        T[r] = prow
-        rhs *= p
-        rhs -= pcol * prhs
-        rhs //= den
-        rhs[r] = prhs
-        red *= p
-        red -= pred * prow
-        red //= den
-        if p < 0:
-            for a in (T, rhs, red):
-                np.negative(a, out=a)
-            p = -p
-        self.den = p
-        self.basis[r] = c
-        self.pivots += 1
+        c, cb = c.astype(self.T.dtype), cb.astype(self.T.dtype)
+        self.T[self.m] = c * self.den - cb @ self.T[: self.m]
 
     def _run_phase(self, phase: int) -> None:
         self._set_reduced_costs(phase)
         lo = 0 if phase == 1 else self.m  # artificials may enter in phase 1 only
         phase_pivots = 0
         while True:
-            red = self.red[lo:]
+            red = self.T[self.m, lo:-1]
             if phase_pivots < _BLAND_AFTER:
                 j = int(np.argmin(red))
                 if red[j] >= 0:
@@ -304,7 +294,8 @@ class _ExactSimplex:
                 j = int(negative[0])
             entering = lo + j
             leaving, best_b, best_a = -1, 0, 1
-            for i, (a, b) in enumerate(zip(self.T[:, entering].tolist(), self.rhs.tolist())):
+            column = self.T[: self.m, entering].tolist()
+            for i, (a, b) in enumerate(zip(column, self.T[: self.m, -1].tolist())):
                 if a > 0 and (
                     leaving < 0
                     or b * best_a < best_b * a
@@ -320,10 +311,15 @@ class _ExactSimplex:
                     f"pivot cap {self.pivot_cap} reached in phase {phase}"
                 )
 
+    def _pivot(self, r: int, c: int) -> None:
+        self.T, self.den = _fraction_free_pivot(self.T, self.den, r, c)
+        self.basis[r] = c
+        self.pivots += 1
+
     def solve(self) -> None:
         """Phase 1 then phase 2; afterwards the basis is primal optimal."""
         self._run_phase(1)
-        if any(self.rhs[i] != 0 for i, b in enumerate(self.basis) if b < self.m):
+        if any(self.T[i, -1] != 0 for i, b in enumerate(self.basis) if b < self.m):
             raise RuntimeError("infeasible system; malformed input")
         self._drive_out_artificials()
         self._run_phase(2)
@@ -332,32 +328,28 @@ class _ExactSimplex:
         for i in range(self.m):
             if self.basis[i] >= self.m:
                 continue
-            nonzero = np.flatnonzero(self.T[i, self.m :])
+            nonzero = np.flatnonzero(self.T[i, self.m : -1])
             if not nonzero.size:
                 continue  # redundant row; artificial stays basic at zero
             self._pivot(i, self.m + int(nonzero[0]))
 
-    # -- extraction --------------------------------------------------------
+    # -- extraction, once ``solve`` has returned ----------------------------
 
     def objective(self) -> Fraction:
-        cb = self._phase_costs(2)[self.basis].tolist()
-        return F(sum(v * b for v, b in zip(cb, self.rhs.tolist())), self.den)
+        return F(-int(self.T[self.m, -1]), self.den)
 
     def structural_solution(self) -> dict[int, Fraction]:
         return {
             b - self.m: F(v, self.den)
-            for b, v in zip(self.basis, self.rhs.tolist())
+            for b, v in zip(self.basis, self.T[: self.m, -1].tolist())
             if b >= self.m and v
         }
 
     def duals(self) -> list[Fraction]:
-        """Simplex multipliers for the original rows (phase-2 costs)."""
-        pi = [0] * self.m
-        for i, cb in enumerate(self._phase_costs(2)[self.basis].tolist()):
-            if cb:
-                for k, t in enumerate(self.T[i, : self.m].tolist()):
-                    pi[k] += cb * t
-        return [F(v, self.den) for v in pi]
+        """Simplex multipliers for the original rows (phase-2 costs): an
+        artificial column costs 0, so its reduced cost is minus ``den``
+        times its row's multiplier."""
+        return [F(-v, self.den) for v in self.T[self.m, : self.m].tolist()]
 
 
 def _covering_matrix(pm: PairMatrix, masks: Sequence[int]) -> np.ndarray:
@@ -399,36 +391,29 @@ def _solve_exact_simplex(
 
 
 def _solve_unit_rhs(rows: np.ndarray) -> list[Fraction]:
-    """An exact solution x of ``rows @ x = 1``, by Gauss-Jordan over Fractions.
+    """An exact solution x of ``rows @ x = 1``, by fraction-free
+    Gauss-Jordan on ``[rows | 1]`` with ``_fraction_free_pivot``.
 
-    Equations are taken in order until they fix every unknown; a dependent
-    one is skipped, and an unknown no equation fixes is 0.  The equations
+    Equations are taken in order until they fix every unknown; one with no
+    nonzero left is dependent and skipped, any other pivots on its first
+    nonzero column, and an unknown no equation fixes is 0.  The equations
     left unread, and consistency, are not checked here: the certificate
     check decides whether x is any good.
     """
     n = rows.shape[1]
-    reduced: dict[int, list[Fraction]] = {}  # pivot column -> row with a 1 there
-    for raw in rows.tolist():
-        row = [F(v) for v in raw] + [_ONE]
-        for c, prow in reduced.items():
-            f = row[c]
-            if f:
-                row = [a - f * b if b else a for a, b in zip(row, prow)]
-        c = next((k for k in range(n) if row[k]), None)
-        if c is None:
-            continue
-        p = row[c]
-        row = [a / p for a in row]
-        for k, prow in reduced.items():
-            f = prow[c]
-            if f:
-                reduced[k] = [a - f * b if b else a for a, b in zip(prow, row)]
-        reduced[c] = row
-        if len(reduced) == n:
+    T = np.hstack([rows.astype(np.int64), np.ones((len(rows), 1), dtype=np.int64)])
+    den, fixed = 1, {}  # pivot column -> its row, which reads den there
+    for r in range(len(T)):
+        if len(fixed) == n:
             break
+        nonzero = np.flatnonzero(T[r, :n])
+        if nonzero.size:
+            c = int(nonzero[0])
+            T, den = _fraction_free_pivot(T, den, r, c)
+            fixed[c] = r
     x = [_ZERO] * n
-    for c, row in reduced.items():
-        x[c] = row[n]
+    for c, r in fixed.items():
+        x[c] = F(int(T[r, n]), den)
     return x
 
 
@@ -443,8 +428,9 @@ def _solve_float_basis(
     the tight pair rows exactly; y lives on T, the rows with y_r > 0, and
     must meet every dual-tight column J (|D^T y - 1| within tolerance)
     with equality.  The columns S alone leave y underdetermined when the
-    float basis is degenerate, hence J.  Both systems are solved in
-    Fractions; ``verify_certificate`` decides whether the result is optimal.
+    float basis is degenerate, hence J.  Both systems are solved exactly
+    by ``_solve_unit_rhs``; ``verify_certificate`` decides whether the
+    result is optimal.
     """
     from scipy import sparse
     from scipy.optimize import linprog
@@ -476,7 +462,7 @@ def _solve_float_basis(
 def solve_tau(M: int, *, pivot_cap: int = 2_000_000) -> TauCertificate:
     """Exact optimum and certificate for the size-M pair LP.
 
-    Through M=12 the exact simplex solves over every pruned column;
+    Through M=11 the exact simplex solves over every pruned column;
     ``pivot_cap`` bounds its pivots and raises UnresolvedError when it
     trips.  Beyond, a float basis is made exact (``_solve_float_basis``),
     and a failed float solve or a certificate that fails the check raises

@@ -8,9 +8,10 @@ and the package routes is what the oracle tests assert.
 The last sections are different in kind.  They keep the exhaustive
 ``best_list_code`` scan, ``max_code`` with its eager adjacency rows, the
 scalar ``tau_star`` bisection, the ``check_star`` scan and the per-tau
-heap scan of ``two_stage_rate`` as they were before the faster designs
-replaced them, so the package can be held to the same results bit for
-bit.
+heap scan of ``two_stage_rate``, the Fraction certificate check and the
+Fraction Gauss-Jordan support solve as they were before the faster
+designs replaced them, so the package can be held to the same results
+bit for bit.
 """
 
 import math
@@ -18,6 +19,8 @@ from fractions import Fraction
 from heapq import heapify, heappop, heapreplace
 from itertools import combinations, product
 from math import comb, exp, fsum, log, sqrt
+
+import numpy as np
 
 from zchannel import two_stage
 from zchannel.rate_bounds import binary_entropy
@@ -471,3 +474,43 @@ def verify_certificate(cert):
                 break
 
     return CertificateCheck(not diags, diags)
+
+
+# ---------------------------------------------------------------------------
+# ``tau_lp._solve_unit_rhs`` as it stood before its fraction-free form:
+# Gauss-Jordan over Fractions.  Kept verbatim but for the names of the
+# Fraction constants.
+
+
+def _solve_unit_rhs(rows: np.ndarray) -> list[Fraction]:
+    """An exact solution x of ``rows @ x = 1``, by Gauss-Jordan over Fractions.
+
+    Equations are taken in order until they fix every unknown; a dependent
+    one is skipped, and an unknown no equation fixes is 0.  The equations
+    left unread, and consistency, are not checked here: the certificate
+    check decides whether x is any good.
+    """
+    n = rows.shape[1]
+    reduced: dict[int, list[Fraction]] = {}  # pivot column -> row with a 1 there
+    for raw in rows.tolist():
+        row = [Fraction(v) for v in raw] + [Fraction(1)]
+        for c, prow in reduced.items():
+            f = row[c]
+            if f:
+                row = [a - f * b if b else a for a, b in zip(row, prow)]
+        c = next((k for k in range(n) if row[k]), None)
+        if c is None:
+            continue
+        p = row[c]
+        row = [a / p for a in row]
+        for k, prow in reduced.items():
+            f = prow[c]
+            if f:
+                reduced[k] = [a - f * b if b else a for a, b in zip(prow, row)]
+        reduced[c] = row
+        if len(reduced) == n:
+            break
+    x = [Fraction(0)] * n
+    for c, row in reduced.items():
+        x[c] = row[n]
+    return x

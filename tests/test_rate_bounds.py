@@ -194,6 +194,28 @@ def test_exponent_kernel_matches_reference_bit_for_bit(h, L, omega):
         assert rcb_delta(h, L, omega).hex() == slope.hex()
 
 
+@settings(max_examples=500, deadline=None)
+@given(
+    h1=st.one_of(st.just(0.0), st.floats(0.0, 200.0)),
+    step=st.one_of(st.just(0.0), st.floats(0.0, 1e-9), st.floats(0.0, 200.0)),
+    L=st.integers(1, 40),
+    omega=_OMEGAS,
+)
+@example(h1=12.403261407880484, step=0.0, L=12, omega=0.4354042810726554)
+@example(h1=0.0, step=0.0, L=12, omega=0.9999999991408913)
+def test_slope_falls_as_the_tilt_grows(h1, step, L, omega):
+    # the exact slope g'(h) falls as h grows, which lets a lane's bracket
+    # bound its final value.  Each float evaluation is within a few units
+    # in the last place, so between adjacent tilts it can rise by up to 3
+    # ulps (the first example); at h = 0 the closed form
+    # omega - omega^(L+1) cancels for omega near 1 and is exact only to
+    # about 2**-52 absolute (the second)
+    h2 = max(h1 + step, math.nextafter(h1, math.inf))
+    lo, hi = rcb_delta(h1, L, omega), rcb_delta(h2, L, omega)
+    slack = 2.0**-50 if h1 == 0.0 else 8 * math.ulp(lo)
+    assert hi <= lo + slack
+
+
 def test_tilted_rate_monotone_in_rate():
     prev = None
     for r in (0.01, 0.1, 0.3, 0.5, 0.7, 0.9):

@@ -3,9 +3,9 @@
 The expensive full-table reproduction lives in the acceptance tests;
 here we keep to sizes up to 14 and to properties of the machinery itself:
 matrix construction and its memory, certificate round-trips, falsification
-of doctored certificates, the integer check against the Fraction one it
-replaced, and agreement between the exact simplex and the float-basis
-route.
+of doctored certificates, the integer check and the integer support solve
+against the Fraction versions they replaced, and agreement between the
+exact simplex and the float-basis route.
 """
 
 import functools
@@ -241,6 +241,95 @@ def test_forced_negative_pivot_keeps_the_denominator_positive():
     assert sx.duals() == [Fraction(5, 6), Fraction(-1, 3)]
 
 
+@pytest.fixture
+def tableau_dtypes(monkeypatch):
+    """Final tableau dtype of each exact-simplex solve, keyed by its number
+    of rows.  The switch to Python ints is permanent, so the final dtype
+    tells whether it ever happened."""
+    dtypes = {}
+    solve = _ExactSimplex.solve
+
+    def spy(self):
+        solve(self)
+        dtypes[len(self.basis)] = self.T.dtype
+
+    monkeypatch.setattr(_ExactSimplex, "solve", spy)
+    return dtypes
+
+
+def test_exact_sizes_stay_in_int64(tableau_dtypes):
+    # the exact simplex ends at 11 because every size through 11 keeps its
+    # tableau in int64
+    for m in range(2, tau_lp._DIRECT_LIMIT + 1):
+        solve_tau(m)
+    assert tau_lp._DIRECT_LIMIT == 11
+    pair_rows = [m * (m - 1) // 2 for m in range(2, 12)]
+    assert tableau_dtypes == dict.fromkeys(pair_rows, np.dtype(np.int64))
+
+
+@st.composite
+def unit_rhs_systems(draw):
+    """Small integer systems for ``rows @ x = 1``: zero rows, rows that
+    depend on earlier ones, negative entries, more equations than unknowns
+    or fewer, and entries near 2**40 whose products leave int64."""
+    n = draw(st.integers(1, 6))
+    entry = st.one_of(
+        st.integers(-3, 3), st.integers(-(1 << 40), 1 << 40), st.just(1 << 40)
+    )
+    rows = []
+    for _ in range(draw(st.integers(0, 9))):
+        kind = draw(st.sampled_from(["free", "zero", "dependent"]))
+        if kind == "zero":
+            rows.append([0] * n)
+        elif kind == "dependent" and rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+            rows.append([s * u + t * v for u, v in zip(a, b)])
+        else:
+            rows.append(draw(st.lists(entry, min_size=n, max_size=n)))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), n)
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows=unit_rhs_systems())
+def test_support_solve_matches_the_fraction_oracle(rows):
+    assert tau_lp._solve_unit_rhs(rows) == oracles._solve_unit_rhs(rows)
+
+
+def test_support_solve_switches_to_python_ints(monkeypatch):
+    # the second pivot multiplies 2**40 by 2**40, past int64
+    B = 1 << 40
+    rows = np.array([[1, 0], [B, B], [0, 0]], dtype=np.int64)
+    dtypes = []
+    pivot = tau_lp._fraction_free_pivot
+
+    def spy(*args):
+        T, den = pivot(*args)
+        dtypes.append(T.dtype)
+        return T, den
+
+    monkeypatch.setattr(tau_lp, "_fraction_free_pivot", spy)
+    x = tau_lp._solve_unit_rhs(rows)
+    assert dtypes == [np.dtype(np.int64), np.dtype(object)]
+    assert x == [1, Fraction(1 - B, B)] == oracles._solve_unit_rhs(rows)
+
+
+@pytest.mark.parametrize("m", [13, 14])
+def test_float_basis_support_solves_match_the_fraction_oracle(m, monkeypatch):
+    pytest.importorskip("scipy.optimize")
+    solve, systems = tau_lp._solve_unit_rhs, []
+
+    def checked(rows):
+        x = solve(rows)
+        assert x == oracles._solve_unit_rhs(rows)
+        systems.append(rows.shape)
+        return x
+
+    monkeypatch.setattr(tau_lp, "_solve_unit_rhs", checked)
+    assert solve_tau(m).tau == TAU_TABLE[m]
+    assert len(systems) == 2  # the y system, then the z system
+
+
 def test_repeated_solves_do_not_raise_peak_memory():
     pytest.importorskip("resource")  # Unix only; the child process uses it
     script = (
@@ -265,8 +354,12 @@ def test_repeated_solves_do_not_raise_peak_memory():
     assert int(done.stdout) < 1024
 
 
-def test_float_basis_agrees_with_exact_simplex(monkeypatch):
+def test_float_basis_agrees_with_exact_simplex(monkeypatch, tableau_dtypes):
+    # M=12 on the exact simplex is the one real size whose tableau switches
+    # to Python ints (from its 98th of 319 pivots), so that switch stays tested
+    monkeypatch.setattr(tau_lp, "_DIRECT_LIMIT", 12)
     exact = {m: exact_solve(m) for m in range(8, 13)}
+    assert tableau_dtypes[66] == object  # the 66 pairs of M=12
     monkeypatch.setattr(tau_lp, "_DIRECT_LIMIT", 7)
     for m, want in exact.items():
         got = solve_tau(m)
@@ -307,7 +400,7 @@ def test_failed_float_solve_is_unresolved(monkeypatch):
 
 def test_exact_sizes_do_not_import_scipy():
     # importing scipy.optimize costs about 50 MiB and 0.75 s; sizes the
-    # exact simplex solves must not pay it
+    # exact simplex solves (2..11) must not pay it
     script = (
         "import sys\n"
         "import zchannel, zchannel.cli\n"
