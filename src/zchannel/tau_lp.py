@@ -5,14 +5,16 @@ reciprocal of the optimum of a small packing LP: variables y over ordered
 pairs (i, j), i < j, constrained by one column per binary pattern b of
 length M, whose (i, j) entry is 1 exactly when b_i = 0 and b_j = 1.  We
 solve the equivalent covering form (minimize the total dual weight over
-patterns subject to every pair being covered) with a dense simplex on a
-fraction-free integer tableau: every entry is an exact integer over one
-shared denominator, held in int64 while a bound checked before each pivot
-rules out overflow and in Python ints from then on.  One pivot routine,
-``_fraction_free_pivot``, does that for the simplex and for the support
-solve of the float route.  Results are exact `fractions.Fraction`s and
-come with a primal/dual certificate that `verify_certificate` re-checks
-independently, in exact integers.
+patterns subject to every pair being covered) with a dense one-phase
+simplex.  It needs no phase 1: the threshold patterns 0^k 1^(M-k) and the
+surpluses of the other pairs form a feasible basis of determinant +-1, so
+the starting tableau is written down in integers.  Every tableau entry is
+an exact integer over one shared denominator, held in int64 while a bound
+checked before each pivot rules out overflow and in Python ints from then
+on.  One pivot routine, ``_fraction_free_pivot``, does that for the
+simplex and for the support solve of the float route.  Results are exact
+`fractions.Fraction`s and come with a primal/dual certificate that
+`verify_certificate` re-checks independently, in exact integers.
 
 Pattern pruning: a pattern starting with 1 or ending with 0 is either
 empty or dominated by the pattern obtained by forcing b_1 = 0, b_M = 1
@@ -73,7 +75,7 @@ TAU_TABLE: dict[int, Fraction] = {
 }
 
 _DIRECT_LIMIT = 11  # exact simplex up to here; float basis beyond
-_BLAND_AFTER = 2000  # pivots per phase before entering switches to smallest index
+_BLAND_AFTER = 2000  # pivots before entering switches to smallest index
 _SUPPORT_TOL = 1e-9  # float values within this of zero (or of a tight bound) are zero
 _INT64_LIMIT = 1 << 63  # tableau values at or past this switch to Python ints
 
@@ -182,13 +184,6 @@ def _absmax(a: np.ndarray) -> int:
     return max(int(a.max()), -int(a.min())) if a.size else 0
 
 
-def _widened(T: np.ndarray, bound: int) -> np.ndarray:
-    """T, converted once to exact Python ints (``dtype=object``) if an
-    update whose values may reach ``bound`` in magnitude would overflow
-    int64; the same expressions then carry on exactly."""
-    return T.astype(object) if bound >= _INT64_LIMIT and T.dtype != object else T
-
-
 def _fraction_free_pivot(
     T: np.ndarray, den: int, r: int, c: int
 ) -> tuple[np.ndarray, int]:
@@ -200,14 +195,18 @@ def _fraction_free_pivot(
     row r is kept and every other row becomes ``(T[i] * p - T[i, c] * T[r])
     // den``, and abs(p) is the new denominator (Edmonds; Bareiss).  That
     division is exact: every entry is a minor of the integer input, and
-    ``den`` is the absolute determinant of the pivot block.  A negative
-    pivot negates everything so that the denominator stays positive.  The
-    update runs in place (the outer product is the one full-size
-    temporary), after ``_widened`` has bounded it.
+    ``den`` is the absolute determinant of the pivot block.  The simplex
+    always pivots on a positive entry; the support solve can meet a
+    negative one, and then everything is negated so that the denominator
+    stays positive.  The update runs in place (the outer product is the
+    one full-size temporary).  An int64 ``T`` whose update could reach
+    2**63 is first converted, for good, to exact Python ints.
     """
     p = int(T[r, c])
-    if T.dtype != object:
-        T = _widened(T, _absmax(T) * abs(p) + _absmax(T[:, c]) * _absmax(T[r]))
+    if T.dtype != object and (
+        _absmax(T) * abs(p) + _absmax(T[:, c]) * _absmax(T[r]) >= _INT64_LIMIT
+    ):
+        T = T.astype(object)
     prow, pcol = T[r].copy(), T[:, c].copy()
     T *= p
     T -= np.outer(pcol, prow)
@@ -216,140 +215,6 @@ def _fraction_free_pivot(
     if p < 0:
         np.negative(T, out=T)
     return T, abs(p)
-
-
-class _ExactSimplex:
-    """Dense two-phase simplex over a fraction-free integer tableau.
-
-    ``T`` has one row per constraint plus the reduced-cost row last, and
-    one column per variable plus the right-hand side last; it holds
-    integers over the shared positive denominator ``den``.  Pivots go
-    through ``_fraction_free_pivot``, so it starts as int64 and switches to
-    Python ints for good the first time a pivot's bound reaches 2**63.
-    Both the forced pivots of ``_drive_out_artificials`` and the support
-    solve can meet a negative pivot.  Fractions appear only when results
-    are read.
-
-    Column layout: the first ``m`` columns are the artificial variables
-    (their block stays equal to ``den`` times the basis inverse, which
-    hands us duals), followed by structural columns.  Entering choice is
-    the most negative reduced cost, first index on ties, with a switch to
-    smallest index after ``_BLAND_AFTER`` pivots, so runs terminate even
-    on degenerate bases.  The ratio test compares ``rhs[i] / T[i, c]`` by
-    cross multiplication; ties break on smallest basis label.
-    """
-
-    def __init__(
-        self,
-        matrix: np.ndarray,
-        costs: Sequence[int],
-        rhs: Sequence[int],
-        pivot_cap: int,
-    ):
-        self.m = m = len(rhs)
-        self.pivot_cap = pivot_cap
-        self.pivots = 0
-        self.den = 1
-        b = np.array(rhs, dtype=np.int64)
-        if (b < 0).any():
-            raise ValueError("right-hand side must be nonnegative")
-        rows = np.hstack(
-            [np.eye(m, dtype=np.int64), np.asarray(matrix, dtype=np.int64), b[:, None]]
-        )
-        self.T = np.vstack([rows, np.zeros_like(rows[:1])])  # cost row: set each phase
-        self.costs = np.asarray(costs, dtype=np.int64)  # structural, phase 2
-        self.basis = list(range(m))  # artificial i basic in row i
-
-    def _set_reduced_costs(self, phase: int) -> None:
-        """Cost row ``c * den - c_B @ rows``, with c the artificials' sum
-        in phase 1 and the structural costs in phase 2; its last entry, over
-        the right-hand side, is minus ``den`` times the objective."""
-        c = np.zeros(self.T.shape[1], dtype=np.int64)
-        if phase == 1:
-            c[: self.m] = 1
-        else:
-            c[self.m : -1] = self.costs
-        cb = c[self.basis]
-        rows = self.T[: self.m]
-        self.T = _widened(
-            self.T, int(np.abs(cb).sum()) * _absmax(rows) + _absmax(c) * self.den
-        )
-        c, cb = c.astype(self.T.dtype), cb.astype(self.T.dtype)
-        self.T[self.m] = c * self.den - cb @ self.T[: self.m]
-
-    def _run_phase(self, phase: int) -> None:
-        self._set_reduced_costs(phase)
-        lo = 0 if phase == 1 else self.m  # artificials may enter in phase 1 only
-        phase_pivots = 0
-        while True:
-            red = self.T[self.m, lo:-1]
-            if phase_pivots < _BLAND_AFTER:
-                j = int(np.argmin(red))
-                if red[j] >= 0:
-                    return
-            else:
-                negative = np.flatnonzero(red < 0)
-                if not negative.size:
-                    return
-                j = int(negative[0])
-            entering = lo + j
-            leaving, best_b, best_a = -1, 0, 1
-            column = self.T[: self.m, entering].tolist()
-            for i, (a, b) in enumerate(zip(column, self.T[: self.m, -1].tolist())):
-                if a > 0 and (
-                    leaving < 0
-                    or b * best_a < best_b * a
-                    or (b * best_a == best_b * a and self.basis[i] < self.basis[leaving])
-                ):
-                    leaving, best_b, best_a = i, b, a
-            if leaving < 0:
-                raise RuntimeError("phase objective unbounded; malformed input")
-            self._pivot(leaving, entering)
-            phase_pivots += 1
-            if self.pivots > self.pivot_cap:
-                raise UnresolvedError(
-                    f"pivot cap {self.pivot_cap} reached in phase {phase}"
-                )
-
-    def _pivot(self, r: int, c: int) -> None:
-        self.T, self.den = _fraction_free_pivot(self.T, self.den, r, c)
-        self.basis[r] = c
-        self.pivots += 1
-
-    def solve(self) -> None:
-        """Phase 1 then phase 2; afterwards the basis is primal optimal."""
-        self._run_phase(1)
-        if any(self.T[i, -1] != 0 for i, b in enumerate(self.basis) if b < self.m):
-            raise RuntimeError("infeasible system; malformed input")
-        self._drive_out_artificials()
-        self._run_phase(2)
-
-    def _drive_out_artificials(self) -> None:
-        for i in range(self.m):
-            if self.basis[i] >= self.m:
-                continue
-            nonzero = np.flatnonzero(self.T[i, self.m : -1])
-            if not nonzero.size:
-                continue  # redundant row; artificial stays basic at zero
-            self._pivot(i, self.m + int(nonzero[0]))
-
-    # -- extraction, once ``solve`` has returned ----------------------------
-
-    def objective(self) -> Fraction:
-        return F(-int(self.T[self.m, -1]), self.den)
-
-    def structural_solution(self) -> dict[int, Fraction]:
-        return {
-            b - self.m: F(v, self.den)
-            for b, v in zip(self.basis, self.T[: self.m, -1].tolist())
-            if b >= self.m and v
-        }
-
-    def duals(self) -> list[Fraction]:
-        """Simplex multipliers for the original rows (phase-2 costs): an
-        artificial column costs 0, so its reduced cost is minus ``den``
-        times its row's multiplier."""
-        return [F(-v, self.den) for v in self.T[self.m, : self.m].tolist()]
 
 
 def _covering_matrix(pm: PairMatrix, masks: Sequence[int]) -> np.ndarray:
@@ -377,17 +242,90 @@ def _scaled_sums(weights: Sequence[Fraction], rows: np.ndarray) -> tuple[np.ndar
     return sums, den
 
 
+def _threshold_start(pm: PairMatrix) -> tuple[np.ndarray, list[int]]:
+    """The starting tableau and basis of ``_solve_exact_simplex``.
+
+    The LP is min 1.z subject to D z - s = 1 with z, s >= 0, over columns
+    [D | -I | 1].  The threshold pattern 0^k 1^(M-k) is basic in the row of
+    pair (k, k+1), the one pair no other threshold covers, and every other
+    pair (i, j) keeps its surplus, worth j - i - 1.  That basis matrix is
+    unimodular, so B^-1 [D | -I | 1] is an integer tableau over ``den = 1``:
+    row (k, k+1) is unchanged, and each other row (i, j) is the sum of the
+    rows (i, i+1) .. (j-1, j) minus itself.  The cost row, last, is the
+    costs minus the sum of the threshold rows.
+    """
+    K, P = len(pm.pairs), len(pm.patterns)
+    T = np.zeros((K + 1, P + K + 1), dtype=np.int64)
+    T[:K, :P] = _covering_matrix(pm, pm.patterns)
+    T[:K, P:-1] = -np.eye(K, dtype=np.int64)
+    T[:K, -1] = 1
+    T[K, :P] = 1
+    i, j = np.triu_indices(pm.m, 1)  # the rows of pm.pairs, 0-based
+    adjacent = np.flatnonzero(j == i + 1)  # pairs (1, 2) .. (M-1, M)
+    # sums[k]: the rows of pairs (1, 2) .. (k, k+1), summed
+    sums = np.vstack([np.zeros_like(T[:1]), np.cumsum(T[adjacent], axis=0)])
+    for r in np.flatnonzero(j > i + 1):
+        T[r] = sums[j[r]] - sums[i[r]] - T[r]
+    T[K] -= sums[-1]
+    basis = list(range(P, P + K))  # surplus of pair r basic in row r
+    full = (1 << pm.m) - 1
+    for k, r in enumerate(adjacent.tolist(), 1):
+        basis[r] = pm.patterns.index(full >> k << k)  # coordinates k+1..M set
+    return T, basis
+
+
 def _solve_exact_simplex(
     pm: PairMatrix, pivot_cap: int
 ) -> tuple[list[Fraction], dict[int, Fraction], int]:
-    """Packing weights y, covering weights z and the pivot count from the
-    exact simplex over every pruned column plus one surplus per pair."""
+    """Packing weights y, covering weights z and the pivot count from a
+    one-phase simplex from ``_threshold_start``, with every update through
+    ``_fraction_free_pivot``.
+
+    Entering choice is the most negative reduced cost, first index on
+    ties, with a switch to smallest index after ``_BLAND_AFTER`` pivots,
+    so runs terminate even on degenerate bases.  The ratio test compares
+    ``rhs[i] / T[i, c]`` by cross multiplication; ties break on smallest
+    basis label.  z is read from the basis, and y from the cost row under
+    the surplus columns: a surplus costs 0, so its reduced cost is ``den``
+    times its row's multiplier.
+    """
     K, P = len(pm.pairs), len(pm.patterns)
-    cols = np.hstack([_covering_matrix(pm, pm.patterns), -np.eye(K, dtype=np.int64)])
-    sx = _ExactSimplex(cols, [1] * P + [0] * K, [1] * K, pivot_cap)
-    sx.solve()
-    z = {pm.patterns[j]: v for j, v in sx.structural_solution().items() if j < P}
-    return sx.duals(), z, sx.pivots
+    T, basis = _threshold_start(pm)
+    den, pivots = 1, 0
+    while True:
+        red = T[K, :-1]
+        if pivots < _BLAND_AFTER:
+            entering = int(np.argmin(red))
+            if red[entering] >= 0:
+                break
+        else:
+            negative = np.flatnonzero(red < 0)
+            if not negative.size:
+                break
+            entering = int(negative[0])
+        leaving, best_b, best_a = -1, 0, 1
+        column = T[:K, entering].tolist()
+        for r, (a, b) in enumerate(zip(column, T[:K, -1].tolist())):
+            if a > 0 and (
+                leaving < 0
+                or b * best_a < best_b * a
+                or (b * best_a == best_b * a and basis[r] < basis[leaving])
+            ):
+                leaving, best_b, best_a = r, b, a
+        if leaving < 0:
+            raise RuntimeError("objective unbounded; malformed input")
+        T, den = _fraction_free_pivot(T, den, leaving, entering)
+        basis[leaving] = entering
+        pivots += 1
+        if pivots > pivot_cap:
+            raise UnresolvedError(f"pivot cap {pivot_cap} reached")
+    y = [F(v, den) for v in T[K, P:-1].tolist()]
+    z = {
+        pm.patterns[b]: F(v, den)
+        for b, v in zip(basis, T[:K, -1].tolist())
+        if b < P and v
+    }
+    return y, z, pivots
 
 
 def _solve_unit_rhs(rows: np.ndarray) -> list[Fraction]:
@@ -462,11 +400,12 @@ def _solve_float_basis(
 def solve_tau(M: int, *, pivot_cap: int = 2_000_000) -> TauCertificate:
     """Exact optimum and certificate for the size-M pair LP.
 
-    Through M=11 the exact simplex solves over every pruned column;
-    ``pivot_cap`` bounds its pivots and raises UnresolvedError when it
-    trips.  Beyond, a float basis is made exact (``_solve_float_basis``),
-    and a failed float solve or a certificate that fails the check raises
-    UnresolvedError: there is no fallback.  ``meta["method"]`` names the
+    Through M=11 the one-phase exact simplex solves over every pruned
+    column, starting from the threshold basis; ``pivot_cap`` bounds its
+    pivots and raises UnresolvedError when it trips.  Beyond, a float
+    basis is made exact (``_solve_float_basis``), and a failed float solve
+    or a certificate that fails the check raises UnresolvedError: there is
+    no fallback.  ``meta["method"]`` names the
     path that ran (``"exact-simplex"`` or ``"float-basis"``) and
     ``meta["pivots"]`` its simplex iterations.
     """

@@ -5,13 +5,14 @@ found by enumerating every receivable word, and the exponent functions
 are summed term by term from their definitions.  Agreement between these
 and the package routes is what the oracle tests assert.
 
-The last sections are different in kind.  They keep the exhaustive
-``best_list_code`` scan, ``max_code`` with its eager adjacency rows, the
-scalar ``tau_star`` bisection, the ``check_star`` scan and the per-tau
-heap scan of ``two_stage_rate``, the Fraction certificate check and the
-Fraction Gauss-Jordan support solve as they were before the faster
-designs replaced them, so the package can be held to the same results
-bit for bit.
+The sections after those are different in kind.  They keep the
+exhaustive ``best_list_code`` scan, ``max_code`` with its eager adjacency
+rows, the scalar ``tau_star`` bisection, the ``check_star`` scan and the
+per-tau heap scan of ``two_stage_rate``, the Fraction certificate check
+and the Fraction Gauss-Jordan support solve as they were before the
+faster designs replaced them, so the package can be held to the same
+results bit for bit.  The last section builds the exact simplex's
+starting basis and the LP's symmetry sigma from their definitions.
 """
 
 import math
@@ -514,3 +515,57 @@ def _solve_unit_rhs(rows: np.ndarray) -> list[Fraction]:
     for c, row in reduced.items():
         x[c] = row[n]
     return x
+
+
+# ---------------------------------------------------------------------------
+# The starting basis of ``tau_lp._solve_exact_simplex`` built from its
+# definition, with the basis inverse by Gauss-Jordan over Fractions, and
+# the map sigma that sends the pair LP to itself.
+
+
+def threshold_basis(m):
+    """The basic column of each pair row, and the inverse basis matrix.
+
+    Columns are numbered as in [D | -I]: the pruned patterns of
+    ``build_pair_matrix(m)`` first, then one surplus per pair.  The
+    threshold pattern 0^k 1^(m-k) is basic in the row of pair (k, k+1),
+    and every other pair's surplus in that pair's row.  The inverse of the
+    basis matrix B comes from Gauss-Jordan on [B | I] over Fractions.
+    """
+    pm = build_pair_matrix(m)
+    K, P = len(pm.pairs), len(pm.patterns)
+    labels, columns = [], []
+    for r, (i, j) in enumerate(pm.pairs):
+        if j == i + 1:
+            bits = "0" * i + "1" * (m - i)
+            labels.append(pm.patterns.index(BitWord.from_string(bits).mask))
+            columns.append([int(pattern_covers_pair(bits, a, b)) for a, b in pm.pairs])
+        else:
+            labels.append(P + r)
+            columns.append([-int(s == r) for s in range(K)])
+    rows = [
+        [Fraction(col[r]) for col in columns] + [Fraction(int(r == c)) for c in range(K)]
+        for r in range(K)
+    ]
+    for c in range(K):
+        p = next(r for r in range(c, K) if rows[r][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        pivot = rows[c][c]
+        rows[c] = [v / pivot for v in rows[c]]
+        for r in range(K):
+            f = rows[r][c]
+            if r != c and f:
+                rows[r] = [a - f * b if b else a for a, b in zip(rows[r], rows[c])]
+    return labels, [row[K:] for row in rows]
+
+
+def sigma_pattern(mask, m):
+    """sigma on an m-bit pattern: complement every bit, then reverse."""
+    bits = str(BitWord(m, mask))
+    return BitWord.from_string(bits.translate(str.maketrans("01", "10"))[::-1]).mask
+
+
+def sigma_pair(pair, m):
+    """sigma on a 1-based pair: (i, j) goes to (m + 1 - j, m + 1 - i)."""
+    i, j = pair
+    return (m + 1 - j, m + 1 - i)

@@ -11,6 +11,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zchannel import protocol
 from zchannel.protocol import (
@@ -28,6 +29,8 @@ from zchannel.protocol import (
 )
 from zchannel.search import best_list_code, max_code
 from zchannel.words import BitWord, Code, list_radius
+
+from oracles import list_radius_by_enumeration
 
 DATA = Path(__file__).parent / "data"
 
@@ -222,3 +225,43 @@ def test_adversary_budget_refusal():
     params = ProtocolParams(stage1, {1: Code.from_strings(["0000"])}, t=12)
     with pytest.raises(BudgetExceededError):
         adversary_exhaustive(params, 0, require_valid=False)
+
+
+@st.composite
+def small_params(draw):
+    """Small two-stage instances: a constant-weight stage-1 code of 2 to 5
+    words and length up to 5, a budget t up to 2, and stage-2 grades of
+    random words for list sizes 1 up to some bound, which may fall short."""
+    n1 = draw(st.integers(2, 5))
+    w = draw(st.integers(1, n1 - 1))
+    shell = [mask for mask in range(1 << n1) if mask.bit_count() == w]
+    stage1 = draw(st.lists(st.sampled_from(shell), min_size=2, max_size=5, unique=True))
+    grades = draw(st.integers(1, len(stage1)))
+    n2 = draw(st.integers(max(1, (grades - 1).bit_length()), 5))
+    family = {}
+    for size in range(1, grades + 1):
+        extra = draw(st.integers(0, 2))
+        words = draw(st.lists(st.integers(0, (1 << n2) - 1), min_size=size,
+                              max_size=size + extra, unique=True))
+        family[size] = Code(BitWord(n2, mask) for mask in words)
+    t = draw(st.integers(0, 2))
+    return ProtocolParams(Code(BitWord(n1, mask) for mask in stage1), family, t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=small_params())
+def test_valid_parameters_round_trip_and_survive_the_adversary(p):
+    masks = [word.mask for word in p.stage1]
+    for e in range(min(p.w, p.t) + 1):
+        bound = p.list_bound(e)
+        assert list_radius_by_enumeration(masks, p.n1, bound) >= e
+        assert bound == 1 or list_radius_by_enumeration(masks, p.n1, bound - 1) < e
+    if not validate_parameters(p):
+        with pytest.raises(ProtocolError, match="fail validation"):
+            adversary_exhaustive(p, 0)
+        return
+    for m in range(p.message_count):
+        x1 = encode_stage1(p, m)
+        assert decode(p, x1, encode_stage2(p, m, x1)) == m
+        report = adversary_exhaustive(p, m)
+        assert report.passed, report.failures

@@ -1,11 +1,12 @@
 """Solver and certificate behavior for the pair-covering LP.
 
 The expensive full-table reproduction lives in the acceptance tests;
-here we keep to sizes up to 14 and to properties of the machinery itself:
+here we keep to solves up to size 14 and to properties of the machinery itself:
 matrix construction and its memory, certificate round-trips, falsification
 of doctored certificates, the integer check and the integer support solve
-against the Fraction versions they replaced, and agreement between the
-exact simplex and the float-basis route.
+against the Fraction versions they replaced, the simplex's starting basis
+and the symmetry of the LP, every recorded certificate, and agreement
+between the exact simplex and the float-basis route.
 """
 
 import functools
@@ -31,17 +32,22 @@ from zchannel.tau_lp import (
     tau_of_L,
     verify_certificate,
 )
-from zchannel.tau_lp import _covering_matrix, _ExactSimplex, _scaled_sums
+from zchannel.tau_lp import (
+    _covering_matrix,
+    _fraction_free_pivot,
+    _scaled_sums,
+    _threshold_start,
+)
 from zchannel.words import BitWord
 
 import oracles
 from oracles import packing_violations, pattern_covers_pair
 
-GOLDEN = Path(__file__).parent / "golden" / "solve_tau"
+GOLDEN = Path(__file__).parent / "golden"
 
-# pivots per direct solve, recorded with the earlier Fraction tableau,
-# whose entering and leaving rules the integer tableau keeps
-DIRECT_PIVOTS = {2: 1, 3: 3, 4: 6, 5: 11, 6: 18, 7: 30, 8: 50, 9: 79, 10: 158, 11: 169}
+# pivots per direct solve of the one-phase simplex from the threshold basis
+# (M = 2 and 3 start at the optimum)
+DIRECT_PIVOTS = {2: 0, 3: 0, 4: 1, 5: 3, 6: 6, 7: 16, 8: 33, 9: 43, 10: 71, 11: 87}
 
 
 @functools.lru_cache(maxsize=None)
@@ -199,12 +205,24 @@ def test_pruning_is_lossless_on_small_sizes():
 
 
 def test_certificates_match_recorded_solves():
-    # M=9 and M=10 were recorded with the Fraction tableau; the tau-table
-    # golden files stop at M=8
+    # the tau-table golden files stop at M=8
     for m in (9, 10):
         cert = solve_tau(m)
         text = json.dumps(cert.to_json_dict(), indent=2, sort_keys=True) + "\n"
-        assert text == (GOLDEN / f"certificate_{m}.json").read_text(), m
+        assert text == (GOLDEN / "solve_tau" / f"certificate_{m}.json").read_text(), m
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(GOLDEN.glob("*/certificate_*.json")),
+    ids=lambda path: f"{path.parent.name}/{path.name}",
+)
+def test_recorded_certificates_pass_both_checks(path):
+    # a re-recorded golden must never pin a certificate that fails a check
+    cert = TauCertificate.from_json_dict(json.loads(path.read_text()))
+    assert verify_certificate(cert).ok
+    assert oracles.verify_certificate(cert).ok
+    assert cert.tau == TAU_TABLE[cert.m]
 
 
 def test_pivot_counts_are_pinned():
@@ -214,46 +232,55 @@ def test_pivot_counts_are_pinned():
 
 
 def test_large_coefficients_switch_to_python_ints():
-    # minimize x1 + x2 subject to B*x1 + x2 >= B and x1 + B*x2 >= B: the
-    # optimum is x1 = x2 = B/(B+1), with duals 1/(B+1) on both rows.  The
-    # first pivot multiplies B by B, past int64, so the tableau must switch.
+    # B*x1 + x2 - s1 = B and x1 + B*x2 - s2 = B, costs (1, 1, 0, 0) in the
+    # last row: pivoting x1 and x2 in gives x1 = x2 = B/(B+1), objective
+    # 2B/(B+1) and duals 1/(B+1) on both rows.  The first pivot multiplies
+    # B by B, past int64, so the array must switch.
     B = 1 << 40
-    matrix = [[B, 1, -1, 0], [1, B, 0, -1]]
-    sx = _ExactSimplex(matrix, [1, 1, 0, 0], [B, B], pivot_cap=100)
-    assert sx.T.dtype == np.int64
-    sx.solve()
-    assert sx.T.dtype == object
-    assert sx.objective() == Fraction(2 * B, B + 1)
-    assert sx.structural_solution() == {0: Fraction(B, B + 1), 1: Fraction(B, B + 1)}
-    assert sx.duals() == [Fraction(1, B + 1)] * 2
+    T = np.array(
+        [[B, 1, -1, 0, B], [1, B, 0, -1, B], [1, 1, 0, 0, 0]], dtype=np.int64
+    )
+    T, den = _fraction_free_pivot(T, 1, 0, 0)
+    assert (T.dtype, den) == (object, B)
+    T, den = _fraction_free_pivot(T, den, 1, 1)
+    assert (T.dtype, den) == (object, B * B - 1)
+    assert [Fraction(v, den) for v in T[:2, -1]] == [Fraction(B, B + 1)] * 2
+    assert Fraction(-T[2, -1], den) == Fraction(2 * B, B + 1)
+    assert [Fraction(v, den) for v in T[2, 2:4]] == [Fraction(1, B + 1)] * 2
 
 
 def test_forced_negative_pivot_keeps_the_denominator_positive():
-    # 2*x1 = 2 and 2*x1 - 3*x2 = 2: phase 1 ends with the second artificial
-    # basic at zero, and driving it out pivots on the -3 entry.  Minimizing
-    # x1 + x2 gives x = (1, 0) with duals (5/6, -1/3).
-    sx = _ExactSimplex([[2, 0], [2, -3]], [1, 1], [2, 2], pivot_cap=100)
-    sx.solve()
-    assert sx.basis == [2, 3]
-    assert sx.den == 6
-    assert sx.objective() == 1
-    assert sx.structural_solution() == {0: 1}
-    assert sx.duals() == [Fraction(5, 6), Fraction(-1, 3)]
+    # 2*x1 = 2 and 2*x1 - 3*x2 = 2 give x = (1, 0); pivoting on the -3
+    # negates the array, so the denominator is 3, not -3
+    T = np.array([[2, 0, 2], [2, -3, 2]], dtype=np.int64)
+    T, den = _fraction_free_pivot(T, 1, 1, 1)
+    assert (T.dtype, den, T.tolist()) == (np.int64, 3, [[6, 0, 6], [-2, 3, -2]])
+    T, den = _fraction_free_pivot(T, den, 0, 0)
+    assert (den, T.tolist()) == (6, [[6, 0, 6], [0, 6, 0]])
+    assert [Fraction(v, den) for v in T[:, -1]] == [1, 0]
 
 
 @pytest.fixture
 def tableau_dtypes(monkeypatch):
     """Final tableau dtype of each exact-simplex solve, keyed by its number
-    of rows.  The switch to Python ints is permanent, so the final dtype
-    tells whether it ever happened."""
+    of pair rows: the start sets it and each pivot replaces it.  The switch
+    to Python ints is permanent, so the final dtype tells whether it ever
+    happened."""
     dtypes = {}
-    solve = _ExactSimplex.solve
+    start, pivot = tau_lp._threshold_start, tau_lp._fraction_free_pivot
 
-    def spy(self):
-        solve(self)
-        dtypes[len(self.basis)] = self.T.dtype
+    def start_spy(pm):
+        T, basis = start(pm)
+        dtypes[len(T) - 1] = T.dtype
+        return T, basis
 
-    monkeypatch.setattr(_ExactSimplex, "solve", spy)
+    def pivot_spy(T, den, r, c):
+        T, den = pivot(T, den, r, c)
+        dtypes[len(T) - 1] = T.dtype
+        return T, den
+
+    monkeypatch.setattr(tau_lp, "_threshold_start", start_spy)
+    monkeypatch.setattr(tau_lp, "_fraction_free_pivot", pivot_spy)
     return dtypes
 
 
@@ -354,12 +381,12 @@ def test_repeated_solves_do_not_raise_peak_memory():
     assert int(done.stdout) < 1024
 
 
-def test_float_basis_agrees_with_exact_simplex(monkeypatch, tableau_dtypes):
-    # M=12 on the exact simplex is the one real size whose tableau switches
-    # to Python ints (from its 98th of 319 pivots), so that switch stays tested
+def test_float_basis_agrees_with_exact_simplex(monkeypatch):
+    # M=12 on the exact simplex stalls on degenerate pivots until entering
+    # switches to smallest index, so that switch runs at a real size
     monkeypatch.setattr(tau_lp, "_DIRECT_LIMIT", 12)
     exact = {m: exact_solve(m) for m in range(8, 13)}
-    assert tableau_dtypes[66] == object  # the 66 pairs of M=12
+    assert exact[12].meta["pivots"] > tau_lp._BLAND_AFTER
     monkeypatch.setattr(tau_lp, "_DIRECT_LIMIT", 7)
     for m, want in exact.items():
         got = solve_tau(m)
@@ -531,6 +558,47 @@ def test_covering_matrix_at_18_stays_small():
     # ru_maxrss is in KiB on Linux: the bool build adds about 21 MiB, an
     # int8 one about 9 and an int64 broadcast about 163
     assert int(grew) < 48 * 1024
+
+
+def test_threshold_start_is_the_inverse_basis_tableau():
+    # the start needs no pivots: its basis inverse is an integer matrix, so
+    # den == 1, and B^-1 [D | -I | 1] has a nonnegative right-hand side
+    for m in range(2, 19):
+        pm = build_pair_matrix(m)
+        K, P = len(pm.pairs), len(pm.patterns)
+        T, basis = _threshold_start(pm)
+        labels, inverse = oracles.threshold_basis(m)
+        assert basis == labels, m
+        assert all(v.denominator == 1 for row in inverse for v in row), m
+        assert T.dtype == np.int64 and T.shape == (K + 1, P + K + 1), m
+        assert (T[:K, -1] >= 0).all(), m
+        D = _covering_matrix(pm, pm.patterns)
+        cost = np.zeros(P + K + 1, dtype=np.int64)
+        cost[:P] = 1
+        for r, row in enumerate(inverse):
+            want = np.zeros(P + K + 1, dtype=np.int64)
+            for k, v in enumerate(row):
+                if v:
+                    want[:P] += int(v) * D[k]
+                    want[P + k] -= int(v)
+                    want[-1] += int(v)
+            assert np.array_equal(T[r], want), (m, pm.pairs[r])
+            if basis[r] < P:  # a basic pattern costs 1, a surplus 0
+                cost -= want
+        assert np.array_equal(T[K], cost), m
+
+
+def test_sigma_maps_the_incidence_to_itself():
+    # sigma (complement, then reverse) maps the pruned patterns onto
+    # themselves and permutes the pairs so that the incidence is unchanged
+    for m in range(2, 19):
+        pm = build_pair_matrix(m)
+        image = [oracles.sigma_pattern(mask, m) for mask in pm.patterns]
+        assert sorted(image) == list(pm.patterns), m
+        columns = np.searchsorted(pm.patterns, image)
+        rows = [pm.pairs.index(oracles.sigma_pair(pair, m)) for pair in pm.pairs]
+        D = _covering_matrix(pm, pm.patterns)
+        assert np.array_equal(D[np.ix_(rows, columns)], D), m
 
 
 def test_unresolved_on_tiny_pivot_cap():
