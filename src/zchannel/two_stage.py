@@ -19,14 +19,13 @@ near the threshold.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heapreplace
-from math import sqrt
+from math import log1p, sqrt
 
-from .rate_bounds import binary_entropy, tau_star
-from .tau_lp import TAU_TABLE, tau_of_L
+from .rate_bounds import LN2, binary_entropy, tau_star
+from .tau_lp import TAU_TABLE
 
 
 # Extra grid points pinning down the neighborhood of the zero-rate point,
@@ -55,8 +54,8 @@ class TwoStageConfig:
     x_points: int = 140
 
     def __post_init__(self) -> None:
-        if self.l_up < 1:
-            raise ValueError("list cap must be at least 1")
+        if not 1 <= self.l_up <= 17:
+            raise ValueError("list cap must lie in 1..17")
         if self.x_points < 8 or self.omega_points < 2 or self.alpha_points < 2:
             raise ValueError("grids too coarse to mean anything")
 
@@ -100,9 +99,8 @@ def r2(
     return alpha * shrink / (1.0 - alpha) * bracket
 
 
-# float(tau_of_L(L)) for every solved list size: constant data, read by
-# check_star for each grade it checks
-_GRADE_BOUNDS = {L: float(tau_of_L(L)) for L in TAU_TABLE}
+# float(tau_of_L(L)) for every solved L, so for every grade of a cap in 1..17
+_GRADE_BOUNDS = {L: float(tau) for L, tau in TAU_TABLE.items()}
 
 
 def _thresholds(R: float, omega: float, l_up: int) -> list[float]:
@@ -126,6 +124,15 @@ def _x_grid(xmax: float, thresholds: list[float], nx: int) -> list[float]:
     return xs
 
 
+def _gv_fails(t: float, rate: float) -> bool:
+    """t > tau_star(rate, 1, 1/2) for t >= BOUNDARY_TOL; see check_star."""
+    if t > 0.25 or rate == 0.0:
+        return t > 0.25  # tau_star's R = 0 short cut puts the root at 1/4
+    # 1 - h(2t) from x = 1 - 4t: accurate near t = 1/4, unlike 1 - binary_entropy(2t)
+    x = 1.0 - 4.0 * t
+    return rate > ((1.0 + x) * log1p(x) + (1.0 - x) * log1p(-x)) / (2.0 * LN2)
+
+
 def check_star(
     omega: float,
     alpha: float,
@@ -137,21 +144,21 @@ def check_star(
 ) -> bool:
     """Whether (omega, alpha, R) survives every stage-1 damage level x.
 
-    For each probed x below min(omega, tau/alpha): locate the smallest
-    list grade L whose threshold covers x.  L=1 imposes nothing (a single
-    candidate needs no second stage).  2 <= L <= the cap imposes
-    (tau - alpha x)/(1 - alpha) <= tau_of_L(L); beyond the cap the
-    shortened-code rate takes over.  Comparisons are conservative by
-    ``BOUNDARY_TOL``: anything within tolerance of failing fails.
+    Each probed x below min(omega, tau/alpha) has a grade, the first list
+    size L with x <= thresholds[L-1] - tol.  The probes are read in
+    ascending order, and a cut passed by one x is passed by every later x,
+    so a pointer that only moves forward grades each probe, sorted
+    thresholds or not.  Grade 1 needs no second stage; 2 <= L <= the cap
+    needs lhs = (tau - alpha x)/(1 - alpha) <= tau_of_L(L), and past the
+    cap lhs <= tau_star(r2, 1, 1/2) for the shortened-code rate r2.
+    Anything within ``BOUNDARY_TOL`` of failing fails.  ``thresholds`` is
+    tau_star(R, L, omega) for L = 1..cfg.l_up, computed here when not
+    given; its first entry doubles as r2's list-1 threshold.
 
-    ``thresholds`` is tau_star(R, L, omega) for L = 1..cfg.l_up, computed
-    here when not given; its first entry doubles as r2's list-1 threshold.
-
-    The grade of x, the first L with x <= thresholds[L-1] - tol, never
-    falls as x grows, and the float (tau - alpha x)/(1 - alpha) never
-    rises, so within one grade only the smallest probed x can fail.  Each
-    grade therefore costs one binary search of the sorted grid, and the
-    verdict is the same as checking every x.
+    tau_star(r2, 1, 1/2) is the GV curve h^-1(1 - r2)/2: at L = 1 and
+    omega = 1/2, with u = e^(-h/2) and p = u/(1 + u), e(h) = (1 + u)/2,
+    g'(h) = p/2 and g - h g' = ln2 (1 - h(p)) = r2 ln2 at the root.  With
+    t = lhs + tol the tail fails iff t > 1/4 or r2 > 1 - h(2t).
     """
     if not 0.0 < omega < 1.0 or not 0.0 < alpha < 1.0 or R < 0.0:
         raise ValueError("need omega, alpha in (0, 1) and R >= 0")
@@ -161,26 +168,18 @@ def check_star(
         thresholds = _thresholds(R, omega, cfg.l_up)
     tol = BOUNDARY_TOL
     xmax = min(omega, tau / alpha)
-    one_minus = 1.0 - alpha
-    xs = sorted(_x_grid(xmax, thresholds, cfg.x_points))
-    # x has grade L exactly when covered < x <= cut, where covered is the
-    # largest cut of the grades below L
-    covered = thresholds[0] - tol
-    for L, thr in enumerate(thresholds[1:], start=2):
-        cut = thr - tol
-        if cut > covered:
-            i = bisect_right(xs, covered)
-            if i < len(xs) and xs[i] <= cut:
-                lhs = (tau - alpha * xs[i]) / one_minus
-                bound = _GRADE_BOUNDS[L] if L in _GRADE_BOUNDS else float(tau_of_L(L))
-                if lhs > bound - tol:
-                    return False
-            covered = cut
-    # past every grade: the shortened-code rate bounds the second stage
-    for x in xs[bisect_right(xs, covered):]:
-        lhs = (tau - alpha * x) / one_minus
-        bound = tau_star(r2(alpha, x, omega, R, list1_tau=thresholds[0]), 1, 0.5)
-        if lhs > bound - tol:
+    cuts = [thr - tol for thr in thresholds]
+    grade = 1
+    for x in sorted(_x_grid(xmax, thresholds, cfg.x_points)):
+        while grade <= len(cuts) and x > cuts[grade - 1]:
+            grade += 1
+        if grade == 1:
+            continue
+        lhs = (tau - alpha * x) / (1.0 - alpha)
+        if grade <= len(cuts):
+            if lhs > _GRADE_BOUNDS[grade] - tol:
+                return False
+        elif _gv_fails(lhs + tol, r2(alpha, x, omega, R, list1_tau=thresholds[0])):
             return False
     return True
 

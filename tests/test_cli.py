@@ -143,6 +143,7 @@ def test_rcb_curve_list_size_bounds(tmp_path):
         ["search", "best-list", "--n", "6", "--w", "3", "--size", "4", "--list-size", "1",
          "--max-nodes", "0"],
         ["search", "best-list", "--n", "6", "--w", "3", "--size", "4", "--list-size", "0"],
+        ["two-stage-curve", "--lup", "18"],
     ],
 )
 def test_range_errors_below_the_cli_exit_one(tmp_path, argv):

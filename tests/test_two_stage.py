@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 import oracles
 
@@ -93,8 +93,8 @@ def test_check_star_matches_reference_scan(omega, alpha, R, tau, l_up, x_points)
 def test_check_star_matches_reference_scan_on_made_up_thresholds(
     data, omega, alpha, R, tau, l_up, x_points
 ):
-    """Unsorted threshold lists exercise the running maximum of the grade
-    cuts; a cut placed exactly on a probed x exercises the boundary.  The
+    """Unsorted threshold lists exercise the forward-only grade pointer; a
+    cut placed exactly on a probed x exercises the boundary.  The
     first entry stays tau_star(R, 1, omega), which r2 reads from it."""
     cfg = TwoStageConfig(l_up=l_up, x_points=x_points)
     rest = data.draw(st.lists(st.floats(0.0, 0.8), min_size=l_up - 1, max_size=l_up - 1))
@@ -151,6 +151,85 @@ def test_check_star_checks_x_on_a_cut_at_that_grade():
     """x0 on the list-3 cut is the only probe of grade 3, so it is checked
     against the list-3 bound and fails."""
     assert _on_cut_verdicts(_X0 - 0.5e-9, _X0) == (False, False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(R=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_list1_threshold_at_half_is_the_gv_curve(R):
+    """tau_star(R, 1, 1/2) = h^-1(1 - R)/2, the identity behind the
+    closed-form overflow tail of check_star."""
+    assert tau_star(0.0, 1, 0.5) == 0.25
+    assert abs(1.0 - binary_entropy(2.0 * tau_star(R, 1, 0.5)) - R) <= 1e-11
+
+
+_GV_BAND = 1e-10
+
+
+@settings(max_examples=300, deadline=None)
+@given(rate=st.floats(0.0, 1.5), near=st.booleans(), data=st.data())
+def test_gv_tail_verdict_matches_the_root_solve(rate, near, data):
+    """Outside a 1e-10 band around the bisection root, the closed form
+    fails exactly the t that exceed it; draws inside the band are counted
+    as a hypothesis event and not judged.  t starts at BOUNDARY_TOL, the
+    least lhs + tol that check_star passes."""
+    bound = oracles.tau_star(rate, 1, 0.5)
+    if near:
+        t = bound + data.draw(st.floats(-1e-9, 1e-9))
+    else:
+        t = data.draw(st.floats(two_stage.BOUNDARY_TOL, 0.3))
+    assume(t >= two_stage.BOUNDARY_TOL)
+    if abs(t - bound) <= _GV_BAND:
+        event("inside the 1e-10 band")
+        return
+    assert two_stage._gv_fails(t, rate) == (t > bound)
+
+
+# 2t just below 1/2 where binary_entropy rounds to 1 + 2^-52
+_T_ENTROPY_ABOVE_ONE = 0.2499999978893581
+
+
+@pytest.mark.parametrize(
+    "rate, t",
+    [
+        (0.0, 0.25),
+        (0.0, _T_ENTROPY_ABOVE_ONE),
+        (0.0, math.nextafter(0.25, 1.0)),
+        (1.0, 1e-9),
+        (2.2250738585072014e-308, 0.24999999922501934),
+        (1.2, 0.1),
+        (0.5, 0.26),
+    ],
+)
+def test_gv_tail_verdict_on_pinned_points(rate, t):
+    """Rate 0 (the root is exactly 1/4), a rate so small that
+    1 - binary_entropy(2t) rounds to 0 some 1e-9 below the root, rate >= 1
+    (the root is 0) and t past 1/4, each against the bisection with no
+    band."""
+    assert binary_entropy(2.0 * _T_ENTROPY_ABOVE_ONE) > 1.0
+    assert two_stage._gv_fails(t, rate) == (t > oracles.tau_star(rate, 1, 0.5))
+
+
+def test_check_star_solves_no_root_when_given_thresholds(monkeypatch):
+    """With thresholds given, the graded probes read the table and the
+    probes past the last cut read the GV curve in closed form."""
+    cfg = TwoStageConfig(l_up=2, x_points=40)
+    omega, alpha, R, tau = 0.6, 0.3, 0.3, 0.1
+    thresholds = two_stage._thresholds(R, omega, cfg.l_up)
+    assert thresholds[-1] < min(omega, tau / alpha)
+    assert oracles.check_star(omega, alpha, R, tau, cfg, thresholds=thresholds)
+    real_r2, tail = two_stage.r2, []
+
+    def spy(*args, **kwargs):
+        tail.append(args)
+        return real_r2(*args, **kwargs)
+
+    def refuse(*args):
+        raise AssertionError("tau_star called")
+
+    monkeypatch.setattr(two_stage, "r2", spy)
+    monkeypatch.setattr(two_stage, "tau_star", refuse)
+    assert check_star(omega, alpha, R, tau, cfg, thresholds=thresholds)
+    assert tail
 
 
 def _checked_candidates(cfg):
@@ -397,3 +476,6 @@ def test_default_config_shape():
     assert two_stage.BOUNDARY_TOL == 1e-9
     with pytest.raises(ValueError):
         TwoStageConfig(l_up=0)
+    # every grade of a cap in 1..17 has a solved tau_of_L
+    with pytest.raises(ValueError):
+        TwoStageConfig(l_up=18)
