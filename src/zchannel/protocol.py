@@ -105,7 +105,6 @@ class ValidationRow:
     list_bound: int
     required_dz: int
     available_dz: int | None  # None: grade missing or single-word (no pairs)
-    grade_present: bool
     ok: bool
     note: str = ""
 
@@ -141,18 +140,18 @@ def validate_parameters(p: ProtocolParams) -> ValidationReport:
         code = p.stage2_family.get(bound)
         if code is None:
             rows.append(
-                ValidationRow(e, bound, required, None, False, False,
+                ValidationRow(e, bound, required, None, False,
                               f"no stage-2 code for list size {bound}")
             )
             continue
         if bound == 1:
-            rows.append(ValidationRow(e, bound, required, None, True, True,
+            rows.append(ValidationRow(e, bound, required, None, True,
                                       "single candidate, stage 2 unused"))
             continue
         have = code.min_dz()  # not None: each grade >= 2 holds >= 2 words
         ok = have >= required
         note = "" if ok else f"distance {have} below required {required}"
-        rows.append(ValidationRow(e, bound, required, have, True, ok, note))
+        rows.append(ValidationRow(e, bound, required, have, ok, note))
     return ValidationReport(rows)
 
 

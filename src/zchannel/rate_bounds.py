@@ -14,7 +14,7 @@ bits per position.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb, exp, fsum, log, sqrt
 from operator import mul
 from typing import Callable
@@ -340,13 +340,6 @@ class BoundCurve:
     kind: str
     taus: list[float]
     rates: list[float]
-    meta: dict[str, object] = field(default_factory=dict)
-
-    def __iter__(self):
-        return iter(zip(self.taus, self.rates))
-
-    def __len__(self) -> int:
-        return len(self.taus)
 
 
 def rcb_lower_curve(
@@ -403,7 +396,6 @@ def rcb_lower_curve(
         f"list-{L} achievable",
         dedup_t,
         dedup_r,
-        {"L": L, "r_points": r_points, "omega_points": omega_points},
     )
 
 

@@ -43,8 +43,9 @@ def max_code(n: int, d: int, *, max_nodes: int = MAX_NODES) -> CodeSearchResult:
     Depth-first search over words in canonical order, branching on
     include/exclude and pruning when the candidate pool cannot beat the
     incumbent.  The first maximum found (hence the canonically smallest)
-    is returned.  If the node cap trips, ``optimal`` is False and the
-    incumbent so far is returned.  A word's row of compatible words is
+    is returned.  If the node cap trips, the search stops at once: the
+    incumbent so far is returned, ``optimal`` is False and ``nodes`` is
+    ``max_nodes + 1``.  A word's row of compatible words is
     built (``words._dz_row``) when the search first branches on it, so at
     most one row per node.
     """
@@ -67,23 +68,21 @@ def max_code(n: int, d: int, *, max_nodes: int = MAX_NODES) -> CodeSearchResult:
     while True:
         if pool and depth + pool.bit_count() > best_size:
             nodes += 1
-            if nodes <= max_nodes:
-                low = pool & -pool
-                v = low.bit_length() - 1
-                chosen.append(v)
-                if depth >= best_size:
-                    best, best_size = chosen[:], depth + 1
-                row = rows[v]
-                if row is None:
-                    row = rows[v] = _dz_row(v, d, weights)
-                pool ^= low
-                stack.append(pool)
-                pool &= row
-                depth += 1
-                continue
-        # this depth is done, or the cap tripped: go back one depth.  After
-        # a trip every depth on the way back counts one more node unless
-        # its bound ends it first, and ``nodes`` keeps that count.
+            if nodes > max_nodes:
+                break
+            low = pool & -pool
+            v = low.bit_length() - 1
+            chosen.append(v)
+            if depth >= best_size:
+                best, best_size = chosen[:], depth + 1
+            row = rows[v]
+            if row is None:
+                row = rows[v] = _dz_row(v, d, weights)
+            pool ^= low
+            stack.append(pool)
+            pool &= row
+            depth += 1
+            continue
         if not stack:
             break
         pool = stack.pop()

@@ -75,21 +75,15 @@ TAU_TABLE: dict[int, Fraction] = {
 }
 
 _DIRECT_LIMIT = 11  # exact simplex up to here; float basis beyond
-_BLAND_AFTER = 2000  # pivots before entering switches to smallest index
 _SUPPORT_TOL = 1e-9  # float values within this of zero (or of a tight bound) are zero
 _INT64_LIMIT = 1 << 63  # tableau values at or past this switch to Python ints
 
 
 class UnresolvedError(RuntimeError):
-    """Raised when a cap trips before an exact certificate exists.
-
-    ``bounds`` carries whatever one-sided information was established, as
-    Fractions keyed by name (possibly empty).
-    """
-
-    def __init__(self, message: str, bounds: dict[str, Fraction] | None = None):
-        super().__init__(message)
-        self.bounds = bounds or {}
+    """Raised when the float-basis route (sizes above ``_DIRECT_LIMIT``)
+    ends without a certificate: its float solve failed, or the check
+    refused the exact solution on its supports.  The exact simplex never
+    raises it."""
 
 
 def _pruned_masks(m: int) -> list[int]:
@@ -105,30 +99,19 @@ class PairMatrix:
 
     ``pairs`` are the 1-based (i, j) with i < j, in lexicographic order;
     ``patterns`` are the surviving column masks (coordinate 1 in the least
-    significant bit, matching BitWord).  ``prune_stats`` records how the
-    original 2^M columns were disposed of.
+    significant bit, matching BitWord).
     """
 
     m: int
     pairs: tuple[tuple[int, int], ...]
     patterns: tuple[int, ...]
-    prune_stats: dict[str, int] = field(compare=False)
 
 
 def build_pair_matrix(M: int) -> PairMatrix:
     if not 2 <= M <= 20:
         raise ValueError(f"size {M} outside supported range 2..20")
     pairs = tuple((i, j) for i in range(1, M + 1) for j in range(i + 1, M + 1))
-    kept = _pruned_masks(M)
-    total = 1 << M
-    empty = M + 1  # the non-increasing patterns 1..10..0 cover no pair
-    stats = {
-        "total_columns": total,
-        "kept": len(kept),
-        "dropped_empty": empty,
-        "dropped_dominated": total - empty - len(kept),
-    }
-    return PairMatrix(M, pairs, tuple(kept), stats)
+    return PairMatrix(M, pairs, tuple(_pruned_masks(M)))
 
 
 @dataclass
@@ -275,34 +258,29 @@ def _threshold_start(pm: PairMatrix) -> tuple[np.ndarray, list[int]]:
 
 
 def _solve_exact_simplex(
-    pm: PairMatrix, pivot_cap: int
+    pm: PairMatrix,
 ) -> tuple[list[Fraction], dict[int, Fraction], int]:
     """Packing weights y, covering weights z and the pivot count from a
     one-phase simplex from ``_threshold_start``, with every update through
     ``_fraction_free_pivot``.
 
     Entering choice is the most negative reduced cost, first index on
-    ties, with a switch to smallest index after ``_BLAND_AFTER`` pivots,
-    so runs terminate even on degenerate bases.  The ratio test compares
-    ``rhs[i] / T[i, c]`` by cross multiplication; ties break on smallest
-    basis label.  z is read from the basis, and y from the cost row under
-    the surplus columns: a surplus costs 0, so its reduced cost is ``den``
-    times its row's multiplier.
+    ties.  That rule carries no anti-cycling guard: it serves only sizes
+    2..``_DIRECT_LIMIT``, which end in at most 87 pivots (pinned in the
+    tests), and ``verify_certificate`` decides the result either way.  The
+    ratio test compares ``rhs[i] / T[i, c]`` by cross multiplication; ties
+    break on smallest basis label.  z is read from the basis, and y from
+    the cost row under the surplus columns: a surplus costs 0, so its
+    reduced cost is ``den`` times its row's multiplier.
     """
     K, P = len(pm.pairs), len(pm.patterns)
     T, basis = _threshold_start(pm)
     den, pivots = 1, 0
     while True:
         red = T[K, :-1]
-        if pivots < _BLAND_AFTER:
-            entering = int(np.argmin(red))
-            if red[entering] >= 0:
-                break
-        else:
-            negative = np.flatnonzero(red < 0)
-            if not negative.size:
-                break
-            entering = int(negative[0])
+        entering = int(np.argmin(red))
+        if red[entering] >= 0:
+            break
         leaving, best_b, best_a = -1, 0, 1
         column = T[:K, entering].tolist()
         for r, (a, b) in enumerate(zip(column, T[:K, -1].tolist())):
@@ -317,8 +295,6 @@ def _solve_exact_simplex(
         T, den = _fraction_free_pivot(T, den, leaving, entering)
         basis[leaving] = entering
         pivots += 1
-        if pivots > pivot_cap:
-            raise UnresolvedError(f"pivot cap {pivot_cap} reached")
     y = [F(v, den) for v in T[K, P:-1].tolist()]
     z = {
         pm.patterns[b]: F(v, den)
@@ -397,17 +373,16 @@ def _solve_float_basis(
     return y, z, int(res.nit)
 
 
-def solve_tau(M: int, *, pivot_cap: int = 2_000_000) -> TauCertificate:
+def solve_tau(M: int) -> TauCertificate:
     """Exact optimum and certificate for the size-M pair LP.
 
     Through M=11 the one-phase exact simplex solves over every pruned
-    column, starting from the threshold basis; ``pivot_cap`` bounds its
-    pivots and raises UnresolvedError when it trips.  Beyond, a float
-    basis is made exact (``_solve_float_basis``), and a failed float solve
-    or a certificate that fails the check raises UnresolvedError: there is
-    no fallback.  ``meta["method"]`` names the
-    path that ran (``"exact-simplex"`` or ``"float-basis"``) and
-    ``meta["pivots"]`` its simplex iterations.
+    column, starting from the threshold basis; it has no cap and is never
+    unresolved.  Beyond, a float basis is made exact
+    (``_solve_float_basis``), and a failed float solve or a certificate
+    that fails the check raises UnresolvedError: there is no fallback.
+    ``meta["method"]`` names the path that ran (``"exact-simplex"`` or
+    ``"float-basis"``) and ``meta["pivots"]`` its simplex iterations.
     """
     if not 2 <= M <= 18:
         raise ValueError(f"size {M} outside supported range 2..18")
@@ -416,7 +391,7 @@ def solve_tau(M: int, *, pivot_cap: int = 2_000_000) -> TauCertificate:
     if M <= _DIRECT_LIMIT:
         # a failed check here is a solver bug, not an unresolved size
         method, failure = "exact-simplex", RuntimeError
-        y, z, pivots = _solve_exact_simplex(pm, pivot_cap)
+        y, z, pivots = _solve_exact_simplex(pm)
     else:
         method, failure = "float-basis", UnresolvedError
         y, z, pivots = _solve_float_basis(pm)

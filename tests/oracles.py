@@ -130,7 +130,8 @@ def best_list_code(n, w, size, list_size):
 
 # ---------------------------------------------------------------------------
 # ``max_code`` as it stood before its adjacency rows were built lazily in
-# numpy, kept verbatim: every row scans all 2^n words through ``_dz_masks``.
+# numpy, kept verbatim but for stopping at once when the cap trips: every
+# row scans all 2^n words through ``_dz_masks``.
 
 
 def max_code(n: int, d: int, *, max_nodes: int = MAX_NODES) -> CodeSearchResult:
@@ -182,6 +183,8 @@ def max_code(n: int, d: int, *, max_nodes: int = MAX_NODES) -> CodeSearchResult:
             if len(chosen) > len(best):
                 best[:] = chosen
             dfs(pool & adj(v))
+            if truncated:
+                return
             chosen.pop()
 
     dfs((1 << universe) - 1)

@@ -52,7 +52,7 @@ def test_tau_table_leaves_out_unresolved_sizes(tmp_path, monkeypatch):
 
     def solve_or_give_up(m):
         if m == 4:
-            raise UnresolvedError("pivot cap 3 reached")
+            raise UnresolvedError("float solve failed: Iteration limit reached.")
         return real_solve(m)
 
     monkeypatch.setattr(cli, "solve_tau", solve_or_give_up)
@@ -63,7 +63,7 @@ def test_tau_table_leaves_out_unresolved_sizes(tmp_path, monkeypatch):
     assert not (out / "certificate_4.json").exists()
     manifest = read_manifest(out)
     assert manifest["status"] == "unresolved"
-    assert manifest["error"] == "M=4: pivot cap 3 reached"
+    assert manifest["error"] == "M=4: float solve failed: Iteration limit reached."
 
 
 def test_tau_table_refuses_a_float_basis_that_fails_the_check(tmp_path, monkeypatch):
@@ -144,6 +144,9 @@ def test_rcb_curve_list_size_bounds(tmp_path):
          "--max-nodes", "0"],
         ["search", "best-list", "--n", "6", "--w", "3", "--size", "4", "--list-size", "0"],
         ["two-stage-curve", "--lup", "18"],
+        ["rcb-curve", "--list-size", "0"],
+        ["verify-remains", "--lup", "0"],
+        ["verify-remains", "--lup", "18"],
     ],
 )
 def test_range_errors_below_the_cli_exit_one(tmp_path, argv):

@@ -53,6 +53,10 @@ def test_max_code_respects_node_cap():
     assert not r.optimal
     assert r.note
     assert r.code.min_dz() is None or r.code.min_dz() >= 4
+    # the search ends on the node that passes the cap, so ``nodes`` is the
+    # work done plus that one node, not a count grown on the way back
+    assert r.nodes == 11
+    assert max_code(16, 4, max_nodes=2000).nodes == 2001
 
 
 def test_max_code_whole_space_needs_no_recursion():

@@ -1,7 +1,7 @@
 """Solver and certificate behavior for the pair-covering LP.
 
 The expensive full-table reproduction lives in the acceptance tests;
-here we keep to solves up to size 14 and to properties of the machinery itself:
+here we keep to solves up to size 15 and to properties of the machinery itself:
 matrix construction and its memory, certificate round-trips, falsification
 of doctored certificates, the integer check and the integer support solve
 against the Fraction versions they replaced, the simplex's starting basis
@@ -75,15 +75,15 @@ def test_pair_matrix_three():
     assert covered == [(1, 2), (1, 3)]
 
 
-def test_pair_matrix_prune_accounting():
-    for m in (2, 3, 4, 5, 6):
+def test_pair_matrix_keeps_the_patterns_from_0_to_1():
+    # the columns that survive pruning are the 2^(M-2) patterns with first
+    # coordinate 0 and last coordinate 1, ascending
+    for m in range(2, 11):
         pm = build_pair_matrix(m)
-        stats = pm.prune_stats
-        assert stats["total_columns"] == 1 << m
-        assert stats["kept"] == 1 << (m - 2)
-        assert stats["dropped_empty"] == m + 1
-        assert stats["kept"] + stats["dropped_empty"] + stats["dropped_dominated"] == 1 << m
-        assert len(pm.patterns) == stats["kept"]
+        assert len(pm.patterns) == 1 << (m - 2), m
+        assert pm.patterns == tuple(
+            mask for mask in range(1 << m) if not mask & 1 and mask >> (m - 1) & 1
+        ), m
 
 
 def oracle_matrix(pm, masks):
@@ -341,20 +341,31 @@ def test_support_solve_switches_to_python_ints(monkeypatch):
     assert x == [1, Fraction(1 - B, B)] == oracles._solve_unit_rhs(rows)
 
 
-@pytest.mark.parametrize("m", [13, 14])
+@pytest.mark.parametrize("m", [13, 14, 15])
 def test_float_basis_support_solves_match_the_fraction_oracle(m, monkeypatch):
+    # M=15's z system is the first support system whose pivots leave int64,
+    # so the switch to Python ints is held to the oracle at a real size
     pytest.importorskip("scipy.optimize")
-    solve, systems = tau_lp._solve_unit_rhs, []
+    solve, pivot = tau_lp._solve_unit_rhs, tau_lp._fraction_free_pivot
+    dtypes, widened = [], []  # per pivot of the current system; per system
+
+    def pivot_spy(T, den, r, c):
+        T, den = pivot(T, den, r, c)
+        dtypes.append(T.dtype)
+        return T, den
 
     def checked(rows):
+        dtypes.clear()
         x = solve(rows)
         assert x == oracles._solve_unit_rhs(rows)
-        systems.append(rows.shape)
+        widened.append(np.dtype(object) in dtypes)
         return x
 
+    monkeypatch.setattr(tau_lp, "_fraction_free_pivot", pivot_spy)
     monkeypatch.setattr(tau_lp, "_solve_unit_rhs", checked)
     assert solve_tau(m).tau == TAU_TABLE[m]
-    assert len(systems) == 2  # the y system, then the z system
+    # the y system, then the z system
+    assert widened == [False, m == 15]
 
 
 def test_repeated_solves_do_not_raise_peak_memory():
@@ -382,11 +393,7 @@ def test_repeated_solves_do_not_raise_peak_memory():
 
 
 def test_float_basis_agrees_with_exact_simplex(monkeypatch):
-    # M=12 on the exact simplex stalls on degenerate pivots until entering
-    # switches to smallest index, so that switch runs at a real size
-    monkeypatch.setattr(tau_lp, "_DIRECT_LIMIT", 12)
-    exact = {m: exact_solve(m) for m in range(8, 13)}
-    assert exact[12].meta["pivots"] > tau_lp._BLAND_AFTER
+    exact = {m: exact_solve(m) for m in range(8, tau_lp._DIRECT_LIMIT + 1)}
     monkeypatch.setattr(tau_lp, "_DIRECT_LIMIT", 7)
     for m, want in exact.items():
         got = solve_tau(m)
@@ -599,11 +606,6 @@ def test_sigma_maps_the_incidence_to_itself():
         rows = [pm.pairs.index(oracles.sigma_pair(pair, m)) for pair in pm.pairs]
         D = _covering_matrix(pm, pm.patterns)
         assert np.array_equal(D[np.ix_(rows, columns)], D), m
-
-
-def test_unresolved_on_tiny_pivot_cap():
-    with pytest.raises(UnresolvedError):
-        solve_tau(9, pivot_cap=3)
 
 
 def test_solve_range_check():
