@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from math import comb, exp, fsum, log, sqrt
 from operator import mul
 from typing import Callable
@@ -23,6 +24,9 @@ import numpy as np
 
 LN2 = log(2.0)
 _TAU_TOL = 1e-10  # bisection width for the scalar tau_star root
+_NEWTON_TOL = 1e-7  # relative Newton step at which a root estimate is taken
+_NEWTON_STEPS = 30
+_UNIT = 2.0**-53  # unit roundoff of a float
 _VEC_HALVINGS = 64  # bisection steps for the lane-parallel tau_star
 
 
@@ -148,9 +152,12 @@ def _binom_terms(L: int, omega: float) -> tuple[float, list[float], list[float]]
     return const, g_terms, d_terms
 
 
-def _evaluator(L: int, omega: float) -> Callable[[float], tuple[float, float]]:
+def _evaluator(
+    L: int, const: float, g_terms: list[float], d_terms: list[float]
+) -> Callable[[float], tuple[float, float]]:
     """h -> (e(h), g'(h)): the tilted moment sum and the slope of
-    g = -ln e, with e = const + sum_k g_k e^(-h k/(L+1)) over k = 1..L.
+    g = -ln e, with e = const + sum_k g_k e^(-h k/(L+1)) over k = 1..L,
+    for the pieces ``_binom_terms`` returns.
 
     The one kernel behind tau_star_info, rcb_g and rcb_delta.  ``ks`` and
     ``lp1`` are floats holding small integers, so ``-h * k / lp1`` rounds
@@ -158,7 +165,6 @@ def _evaluator(L: int, omega: float) -> Callable[[float], tuple[float, float]]:
     added without ``fsum``, which returns a lone finite term unchanged, and
     ``-h / lp1`` stands for ``-h * 1 / lp1``, since ``-h * 1`` is ``-h``.
     """
-    const, g_terms, d_terms = _binom_terms(L, omega)
     lp1 = float(L + 1)
     if L == 1:
         (g1,), (d1,) = g_terms, d_terms
@@ -193,7 +199,7 @@ def _snap_omega(omega: float) -> float:
 def rcb_g(h: float, L: int, omega: float) -> float:
     """Negative log of the tilted moment sum; increasing and concave in h."""
     omega = _check_rcb_args(h, L, omega)
-    e, _ = _evaluator(L, omega)(h)
+    e, _ = _evaluator(L, *_binom_terms(L, omega))(h)
     return -log(e)
 
 
@@ -206,12 +212,12 @@ def rcb_delta(h: float, L: int, omega: float) -> float:
     omega = _check_rcb_args(h, L, omega)
     if h == 0.0:
         return omega - omega ** (L + 1)
-    _, slope = _evaluator(L, omega)(h)
+    _, slope = _evaluator(L, *_binom_terms(L, omega))(h)
     return slope
 
 
 def _check_rcb_args(h: float, L: int, omega: float) -> float:
-    if h < 0.0:
+    if not h >= 0.0:
         raise ValueError("tilt must be nonnegative")
     if L < 1:
         raise ValueError("list size must be at least 1")
@@ -225,7 +231,96 @@ class TauStarResult:
     tilt: float
 
 
-def tau_star_info(R: float, L: int, omega: float) -> TauStarResult:
+def _root_estimate(
+    L: int,
+    const: float,
+    g_terms: list[float],
+    d_terms: list[float],
+    target: float,
+    start: float | None,
+) -> tuple[float, float, float] | None:
+    """Float Newton estimate of the root of phi(h) = g - h g' = target.
+
+    Runs in u = e^(-h/(L+1)) in (0, 1), where e, e g' and e (g'^2 - g'')
+    are sums over the powers u^1..u^L, and phi'(h) = -h g''(h).  phi falls
+    as u grows, so each evaluation narrows a bracket [ulo, uhi], and a
+    step that leaves it (or overflows) is replaced by the bracket's
+    midpoint.  Starts at the tilt ``start``, or where the model
+    phi(h) ~ -g''(0) h^2 / 2 of small h meets the target, and at u = 1/2
+    when that gives no u in (0, 1).  Returns (h, phi'(h), last step) once
+    a step is at most 1e-7 (1 + h), or None after 30 evaluations.  None of
+    its digits reach an output: it only places the bracket that
+    tau_star_info certifies.
+    """
+    lp1 = L + 1
+    s_terms = [d * k / lp1 for k, d in enumerate(d_terms, 1)]
+    if start is None:
+        curv0 = sum(s_terms) - sum(d_terms) ** 2
+        start = sqrt(2.0 * target / curv0) if curv0 > 0.0 else 0.0
+    u = exp(-start / lp1) if start > 0.0 else 0.5
+    if not 0.0 < u < 1.0:  # an infinite start, or one so small that u is 1
+        u = 0.5
+    ulo, uhi = 0.0, 1.0
+    for _ in range(_NEWTON_STEPS):
+        powers = list(accumulate(repeat(u, L), mul))
+        e = const + sum(map(mul, g_terms, powers))
+        slope = sum(map(mul, d_terms, powers)) / e
+        h = -lp1 * log(u)
+        dphi = h * (sum(map(mul, s_terms, powers)) / e - slope * slope)
+        f = -log(e) - h * slope - target
+        if f < 0.0:
+            uhi = u
+        else:
+            ulo = u
+        if dphi > 0.0:
+            step = f / dphi
+            if abs(step) <= _NEWTON_TOL * (1.0 + h):
+                return h - step, dphi, step
+            u *= exp(min(step / lp1, 700.0))
+        # u is still an end of the bracket when there was no step
+        if not ulo < u < uhi:
+            u = (ulo + uhi) / 2.0
+    return None
+
+
+def _certified_bracket(
+    at: Callable[[float], tuple[float, float]],
+    L: int,
+    terms: tuple[float, list[float], list[float]],
+    target: float,
+    ceiling: float,
+    start: float | None,
+) -> tuple[float, float]:
+    """(A, B) with float phi below target at every h <= A and at or above
+    it at every h >= B that tau_star_info's bisection can test; -inf and
+    inf where that is not certified.  See tau_star_info."""
+    lo_skip, hi_skip = -math.inf, math.inf
+    estimate = _root_estimate(L, *terms, target, start)
+    if estimate is None:
+        return lo_skip, hi_skip
+
+    def margin(h: float) -> float:
+        return 16.0 * (1.0 + 2.0 * ceiling) * (L + 2.0 * h + 16.0) * _UNIT
+
+    h, dphi, step = estimate
+    # Newton's last step leaves the estimate within about 2 step^2 / (1 + h)
+    # of the root; four margins of phi more on each side cover the rounding
+    delta = 2.0 * step * step / (1.0 + h) + 4.0 * margin(2.0 * h + 1.0) / dphi
+    a, b = h - delta, h + delta
+    m = margin(2.0 * b + 1.0)
+    if a > 0.0:
+        e, slope = at(a)
+        if -log(e) - a * slope < target - m:
+            lo_skip = a
+    e, slope = at(b)
+    if -log(e) - b * slope > target + m:
+        hi_skip = b
+    return lo_skip, hi_skip
+
+
+def tau_star_info(
+    R: float, L: int, omega: float, *, _start: float | None = None
+) -> TauStarResult:
     """Largest error fraction a random size-2^(RLn) list-L code withstands.
 
     Solves g(h) - h g'(h) = R L ln2 for the smallest root and reports
@@ -234,17 +329,38 @@ def tau_star_info(R: float, L: int, omega: float) -> TauStarResult:
     yield 0 with the flag down.  R = 0 short-circuits to the h=0 slope
     omega - omega^(L+1).
 
-    Contract: the root comes from bisection on [0, 1], the upper end
-    doubled until it brackets, the bracket halved to width 1e-10 and read
-    at its midpoint, with every evaluation made by ``_evaluator``.  These
-    are float for float the operations of the reference bisection in
-    tests/oracles.py, so value and tilt, and every CSV built on them, are
-    bit-identical to it.  Bracketed Newton steps would stop at a different
-    h, and numpy's exp differs from math.exp in the last bit on some
-    inputs, so either would change printed digits; they wait for a change
-    that accepts new outputs.
+    Contract: value and tilt are bit-identical to the reference bisection
+    in tests/oracles.py, and so is every CSV built on them.  The root
+    comes from that bisection, replayed operation for operation: [0, 1],
+    the upper end doubled until it brackets, the bracket halved to width
+    1e-10 and read at its midpoint, each test being phi(h) < target with
+    phi(h) = -ln e - h g' from ``_evaluator``.  Only tests that the
+    certified bracket (A, B) settles are skipped: every h <= A reads
+    "below" and every h >= B "above", with no evaluation.  A float
+    Newton estimate (``_root_estimate``) places A < B around the root;
+    ``_start``, a tilt near the root, is its first guess.  The bracket is
+    kept only where float phi(A) < target - m and phi(B) > target + m, and
+    an end that fails is -inf or inf, which replays the plain bisection.
+
+    Why a skipped test reads as it would have: the exact phi of the same
+    omega rises with h (phi' = -h g'' > 0).  With unit roundoff u, libm
+    exp, log and pow within one ulp and fsum correctly rounded, every
+    float phi(h) is within b(h) = 2 (1 + 2c) (L + 2h + 16) u of it, c
+    being the ceiling: the coefficients carry (L + 7) u, each e^(-hk/(L+1))
+    2 (h + 1) u through its rounded argument, e (L + 2h + 12) u, the slope
+    (2L + 4h + 24) u, and both ln e and h g' are at most c.  With B the
+    candidate upper end, certified or not, every skipped test lies in
+    [0, 2B + 1] (the doubling stops at the first power of two past B), so
+    a test at h <= A has float phi(h) <= exact phi(A) + b(h) <= float
+    phi(A) + b(A) + b(h) < target - m + 2 b(2B + 1), and symmetrically
+    above B.  The margin m = 8 b(2B + 1) is four times what this needs, so
+    each skipped test reads as its evaluation would.  Float phi is not
+    monotone at the ulp scale (test_slope_falls_as_the_tilt_grows sees
+    the slope rise by 3 ulps), which is why the ends need the margin.
+    Bracketed Newton steps or numpy's exp in the kernel would change
+    printed digits; they wait for a change that accepts new outputs.
     """
-    if R < 0.0:
+    if not R >= 0.0:
         raise ValueError("rate must be nonnegative")
     if L < 1:
         raise ValueError("list size must be at least 1")
@@ -255,19 +371,27 @@ def tau_star_info(R: float, L: int, omega: float) -> TauStarResult:
     ceiling = -log(omega ** (L + 1) + (1.0 - omega) ** (L + 1))
     if target >= ceiling:
         return TauStarResult(0.0, False, math.inf)
-    at = _evaluator(L, omega)
+    terms = _binom_terms(L, omega)
+    at = _evaluator(L, *terms)
+    lo_skip, hi_skip = _certified_bracket(at, L, terms, target, ceiling, _start)
+
+    def below(h: float) -> bool:
+        if h <= lo_skip:
+            return True
+        if h >= hi_skip:
+            return False
+        e, slope = at(h)
+        return -log(e) - h * slope < target
+
     lo, hi = 0.0, 1.0
-    e, slope = at(hi)
-    while -log(e) - hi * slope < target:
+    while below(hi):
         lo, hi = hi, hi * 2.0
         if hi > 2.0**64:
             # the plateau sits essentially at the target; treat as infeasible
             return TauStarResult(0.0, False, math.inf)
-        e, slope = at(hi)
     while hi - lo > _TAU_TOL:
         mid = (lo + hi) / 2.0
-        e, slope = at(mid)
-        if -log(e) - mid * slope < target:
+        if below(mid):
             lo = mid
         else:
             hi = mid
@@ -350,7 +474,11 @@ def rcb_lower_curve(
 ) -> BoundCurve:
     """Achievable (tau, R) pairs for list size L: for each rate, the best
     bit probability is found on a grid and then polished by golden-section
-    around the winner.  Samples come back ordered by increasing tau."""
+    around the winner.  Samples come back ordered by increasing tau.
+
+    Successive polish probes lie close in omega, so each passes the last
+    one's tilt to tau_star_info as its Newton start; the values do not
+    depend on it."""
     if not 1 <= L <= 17:
         raise ValueError("list size must lie in 1..17")
     if r_points < 2 or omega_points < 2:
@@ -359,6 +487,14 @@ def rcb_lower_curve(
     omegas = np.array([k / (omega_points + 1) for k in range(1, omega_points + 1)])
     taus: list[float] = []
     gold = (sqrt(5.0) - 1.0) / 2.0
+    tilt = None  # the last polish probe's root, the next probe's Newton start
+
+    def probe(R: float, omega: float) -> float:
+        nonlocal tilt
+        res = tau_star_info(R, L, omega, _start=tilt)
+        tilt = res.tilt
+        return res.value
+
     for R in rates:
         vals = _tau_star_vec(R, L, omegas)
         best = int(np.argmax(vals))
@@ -369,17 +505,17 @@ def rcb_lower_curve(
             a, b = lo, hi
             c = b - gold * (b - a)
             d = a + gold * (b - a)
-            fc = tau_star(R, L, c)
-            fd = tau_star(R, L, d)
+            fc = probe(R, c)
+            fd = probe(R, d)
             for _ in range(40):
                 if fc < fd:
                     a, c, fc = c, d, fd
                     d = a + gold * (b - a)
-                    fd = tau_star(R, L, d)
+                    fd = probe(R, d)
                 else:
                     b, d, fd = d, c, fc
                     c = b - gold * (b - a)
-                    fc = tau_star(R, L, c)
+                    fc = probe(R, c)
             tau_best = max(tau_best, fc, fd)
         taus.append(tau_best)
     # high rate means small tau; present the curve tau-ascending and drop

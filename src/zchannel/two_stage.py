@@ -83,7 +83,7 @@ def r2(
         raise ValueError(f"stage split {alpha} outside (0, 1)")
     if not 0.0 <= tau1 <= omega:
         raise ValueError(f"stage-1 fraction {tau1} outside [0, {omega}]")
-    if R1 < 0.0:
+    if not R1 >= 0.0:
         raise ValueError("stage-1 rate must be nonnegative")
     if tau1 == 0.0:
         return 0.0
@@ -160,7 +160,7 @@ def check_star(
     g'(h) = p/2 and g - h g' = ln2 (1 - h(p)) = r2 ln2 at the root.  With
     t = lhs + tol the tail fails iff t > 1/4 or r2 > 1 - h(2t).
     """
-    if not 0.0 < omega < 1.0 or not 0.0 < alpha < 1.0 or R < 0.0:
+    if not 0.0 < omega < 1.0 or not 0.0 < alpha < 1.0 or not R >= 0.0:
         raise ValueError("need omega, alpha in (0, 1) and R >= 0")
     if tau <= 0.0:
         return True

@@ -1,8 +1,10 @@
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from zchannel import rate_bounds
 from zchannel.rate_bounds import (
     bassalygo_size_bound,
     binary_entropy,
@@ -175,12 +177,132 @@ _OMEGAS = st.one_of(
 @example(R=0.0, L=2, omega=1.0 - 1e-13)
 @example(R=0.9, L=17, omega=0.5)  # bracket doubles up to h = 128
 @example(R=0.3, L=1, omega=0.5)
+# targets within 1e-12 of the ceiling, where phi is nearly flat
+@example(R=0.9999999999987017, L=1, omega=0.5)
+@example(R=0.9999999999999236, L=17, omega=0.5)
+# the largest tilts there are: one ulp below the ceiling, h = 80 and 710.
+# Float phi equals the ceiling once every e^(-hk/(L+1)) is below half an
+# ulp of the constant, so no root lies near 2**20 or beyond
+@example(R=0.9999999999999999, L=1, omega=0.5)
+@example(R=0.9999999999999999, L=17, omega=0.5)
+# just inside the snap limits 1e-12 and 1 - 1e-12
+@example(R=1e-12, L=1, omega=1.0000000000000002e-12)
+@example(R=2e-13, L=17, omega=1.5e-12)
+@example(R=1e-13, L=17, omega=0.9999999999989)
+@example(R=1e-13, L=1, omega=0.9999999999989)
+# the target equals float phi at a bisection midpoint (h = 3 and 2.5)
+@example(R=0.3146454648945901, L=1, omega=0.5)
+@example(R=0.07588864687147948, L=3, omega=0.4)
 def test_tau_star_info_matches_reference_bisection_bit_for_bit(R, L, omega):
-    got = tau_star_info(R, L, omega)
+    assert _bits(tau_star_info(R, L, omega)) == _reference_bits(R, L, omega)
+
+
+def _bits(res):
+    return res.value.hex(), res.feasible, res.tilt.hex()
+
+
+def _reference_bits(R, L, omega):
     value, feasible, tilt = oracles.tau_star_info(R, L, omega)
-    assert got.value.hex() == value.hex()
-    assert got.feasible == feasible
-    assert got.tilt.hex() == tilt.hex()
+    return value.hex(), feasible, tilt.hex()
+
+
+_RATES = st.one_of(st.floats(0.0, 0.01), st.floats(0.0, 1.5), st.floats(0.0, 1e-12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(R=_RATES, L=st.integers(1, 17), omega=_OMEGAS)
+@example(R=0.5, L=3, omega=0.5)
+@example(R=0.9999999999999999, L=17, omega=0.5)
+@example(R=0.3146454648945901, L=1, omega=0.5)
+def test_any_newton_start_gives_the_reference_bits(R, L, omega):
+    # the start only places the certified bracket; it never moves a bit
+    want = _reference_bits(R, L, omega)
+    tilt = oracles.tau_star_info(R, L, omega)[2]
+    starts = (
+        0.0, 5e-324, 2.0**21, 2.0**70, math.inf, math.nan,
+        math.nextafter(tilt, 0.0), tilt, math.nextafter(tilt, math.inf),
+    )
+    for start in starts:
+        assert _bits(tau_star_info(R, L, omega, _start=start)) == want
+
+
+# stand-ins for the Newton estimate: none at all; far above the root with
+# a steep slope (an upper end that certifies, a lower end that cannot);
+# far below it (the reverse); just above zero with a flat slope (a bracket
+# wider than the search)
+_BAD_ESTIMATES = (
+    lambda *args: None,
+    lambda *args: (1e3, 10.0, 0.0),
+    lambda *args: (1e-3, 10.0, 0.0),
+    lambda *args: (1e-9, 1e-30, 0.0),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(R=_RATES, L=st.integers(1, 17), omega=_OMEGAS, bad=st.sampled_from(_BAD_ESTIMATES))
+@example(R=0.3, L=1, omega=0.5, bad=_BAD_ESTIMATES[0])
+@example(R=0.9, L=17, omega=0.5, bad=_BAD_ESTIMATES[1])
+@example(R=0.3, L=3, omega=0.4, bad=_BAD_ESTIMATES[2])
+def test_failed_certification_replays_the_reference_bisection(R, L, omega, bad):
+    with mock.patch.object(rate_bounds, "_root_estimate", bad):
+        got = tau_star_info(R, L, omega)
+    assert _bits(got) == _reference_bits(R, L, omega)
+
+
+def test_bracket_ends_within_the_margin_are_not_certified():
+    # the target is float phi(3) itself; 1e-13 either side, phi is off it
+    # by about 1e-14, less than the margin (about 1.3e-13), so neither end
+    # is kept; 1e-6 either side, both are
+    L, omega = 1, 0.5
+    terms = rate_bounds._binom_terms(L, omega)
+    at = rate_bounds._evaluator(L, *terms)
+    e, slope = at(3.0)
+    target = -math.log(e) - 3.0 * slope
+    ceiling = -math.log(terms[0])
+
+    def bracket(half_width):
+        # a flat-out slope leaves the half-width 2 step^2 / (1 + h)
+        step = math.sqrt(2.0 * half_width)
+        with mock.patch.object(rate_bounds, "_root_estimate", lambda *a: (3.0, 1e300, step)):
+            return rate_bounds._certified_bracket(at, L, terms, target, ceiling, None)
+
+    assert bracket(1e-13) == (-math.inf, math.inf)
+    lo, hi = bracket(1e-6)
+    assert lo == pytest.approx(3.0 - 1e-6, abs=1e-12)
+    assert hi == pytest.approx(3.0 + 1e-6, abs=1e-12)
+
+
+def test_certified_bracket_skips_the_kernel_away_from_the_root():
+    # the reference makes 42 kernel evaluations here; with the bracket in
+    # place only those inside it, the two ends and the final read remain
+    calls = []
+    kernel = rate_bounds._evaluator
+
+    def counting(L, *terms):
+        at = kernel(L, *terms)
+
+        def count(h):
+            calls.append(h)
+            return at(h)
+
+        return count
+
+    with mock.patch.object(rate_bounds, "_evaluator", counting):
+        got = tau_star_info(0.3, 3, 0.4)
+    assert _bits(got) == _reference_bits(0.3, 3, 0.4)
+    assert len(calls) <= 8
+    assert all(abs(h - got.tilt) < 1e-8 for h in calls)
+
+
+def test_tau_star_rejects_a_nan_rate_or_tilt():
+    with pytest.raises(ValueError):
+        tau_star_info(math.nan, 1, 0.5)
+    with pytest.raises(ValueError):
+        tau_star(math.nan, 3, 0.4)
+    with pytest.raises(ValueError):
+        rcb_g(math.nan, 1, 0.5)
+    with pytest.raises(ValueError):
+        rcb_delta(math.nan, 1, 0.5)
 
 
 @settings(max_examples=200, deadline=None)
@@ -265,6 +387,20 @@ def test_lower_curve_list_ten_extends_past_quarter():
     limit = rcb_delta(0.0, 10, omega_star)
     assert abs(limit - 0.7152667656334293) < 1e-12
     assert curve.taus[-1] < limit
+
+
+def test_lower_curve_equals_the_curve_on_the_reference_kernel(monkeypatch):
+    # a grid no golden file pins; the polish's warm starts change no probe
+    got = {L: rcb_lower_curve(L, r_points=37, omega_points=37) for L in (1, 3, 17)}
+
+    def reference(R, L, omega, *, _start=None):
+        return rate_bounds.TauStarResult(*oracles.tau_star_info(R, L, omega))
+
+    monkeypatch.setattr(rate_bounds, "tau_star_info", reference)
+    for L, curve in got.items():
+        want = rcb_lower_curve(L, r_points=37, omega_points=37)
+        assert [t.hex() for t in curve.taus] == [t.hex() for t in want.taus]
+        assert curve.rates == want.rates
 
 
 def test_lower_curve_range_check():

@@ -209,6 +209,20 @@ def test_gv_tail_verdict_on_pinned_points(rate, t):
     assert two_stage._gv_fails(t, rate) == (t > oracles.tau_star(rate, 1, 0.5))
 
 
+def test_a_nan_rate_is_refused():
+    # with thresholds given, no tau_star call would catch it either
+    thresholds = two_stage._thresholds(0.1, 0.6, 2)
+    cfg = TwoStageConfig(l_up=2)
+    with pytest.raises(ValueError):
+        check_star(0.6, 0.3, math.nan, 0.1, cfg, thresholds=thresholds)
+    with pytest.raises(ValueError):
+        check_star(0.6, 0.3, math.nan, 0.1, cfg)
+    with pytest.raises(ValueError):
+        r2(0.5, 0.3, 0.6, math.nan, list1_tau=thresholds[0])
+    with pytest.raises(ValueError):
+        r2(0.5, 0.3, 0.6, math.nan)
+
+
 def test_check_star_solves_no_root_when_given_thresholds(monkeypatch):
     """With thresholds given, the graded probes read the table and the
     probes past the last cut read the GV curve in closed form."""
