@@ -32,7 +32,7 @@ _VEC_HALVINGS = 64  # bisection steps for the lane-parallel tau_star
 
 def binary_entropy(p: float) -> float:
     """Base-2 entropy, with h(0) = h(1) = 0."""
-    if p < 0.0 or p > 1.0:
+    if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability {p} outside [0, 1]")
     if p == 0.0 or p == 1.0:
         return 0.0

@@ -19,10 +19,12 @@ near the threshold.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heapreplace
-from math import log1p, sqrt
+from math import inf, isnan, log1p, sqrt
 
 from .rate_bounds import LN2, binary_entropy, tau_star
 from .tau_lp import TAU_TABLE
@@ -104,24 +106,63 @@ _GRADE_BOUNDS = {L: float(tau) for L, tau in TAU_TABLE.items()}
 
 
 def _thresholds(R: float, omega: float, l_up: int) -> list[float]:
-    """tau_star(R, L, omega) for L = 1..l_up (non-decreasing in L)."""
+    """tau_star(R, L, omega) for L = 1..l_up.  They need not rise with L:
+    at (R, omega) = (0.9, 0.4694) they peak near 0.00943 at L = 5 and
+    fall to 0.00671 at L = 17."""
     return [tau_star(R, L, omega) for L in range(1, l_up + 1)]
 
 
-def _x_grid(xmax: float, thresholds: list[float], nx: int) -> list[float]:
-    xs = [xmax * k / (nx + 1) for k in range(1, nx + 1)]
+def _x_extras(xmax: float, thresholds: list[float]) -> list[float]:
+    """check_star's probes besides the uniform ones, ascending: one just
+    past each threshold inside (0, xmax), four above the last threshold
+    when it is below xmax, and one just below xmax, each held at most
+    xmax (1 - 1e-9).  That cap commutes with the sort, so it is applied
+    to the sorted suffix above it; xmax (1 - 1e-6) never reaches it."""
     just_inside = xmax * (1.0 - 1e-9)
-    for thr in thresholds:
-        if 0.0 < thr < xmax:
-            # sit right past the threshold so the next list grade is probed
-            xs.append(min(thr + 1e-12, just_inside))
+    xs = [thr + 1e-12 for thr in thresholds if 0.0 < thr < xmax]
     top = thresholds[-1]
     if top < xmax:
         span = xmax - top
-        for frac in (1e-9, 0.25, 0.5, 0.75):
-            xs.append(min(top + frac * span, just_inside))
+        xs += [top + 1e-9 * span, top + 0.25 * span, top + 0.5 * span, top + 0.75 * span]
     xs.append(xmax * (1.0 - 1e-6))
+    xs.sort()
+    capped = bisect_right(xs, just_inside)
+    xs[capped:] = [just_inside] * (len(xs) - capped)
     return xs
+
+
+def _first_uniform_above(low: float, xmax: float, nx: int) -> int:
+    """The least k in 1..nx with xmax * k / (nx + 1) > low, or nx + 1 if
+    there is none.  The probe never falls as k grows, since a correctly
+    rounded product and quotient by positive constants are monotone, so
+    a short walk corrects the arithmetic guess."""
+    n1 = nx + 1
+    if not low > 0.0:
+        k = 1
+    elif low >= xmax:
+        k = n1
+    else:
+        k = int(low / xmax * n1) + 1
+    while k > 1 and xmax * (k - 1) / n1 > low:
+        k -= 1
+    while k <= nx and not xmax * k / n1 > low:
+        k += 1
+    return k
+
+
+def _probes_above(low: float, xmax: float, nx: int, extras: list[float]) -> Iterator[float]:
+    """check_star's probes above low, ascending and lazily: the uniform
+    ones from ``_first_uniform_above`` merged with the sorted extras."""
+    k = _first_uniform_above(low, xmax, nx)
+    j = bisect_right(extras, low)
+    while k <= nx or j < len(extras):
+        x = xmax * k / (nx + 1) if k <= nx else inf
+        if j < len(extras) and extras[j] < x:
+            x = extras[j]
+            j += 1
+        else:
+            k += 1
+        yield x
 
 
 def _gv_fails(t: float, rate: float) -> bool:
@@ -142,44 +183,63 @@ def check_star(
     *,
     thresholds: list[float] | None = None,
 ) -> bool:
-    """Whether (omega, alpha, R) survives every stage-1 damage level x.
+    """Whether (omega, alpha, R) survives every probed stage-1 damage x.
 
-    Each probed x below min(omega, tau/alpha) has a grade, the first list
-    size L with x <= thresholds[L-1] - tol.  The probes are read in
-    ascending order, and a cut passed by one x is passed by every later x,
-    so a pointer that only moves forward grades each probe, sorted
-    thresholds or not.  Grade 1 needs no second stage; 2 <= L <= the cap
-    needs lhs = (tau - alpha x)/(1 - alpha) <= tau_of_L(L), and past the
-    cap lhs <= tau_star(r2, 1, 1/2) for the shortened-code rate r2.
-    Anything within ``BOUNDARY_TOL`` of failing fails.  ``thresholds`` is
-    tau_star(R, L, omega) for L = 1..cfg.l_up, computed here when not
-    given; its first entry doubles as r2's list-1 threshold.
+    The probes lie below xmax = min(omega, tau/alpha): cfg.x_points
+    uniform ones xmax k/(x_points + 1) and the few of ``_x_extras``.  A
+    probe x has the grade of the first list size L with x <= cut L =
+    thresholds[L-1] - tol, or lies in the tail past every cut.  Grade 1
+    needs no second stage; 2 <= L <= the cap needs lhs = (tau - alpha
+    x)/(1 - alpha) <= tau_of_L(L), and the tail lhs <= tau_star(r2, 1, 1/2)
+    for the shortened-code rate r2.  Anything within ``BOUNDARY_TOL`` of
+    failing fails.  ``thresholds`` is tau_star(R, L, omega) for L =
+    1..cfg.l_up, computed here when not given; its first entry doubles as
+    r2's list-1 threshold.  Neither sorted thresholds nor a sorted probe
+    list is needed:
+
+    - Grade L holds the probes in (largest earlier cut, cut L], an empty
+      region when cut L is not above that maximum.  Float lhs never rises
+      with x, because correctly rounded *, - and / by a positive constant
+      are monotone.  So a region fails iff its lowest probe fails, and it
+      passes outright when lhs at the earlier cut passes.  Only otherwise
+      is that probe found: the lower of the first uniform probe and the
+      first extra above the earlier cut.  Regions are walked upward to
+      the first failure.
+    - No graded probe lies above a tail probe.  The tail probes are read
+      lazily in ascending order, uniform and extras merged, up to the
+      first failure, so r2 sees every probe past the largest cut in order,
+      a repeated x as often as it repeats, and nothing after a failure.
 
     tau_star(r2, 1, 1/2) is the GV curve h^-1(1 - r2)/2: at L = 1 and
     omega = 1/2, with u = e^(-h/2) and p = u/(1 + u), e(h) = (1 + u)/2,
     g'(h) = p/2 and g - h g' = ln2 (1 - h(p)) = r2 ln2 at the root.  With
     t = lhs + tol the tail fails iff t > 1/4 or r2 > 1 - h(2t).
     """
-    if not 0.0 < omega < 1.0 or not 0.0 < alpha < 1.0 or not R >= 0.0:
-        raise ValueError("need omega, alpha in (0, 1) and R >= 0")
+    if not 0.0 < omega < 1.0 or not 0.0 < alpha < 1.0 or not R >= 0.0 or isnan(tau):
+        raise ValueError("need omega, alpha in (0, 1), R >= 0 and tau not NaN")
     if tau <= 0.0:
         return True
     if thresholds is None:
         thresholds = _thresholds(R, omega, cfg.l_up)
     tol = BOUNDARY_TOL
+    nx = cfg.x_points
     xmax = min(omega, tau / alpha)
-    cuts = [thr - tol for thr in thresholds]
-    grade = 1
-    for x in sorted(_x_grid(xmax, thresholds, cfg.x_points)):
-        while grade <= len(cuts) and x > cuts[grade - 1]:
-            grade += 1
-        if grade == 1:
+    extras = _x_extras(xmax, thresholds)
+    low = thresholds[0] - tol
+    for L in range(2, len(thresholds) + 1):
+        cut = thresholds[L - 1] - tol
+        if not cut > low:
             continue
-        lhs = (tau - alpha * x) / (1.0 - alpha)
-        if grade <= len(cuts):
-            if lhs > _GRADE_BOUNDS[grade] - tol:
+        bound = _GRADE_BOUNDS[L] - tol
+        # every probe of the region lies above low, so its lhs is at most lhs(low)
+        if (tau - alpha * low) / (1.0 - alpha) > bound:
+            x = next(_probes_above(low, xmax, nx, extras), inf)
+            if x <= cut and (tau - alpha * x) / (1.0 - alpha) > bound:
                 return False
-        elif _gv_fails(lhs + tol, r2(alpha, x, omega, R, list1_tau=thresholds[0])):
+        low = cut
+    for x in _probes_above(low, xmax, nx, extras):
+        lhs = (tau - alpha * x) / (1.0 - alpha)
+        if _gv_fails(lhs + tol, r2(alpha, x, omega, R, list1_tau=thresholds[0])):
             return False
     return True
 

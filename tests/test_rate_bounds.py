@@ -37,6 +37,12 @@ def test_binary_entropy_endpoints():
     assert abs(binary_entropy(0.2) - 0.7219280948873623) < 1e-15
 
 
+@pytest.mark.parametrize("p", [math.nan, -1e-300, math.nextafter(1.0, 2.0), math.inf])
+def test_binary_entropy_refuses_a_probability_outside_the_unit_interval(p):
+    with pytest.raises(ValueError):
+        binary_entropy(p)
+
+
 def test_critical_weight():
     assert w0(16, 4) == 8.0
     assert w0(100, 0) == 0.0

@@ -153,6 +153,184 @@ def test_check_star_checks_x_on_a_cut_at_that_grade():
     assert _on_cut_verdicts(_X0 - 0.5e-9, _X0) == (False, False)
 
 
+def _probe_grid(omega, alpha, tau, thresholds, x_points):
+    xmax = min(omega, tau / alpha)
+    return oracles._x_grid(xmax, thresholds, x_points, two_stage.BOUNDARY_TOL)
+
+
+def _draw_thresholds(data, omega, alpha, R, tau, l_up, x_points):
+    """tau_star(R, 1, omega), then l_up - 1 made-up thresholds: repeats,
+    ones in [0, tol] whose cut is at or below 0, ones whose cut is at or
+    above xmax, ones within 3e-9 of xmax, whose probe just past them meets
+    the cap xmax (1 - 1e-9), and ones inside; sometimes one more is moved
+    so that its cut lies exactly on an extra probe (one just past a
+    threshold, one above the last threshold, or the one just below
+    xmax)."""
+    tol = two_stage.BOUNDARY_TOL
+    xmax = min(omega, tau / alpha)
+    thresholds = [tau_star(R, 1, omega)]
+    for _ in range(l_up - 1):
+        kind = data.draw(st.sampled_from(("repeat", "low", "high", "near xmax", "inside")))
+        if kind == "repeat":
+            thr = data.draw(st.sampled_from(thresholds))
+        elif kind == "low":
+            thr = data.draw(st.floats(0.0, tol))
+        elif kind == "high":
+            thr = xmax + tol + data.draw(st.floats(0.0, 0.5))
+        elif kind == "near xmax":
+            thr = xmax * (1.0 - data.draw(st.floats(0.0, 3e-9)))
+        else:
+            thr = data.draw(st.floats(0.0, xmax))
+        thresholds.append(thr)
+    if data.draw(st.booleans()):
+        extras = _probe_grid(omega, alpha, tau, thresholds, x_points)[x_points:]
+        x = data.draw(st.sampled_from(extras))
+        thr = _threshold_on(x, tol)
+        assume(thr is not None)
+        thresholds[data.draw(st.integers(1, l_up - 1))] = thr
+        assume(x in _probe_grid(omega, alpha, tau, thresholds, x_points))
+        event("a cut on an extra probe")
+    return thresholds
+
+
+_WALK_ARGS = dict(
+    omega=_CHECK_ARGS["omega"],
+    alpha=_CHECK_ARGS["alpha"],
+    R=_CHECK_ARGS["R"],
+    tau=_CHECK_ARGS["tau"],
+    l_up=st.integers(2, 17),
+    x_points=st.integers(8, 300),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), **_WALK_ARGS)
+def test_check_star_matches_reference_scan_on_adversarial_cuts(
+    data, omega, alpha, R, tau, l_up, x_points
+):
+    """The region walk against the reference scan on made-up thresholds
+    from ``_draw_thresholds``."""
+    cfg = TwoStageConfig(l_up=l_up, x_points=x_points)
+    thresholds = _draw_thresholds(data, omega, alpha, R, tau, l_up, x_points)
+    assert check_star(omega, alpha, R, tau, cfg, thresholds=thresholds) == (
+        oracles.check_star(omega, alpha, R, tau, cfg, thresholds=thresholds)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), **_WALK_ARGS)
+def test_extras_are_the_sorted_reference_probes_past_the_uniform_ones(
+    data, omega, alpha, R, tau, l_up, x_points
+):
+    thresholds = _draw_thresholds(data, omega, alpha, R, tau, l_up, x_points)
+    grid = _probe_grid(omega, alpha, tau, thresholds, x_points)
+    xmax = min(omega, tau / alpha)
+    assert grid[:x_points] == [xmax * k / (x_points + 1) for k in range(1, x_points + 1)]
+    assert two_stage._x_extras(xmax, thresholds) == sorted(grid[x_points:])
+
+
+_LHS_X = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    tau=st.floats(0.0, 1.0),
+    alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    x1=_LHS_X,
+    x2=st.one_of(_LHS_X, st.just(None)),
+)
+def test_float_lhs_never_rises_with_x(tau, alpha, x1, x2):
+    """The fact behind the one-comparison regions of check_star; x2 = None
+    draws the next float above x1."""
+    if x2 is None:
+        x2 = math.nextafter(x1, math.inf)
+    x1, x2 = sorted((x1, x2))
+    assume(x1 < x2)
+
+    def lhs(x):
+        return (tau - alpha * x) / (1.0 - alpha)
+
+    assert lhs(x1) >= lhs(x2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    xmax=st.one_of(st.floats(1e-300, 1.0), st.sampled_from((5e-324, 1e-320, 0.5, 1.0))),
+    nx=st.integers(8, 300),
+    data=st.data(),
+)
+def test_first_uniform_probe_matches_a_linear_scan(xmax, nx, data):
+    probes = [xmax * k / (nx + 1) for k in range(1, nx + 1)]
+    on = data.draw(st.sampled_from(probes))
+    low = data.draw(
+        st.one_of(
+            st.floats(-1.0, 2.0),
+            st.sampled_from((on, math.nextafter(on, -1.0), math.nextafter(on, 2.0))),
+            st.sampled_from((-math.inf, 0.0, xmax)),
+        )
+    )
+    scan = next((k for k, x in enumerate(probes, start=1) if x > low), nx + 1)
+    assert two_stage._first_uniform_above(low, xmax, nx) == scan
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), made_up=st.booleans(), **_WALK_ARGS)
+def test_r2_reads_the_tail_in_order_and_stops_at_the_first_failure(
+    data, made_up, omega, alpha, R, tau, l_up, x_points
+):
+    """r2 is called at exactly the probes that the sorted reference grid
+    reaches past the largest cut: none when a graded probe fails, else
+    each tail probe in ascending order, a repeated probe as often as the
+    grid repeats it, up to and including the first failing one."""
+    cfg = TwoStageConfig(l_up=l_up, x_points=x_points)
+    tol = two_stage.BOUNDARY_TOL
+    if made_up:
+        thresholds = _draw_thresholds(data, omega, alpha, R, tau, l_up, x_points)
+    else:
+        thresholds = two_stage._thresholds(R, omega, l_up)
+    real_r2, xs = two_stage.r2, []
+
+    def spy(alpha, x, *args, **kwargs):
+        xs.append(x)
+        return real_r2(alpha, x, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(two_stage, "r2", spy)
+        ok = check_star(omega, alpha, R, tau, cfg, thresholds=thresholds)
+
+    def lhs(x):
+        return (tau - alpha * x) / (1.0 - alpha)
+
+    cuts = [thr - tol for thr in thresholds]
+    graded_fails = False
+    want, tail_fails = [], False
+    for x in sorted(_probe_grid(omega, alpha, tau, thresholds, x_points)):
+        grade = next((L for L, cut in enumerate(cuts, start=1) if x <= cut), None)
+        if grade is None:
+            want.append(x)
+            rate = real_r2(alpha, x, omega, R, list1_tau=thresholds[0])
+            if two_stage._gv_fails(lhs(x) + tol, rate):
+                tail_fails = True
+                break
+        elif grade > 1 and lhs(x) > float(tau_of_L(grade)) - tol:
+            graded_fails = True
+            break
+    assert xs == want
+    assert ok == (not graded_fails and not tail_fails)
+    event("graded failure" if graded_fails else "tail failure" if tail_fails else "pass")
+
+
+def test_a_nan_tau_is_refused():
+    """A negative tau still passes vacuously."""
+    cfg = TwoStageConfig(l_up=2)
+    thresholds = two_stage._thresholds(0.1, 0.6, 2)
+    with pytest.raises(ValueError):
+        check_star(0.6, 0.3, 0.1, math.nan)
+    with pytest.raises(ValueError):
+        check_star(0.6, 0.3, 0.1, math.nan, cfg, thresholds=thresholds)
+    assert check_star(0.6, 0.3, 0.1, -0.5, cfg, thresholds=thresholds)
+
+
 @settings(max_examples=200, deadline=None)
 @given(R=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
 def test_list1_threshold_at_half_is_the_gv_curve(R):
@@ -165,14 +343,47 @@ def test_list1_threshold_at_half_is_the_gv_curve(R):
 _GV_BAND = 1e-10
 
 
+def _gv_root(rate):
+    """h^-1(1 - rate)/2 to within 1e-15: t = (1 - x)/4 for the x in
+    [0, 1] where F(x) = 1 - h((1 - x)/2) meets the rate, 0 from rate 1 up
+    and 1/4 at rate 0.  F rises from 0 to 1; below x = 1/2 it is summed
+    as the positive series sum x^(2k) / (k (2k - 1)) / (2 ln 2), so that
+    no rate, however small, is lost to cancellation."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(20):
+
+        def F(x):
+            if x >= 0.5:
+                s = (1 + x) * mp.log1p(x) + (1 - x) * mp.log1p(-x) if x < 1 else 2 * mp.log(2)
+            else:
+                x2, s, k = x * x, mp.mpf(0), 1
+                term = x2
+                while term > s * mp.mpf("1e-22"):
+                    s += term / (k * (2 * k - 1))
+                    term *= x2
+                    k += 1
+            return s / (2 * mp.log(2))
+
+        lo, hi = mp.mpf(0), mp.mpf(1)
+        for _ in range(52):
+            mid = (lo + hi) / 2
+            if F(mid) < rate:
+                lo = mid
+            else:
+                hi = mid
+        return float((1 - lo) / 4)
+
+
 @settings(max_examples=300, deadline=None)
 @given(rate=st.floats(0.0, 1.5), near=st.booleans(), data=st.data())
 def test_gv_tail_verdict_matches_the_root_solve(rate, near, data):
-    """Outside a 1e-10 band around the bisection root, the closed form
-    fails exactly the t that exceed it; draws inside the band are counted
-    as a hypothesis event and not judged.  t starts at BOUNDARY_TOL, the
-    least lhs + tol that check_star passes."""
-    bound = oracles.tau_star(rate, 1, 0.5)
+    """Outside a 1e-10 band around the GV root, the closed form fails
+    exactly the t that exceed it; draws inside the band are counted as a
+    hypothesis event and not judged.  t starts at BOUNDARY_TOL, the least
+    lhs + tol that check_star passes.  The root is ``_gv_root``'s, not the
+    float bisection of ``oracles.tau_star``, which is 2.4e-10 off it at
+    rate 7.05e-16 (its -log(e) - h slope cancels for tiny rates)."""
+    bound = _gv_root(rate)
     if near:
         t = bound + data.draw(st.floats(-1e-9, 1e-9))
     else:
@@ -182,6 +393,15 @@ def test_gv_tail_verdict_matches_the_root_solve(rate, near, data):
         event("inside the 1e-10 band")
         return
     assert two_stage._gv_fails(t, rate) == (t > bound)
+
+
+def test_gv_root_is_the_bisection_root_away_from_tiny_rates():
+    """``_gv_root`` against the float bisection where that is accurate,
+    and the tiny rate at which the bisection drifts past the band."""
+    for rate in (0.0, 1e-6, 0.01, 0.3, 0.5, 0.9, 1.0, 1.2):
+        assert abs(_gv_root(rate) - oracles.tau_star(rate, 1, 0.5)) <= 1e-11
+    rate = 7.05253990191042e-16
+    assert abs(_gv_root(rate) - oracles.tau_star(rate, 1, 0.5)) > _GV_BAND
 
 
 # 2t just below 1/2 where binary_entropy rounds to 1 + 2^-52
