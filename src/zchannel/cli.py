@@ -49,6 +49,8 @@ class RunManifest:
     solver: dict[str, dict] | None = None
     # two-stage-curve only: one two_stage.CurvePoint per tau
     two_stage: list[dict] | None = None
+    # rcb-curve only: lanes of the omega-grid root, replayed and uncertified
+    rcb_curve: dict[str, int] | None = None
 
     def write(self, out_dir: Path) -> None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -106,6 +108,7 @@ def _cmd_rcb_curve(args, out: Path, manifest: RunManifest) -> int:
     curve = rcb_lower_curve(
         args.list_size, r_points=args.grid, omega_points=args.grid
     )
+    manifest.rcb_curve = curve.counts
     _csv_curve(out / f"rcb_lower_L{args.list_size}.csv", curve.taus, curve.rates, manifest)
     return 0
 

@@ -194,7 +194,8 @@ def check_star(
     for the shortened-code rate r2.  Anything within ``BOUNDARY_TOL`` of
     failing fails.  ``thresholds`` is tau_star(R, L, omega) for L =
     1..cfg.l_up, computed here when not given; its first entry doubles as
-    r2's list-1 threshold.  Neither sorted thresholds nor a sorted probe
+    r2's list-1 threshold.  A given list must hold cfg.l_up entries, each
+    >= 0 and not NaN.  Neither sorted thresholds nor a sorted probe
     list is needed:
 
     - Grade L holds the probes in (largest earlier cut, cut L], an empty
@@ -217,6 +218,10 @@ def check_star(
     """
     if not 0.0 < omega < 1.0 or not 0.0 < alpha < 1.0 or not R >= 0.0 or isnan(tau):
         raise ValueError("need omega, alpha in (0, 1), R >= 0 and tau not NaN")
+    if thresholds is not None and (
+        len(thresholds) != cfg.l_up or not all(thr >= 0.0 for thr in thresholds)
+    ):
+        raise ValueError(f"need {cfg.l_up} thresholds, each >= 0 and not NaN")
     if tau <= 0.0:
         return True
     if thresholds is None:

@@ -7,11 +7,12 @@ and the package routes is what the oracle tests assert.
 
 The sections after those are different in kind.  They keep the
 exhaustive ``best_list_code`` scan, ``max_code`` with its eager adjacency
-rows, the scalar ``tau_star`` bisection, the ``check_star`` scan and the
-per-tau heap scan of ``two_stage_rate``, the Fraction certificate check
-and the Fraction Gauss-Jordan support solve as they were before the
-faster designs replaced them, so the package can be held to the same
-results bit for bit.  The last section builds the exact simplex's
+rows, the scalar ``tau_star`` bisection and its lane-parallel twin over
+an omega grid, the ``check_star`` scan and the per-tau heap scan of
+``two_stage_rate``, the Fraction certificate check and the Fraction
+Gauss-Jordan support solve as they were before the faster designs
+replaced them, so the package can be held to the same results bit for
+bit.  The last section builds the exact simplex's
 starting basis and the LP's symmetry sigma from their definitions.
 """
 
@@ -195,8 +196,9 @@ def max_code(n: int, d: int, *, max_nodes: int = MAX_NODES) -> CodeSearchResult:
 
 # ---------------------------------------------------------------------------
 # Float-for-float references for the tau_star kernel and check_star: the
-# bisection and the x-scan as they stood before their fast paths, kept
-# verbatim so the fast paths can be held to bit-identical results.
+# scalar and lane-parallel bisections and the x-scan as they stood before
+# their fast paths, kept verbatim so the fast paths can be held to
+# bit-identical results.
 
 LN2 = log(2.0)
 _TAU_TOL = 1e-10
@@ -267,6 +269,55 @@ def tau_star_info(R, L, omega):
 
 def tau_star(R, L, omega):
     return tau_star_info(R, L, omega)[0]
+
+
+def _tau_star_vec(R, L, omegas):
+    """tau_star over an array of bit probabilities at one (R, L).
+
+    Same bisection as the scalar path, run lane-parallel; infeasible lanes
+    come back 0.
+    """
+    omegas = np.asarray(omegas, dtype=np.float64)
+    target = R * L * LN2
+    i = np.arange(1, L + 1, dtype=np.float64)
+    gcoef = np.array([comb(L + 1, k) for k in range(1, L + 1)])
+    dcoef = np.array([comb(L, k - 1) for k in range(1, L + 1)])
+    om = omegas[:, None]
+    const = omegas ** (L + 1) + (1.0 - omegas) ** (L + 1)
+    terms_g = gcoef * om**i * (1.0 - om) ** (L + 1 - i)
+    terms_d = dcoef * om**i * (1.0 - om) ** (L + 1 - i)
+
+    def e_and_num(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        w = np.exp(-h[:, None] * i / (L + 1))
+        return const + (terms_g * w).sum(axis=1), (terms_d * w).sum(axis=1)
+
+    if R == 0.0:
+        return omegas - omegas ** (L + 1)
+
+    ceiling = -np.log(omegas ** (L + 1) + (1.0 - omegas) ** (L + 1))
+    feasible = target < ceiling
+
+    lo = np.zeros_like(omegas)
+    hi = np.ones_like(omegas)
+    for _ in range(80):  # expand brackets where needed
+        e, num = e_and_num(hi)
+        phi = -np.log(e) - hi * (num / e)
+        short = feasible & (phi < target)
+        if not short.any():
+            break
+        lo = np.where(short, hi, lo)
+        hi = np.where(short, hi * 2.0, hi)
+    for _ in range(64):
+        mid = (lo + hi) / 2.0
+        e, num = e_and_num(mid)
+        phi = -np.log(e) - mid * (num / e)
+        below = phi < target
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    h_star = (lo + hi) / 2.0
+    e, num = e_and_num(h_star)
+    out = num / e
+    return np.where(feasible, out, 0.0)
 
 
 def r2(alpha, tau1, omega, R1):

@@ -119,6 +119,9 @@ def test_rcb_curve_output_format(tmp_path):
         assert len(rate.split(".")[1]) == 9
     taus = [float(l.split(",")[0]) for l in lines[1:]]
     assert taus == sorted(taus)
+    lanes = read_manifest(out)["rcb_curve"]
+    assert lanes["lanes_uncertified"] == 0
+    assert 40 <= lanes["lanes_replayed"] < lanes["lanes"] <= 40 * 40
 
     out2 = tmp_path / "b"
     assert main(["rcb-curve", "--list-size", "1", "--grid", "40", "--out", str(out2)]) == 0

@@ -1,6 +1,7 @@
 import math
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -112,6 +113,12 @@ def test_finite_size_list_bound():
     assert not list_plotkin_holds(7, 1, 0.5, 0.3)
     with pytest.raises(ValueError):
         list_plotkin_holds(1, 1, 0.5, 0.3)
+
+
+def test_finite_size_list_bound_refuses_a_nan_fraction():
+    # both comparisons are false for NaN, which once read as "fails"
+    with pytest.raises(ValueError):
+        list_plotkin_holds(4, 2, 0.5, math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -414,3 +421,100 @@ def test_lower_curve_range_check():
         rcb_lower_curve(0)
     with pytest.raises(ValueError):
         rcb_lower_curve(18)
+
+
+# ---------------------------------------------------------------------------
+# the omega-grid root behind rcb_lower_curve
+
+
+def _grid(n):
+    return np.array([k / (n + 1) for k in range(1, n + 1)])
+
+
+def _reference_argmax(rates, L, omegas):
+    out = []
+    for R in rates:
+        vals = oracles._tau_star_vec(R, L, omegas)
+        best = int(np.argmax(vals))
+        out.append((best, float(vals[best]).hex()))
+    return out
+
+
+def _argmax(rates, L, omegas):
+    found, _ = rate_bounds._tau_star_argmax(rates, L, omegas)
+    return [(best, value.hex()) for best, value in found]
+
+
+_LANE_RATES = st.lists(
+    st.one_of(
+        st.floats(1e-6, 1.0),
+        st.floats(1e-300, 1e-6),
+        # at or past the ceiling of every lane of a grid, so every lane reads 0
+        st.floats(0.9, 2.0),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rates=_LANE_RATES, L=st.integers(1, 17), n=st.integers(2, 300))
+@example(rates=[0.5, 1.0, 0.999999], L=1, n=2)
+@example(rates=[0.9999999999999999, 1e-300], L=17, n=299)
+def test_grid_argmax_equals_the_reference_lanes(rates, L, n):
+    omegas = _grid(n)
+    assert _argmax(rates, L, omegas) == _reference_argmax(rates, L, omegas)
+
+
+def test_grid_argmax_equals_the_reference_lanes_on_a_full_sweep():
+    omegas = _grid(400)
+    rates = [k / 401 for k in range(1, 401)]
+    assert _argmax(rates, 3, omegas) == _reference_argmax(rates, 3, omegas)
+
+
+# no estimate at all; or Newton's own estimate moved above the root with
+# a last step of 0, so the bracket's lower end lies past the root
+@pytest.mark.parametrize("scale", [None, 1.5], ids=["none", "above"])
+@pytest.mark.parametrize("L", [1, 3, 17])
+def test_uncertified_lanes_all_replay_the_reference_bisection(monkeypatch, scale, L):
+    omegas = _grid(23)
+    rates = [k / 24 for k in range(1, 24)]
+    real = rate_bounds._lane_newton
+
+    def bad(*args):
+        if scale is None:
+            return np.full((3, len(args[-1])), np.nan)
+        h, dphi, step = real(*args)
+        return np.array([h * scale, dphi, np.zeros_like(step)])
+
+    monkeypatch.setattr(rate_bounds, "_lane_newton", bad)
+    assert _argmax(rates, L, omegas) == _reference_argmax(rates, L, omegas)
+    _, counts = rate_bounds._tau_star_argmax(rates, L, omegas)
+    assert counts["lanes"] > 0
+    assert counts["lanes_replayed"] == counts["lanes_uncertified"] == counts["lanes"]
+
+
+@pytest.mark.parametrize("L", [1, 3, 17])
+def test_grid_argmax_does_not_depend_on_the_batch(monkeypatch, L):
+    # one lane per batch splits every rate over many batches
+    omegas = _grid(31)
+    rates = [k / 32 for k in range(1, 32)]
+    want = _argmax(rates, L, omegas)
+    monkeypatch.setattr(rate_bounds, "_LANE_BUDGET", 1)
+    assert _argmax(rates, L, omegas) == want == _reference_argmax(rates, L, omegas)
+
+
+@settings(max_examples=30, deadline=None)
+@given(R=st.floats(1e-6, 1.0), L=st.integers(1, 17), n=st.integers(2, 200))
+@example(R=0.5, L=1, n=2)
+def test_certified_lane_bounds_hold_the_bisection_value(R, L, n):
+    # every lane of one rate is both bounded and bisected
+    omegas = _grid(n)
+    const, terms_g, terms_d = rate_bounds._lane_terms(L, omegas)
+    target = np.full(n, R * L * rate_bounds.LN2)
+    j = np.flatnonzero(target < -np.log(const))
+    args = (L, const[j], terms_g[j], terms_d[j], target[j])
+    lower, upper = rate_bounds._lane_bounds(*args)
+    value = rate_bounds._bisect_lanes(*args)
+    assert np.all(lower <= value) and np.all(value <= upper)
+    assert np.all(np.isfinite(lower) == np.isfinite(upper))

@@ -429,6 +429,25 @@ def test_gv_tail_verdict_on_pinned_points(rate, t):
     assert two_stage._gv_fails(t, rate) == (t > oracles.tau_star(rate, 1, 0.5))
 
 
+@pytest.mark.parametrize(
+    "thresholds",
+    [
+        [],
+        [0.1] * 16,
+        [0.1] * 19,
+        [-1e-9] * 17,
+        [0.1] * 16 + [math.nan],
+        [math.nan] + [0.1] * 16,
+    ],
+    ids=["empty", "short", "long", "negative", "nan-last", "nan-first"],
+)
+def test_a_malformed_threshold_list_is_refused(thresholds):
+    """Before any probe is read: one entry per list size, each >= 0 and not
+    NaN.  The negative list once reached r2 at a negative x."""
+    with pytest.raises(ValueError, match="thresholds"):
+        check_star(0.6, 0.3, 0.1, 0.1, DEFAULT_CONFIG, thresholds=thresholds)
+
+
 def test_a_nan_rate_is_refused():
     # with thresholds given, no tau_star call would catch it either
     thresholds = two_stage._thresholds(0.1, 0.6, 2)
