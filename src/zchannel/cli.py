@@ -49,7 +49,8 @@ class RunManifest:
     solver: dict[str, dict] | None = None
     # two-stage-curve only: one two_stage.CurvePoint per tau
     two_stage: list[dict] | None = None
-    # rcb-curve only: lanes of the omega-grid root, replayed and uncertified
+    # rcb-curve only: lanes of the omega-grid root, replayed and uncertified,
+    # and the polish's probes, scalar replays and uncertified lanes
     rcb_curve: dict[str, int] | None = None
 
     def write(self, out_dir: Path) -> None:

@@ -240,7 +240,6 @@ def _root_estimate(
     g_terms: list[float],
     d_terms: list[float],
     target: float,
-    start: float | None,
 ) -> tuple[float, float, float] | None:
     """Float Newton estimate of the root of phi(h) = g - h g' = target.
 
@@ -248,20 +247,18 @@ def _root_estimate(
     are sums over the powers u^1..u^L, and phi'(h) = -h g''(h).  phi falls
     as u grows, so each evaluation narrows a bracket [ulo, uhi], and a
     step that leaves it (or overflows) is replaced by the bracket's
-    midpoint.  Starts at the tilt ``start``, or where the model
-    phi(h) ~ -g''(0) h^2 / 2 of small h meets the target, and at u = 1/2
-    when that gives no u in (0, 1).  Returns (h, phi'(h), last step) once
-    a step is at most 1e-7 (1 + h), or None after 30 evaluations.  None of
-    its digits reach an output: it only places the bracket that
-    tau_star_info certifies.
+    midpoint.  Starts where the model phi(h) ~ -g''(0) h^2 / 2 of small h
+    meets the target, and at u = 1/2 when that gives no u in (0, 1).
+    Returns (h, phi'(h), last step) once a step is at most 1e-7 (1 + h),
+    or None after 30 evaluations.  None of its digits reach an output: it
+    only places the bracket that tau_star_info certifies.
     """
     lp1 = L + 1
     s_terms = [d * k / lp1 for k, d in enumerate(d_terms, 1)]
-    if start is None:
-        curv0 = sum(s_terms) - sum(d_terms) ** 2
-        start = sqrt(2.0 * target / curv0) if curv0 > 0.0 else 0.0
+    curv0 = sum(s_terms) - sum(d_terms) ** 2
+    start = sqrt(2.0 * target / curv0) if curv0 > 0.0 else 0.0
     u = exp(-start / lp1) if start > 0.0 else 0.5
-    if not 0.0 < u < 1.0:  # an infinite start, or one so small that u is 1
+    if not 0.0 < u < 1.0:  # a start so large that u is 0, or so small that it is 1
         u = 0.5
     ulo, uhi = 0.0, 1.0
     for _ in range(_NEWTON_STEPS):
@@ -292,13 +289,12 @@ def _certified_bracket(
     terms: tuple[float, list[float], list[float]],
     target: float,
     ceiling: float,
-    start: float | None,
 ) -> tuple[float, float]:
     """(A, B) with float phi below target at every h <= A and at or above
     it at every h >= B that tau_star_info's bisection can test; -inf and
     inf where that is not certified.  See tau_star_info."""
     lo_skip, hi_skip = -math.inf, math.inf
-    estimate = _root_estimate(L, *terms, target, start)
+    estimate = _root_estimate(L, *terms, target)
     if estimate is None:
         return lo_skip, hi_skip
 
@@ -321,9 +317,35 @@ def _certified_bracket(
     return lo_skip, hi_skip
 
 
-def tau_star_info(
-    R: float, L: int, omega: float, *, _start: float | None = None
+def _bisect_root(
+    at: Callable[[float], tuple[float, float]], target: float, lo_skip: float, hi_skip: float
 ) -> TauStarResult:
+    """The reference bisection for phi(h) = target, every test at h <=
+    lo_skip read as "below" and every test at h >= hi_skip as "above"
+    without an evaluation; -inf and inf skip none.  See tau_star_info."""
+
+    def below(h: float) -> bool:  # the test itself, for lo_skip < h < hi_skip
+        e, slope = at(h)
+        return -log(e) - h * slope < target
+
+    lo, hi = 0.0, 1.0
+    while hi <= lo_skip or (hi < hi_skip and below(hi)):
+        lo, hi = hi, hi * 2.0
+        if hi > 2.0**64:
+            # the plateau sits essentially at the target; treat as infeasible
+            return TauStarResult(0.0, False, math.inf)
+    while hi - lo > _TAU_TOL:
+        mid = (lo + hi) / 2.0
+        if mid <= lo_skip or (mid < hi_skip and below(mid)):
+            lo = mid
+        else:
+            hi = mid
+    h_star = (lo + hi) / 2.0
+    _, slope = at(h_star)
+    return TauStarResult(slope, True, h_star)
+
+
+def tau_star_info(R: float, L: int, omega: float) -> TauStarResult:
     """Largest error fraction a random size-2^(RLn) list-L code withstands.
 
     Solves g(h) - h g'(h) = R L ln2 for the smallest root and reports
@@ -334,16 +356,16 @@ def tau_star_info(
 
     Contract: value and tilt are bit-identical to the reference bisection
     in tests/oracles.py, and so is every CSV built on them.  The root
-    comes from that bisection, replayed operation for operation: [0, 1],
-    the upper end doubled until it brackets, the bracket halved to width
-    1e-10 and read at its midpoint, each test being phi(h) < target with
-    phi(h) = -ln e - h g' from ``_evaluator``.  Only tests that the
-    certified bracket (A, B) settles are skipped: every h <= A reads
-    "below" and every h >= B "above", with no evaluation.  A float
-    Newton estimate (``_root_estimate``) places A < B around the root;
-    ``_start``, a tilt near the root, is its first guess.  The bracket is
-    kept only where float phi(A) < target - m and phi(B) > target + m, and
-    an end that fails is -inf or inf, which replays the plain bisection.
+    comes from that bisection, replayed operation for operation by
+    ``_bisect_root``: [0, 1], the upper end doubled until it brackets,
+    the bracket halved to width 1e-10 and read at its midpoint, each test
+    being phi(h) < target with phi(h) = -ln e - h g' from ``_evaluator``.
+    Only tests that the certified bracket (A, B) settles are skipped:
+    every h <= A reads "below" and every h >= B "above", with no
+    evaluation.  A float Newton estimate (``_root_estimate``) places A <
+    B around the root.  The bracket is kept only where float phi(A) <
+    target - m and phi(B) > target + m, and an end that fails is -inf or
+    inf, which replays the plain bisection.
 
     Why a skipped test reads as it would have: the exact phi of the same
     omega rises with h (phi' = -h g'' > 0).  With unit roundoff u, libm
@@ -376,31 +398,7 @@ def tau_star_info(
         return TauStarResult(0.0, False, math.inf)
     terms = _binom_terms(L, omega)
     at = _evaluator(L, *terms)
-    lo_skip, hi_skip = _certified_bracket(at, L, terms, target, ceiling, _start)
-
-    def below(h: float) -> bool:
-        if h <= lo_skip:
-            return True
-        if h >= hi_skip:
-            return False
-        e, slope = at(h)
-        return -log(e) - h * slope < target
-
-    lo, hi = 0.0, 1.0
-    while below(hi):
-        lo, hi = hi, hi * 2.0
-        if hi > 2.0**64:
-            # the plateau sits essentially at the target; treat as infeasible
-            return TauStarResult(0.0, False, math.inf)
-    while hi - lo > _TAU_TOL:
-        mid = (lo + hi) / 2.0
-        if below(mid):
-            lo = mid
-        else:
-            hi = mid
-    h_star = (lo + hi) / 2.0
-    _, slope = at(h_star)
-    return TauStarResult(slope, True, h_star)
+    return _bisect_root(at, target, *_certified_bracket(at, L, terms, target, ceiling))
 
 
 def tau_star(R: float, L: int, omega: float) -> float:
@@ -460,15 +458,24 @@ def _bisect_lanes(
 
 @np.errstate(all="ignore")
 def _lane_newton(
-    L: int, const: np.ndarray, terms_g: np.ndarray, terms_d: np.ndarray, target: np.ndarray
+    L: int,
+    const: np.ndarray,
+    terms_g: np.ndarray,
+    terms_d: np.ndarray,
+    target: np.ndarray,
+    start: np.ndarray,
 ) -> np.ndarray:
-    """``_root_estimate``'s Newton from its cold start, lane-parallel: rows
-    h, phi'(h) and the last step, NaN in every lane that 30 evaluations do
-    not converge.  Each evaluation reads only the lanes still running."""
+    """``_root_estimate``'s Newton, lane-parallel, from ``start``, a tilt
+    per lane: rows h, phi'(h) and the last step, NaN in every lane that
+    30 evaluations do not converge.  A NaN start stands for
+    ``_root_estimate``'s cold start, and a start that gives no u in
+    (0, 1) for u = 1/2.  Each evaluation reads only the lanes still
+    running."""
     lp1 = L + 1
     s_terms = terms_d * (np.arange(1, lp1, dtype=np.float64) / lp1)
     curv0 = s_terms.sum(axis=1) - terms_d.sum(axis=1) ** 2
-    u = np.exp(-np.sqrt(np.where(curv0 > 0.0, 2.0 * target / curv0, 0.0)) / lp1)
+    cold = np.sqrt(np.where(curv0 > 0.0, 2.0 * target / curv0, 0.0))
+    u = np.exp(-np.where(np.isnan(start), cold, start) / lp1)
     u = np.where((0.0 < u) & (u < 1.0), u, 0.5)
     ulo, uhi = np.zeros_like(u), np.ones_like(u)
     live = np.arange(len(u))
@@ -504,11 +511,13 @@ def _lane_bounds(
     terms_g: np.ndarray,
     terms_d: np.ndarray,
     target: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per lane, (lower, upper) around the value the reference bisection
-    returns; -inf and inf where the bracket is not certified.  See
-    ``_tau_star_argmax``."""
-    h, dphi, step = _lane_newton(L, const, terms_g, terms_d, target)
+    start: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per lane, the certified ends (A, B) of its root and (lower, upper)
+    around the value the reference lanes' bisection returns; -inf and inf
+    where the bracket is not certified.  ``start`` goes to
+    ``_lane_newton``.  See ``_tau_star_argmax``."""
+    h, dphi, step = _lane_newton(L, const, terms_g, terms_d, target, start)
     ceiling = -np.log(const)
 
     def margin(x: np.ndarray) -> np.ndarray:  # 8 b(x)
@@ -529,6 +538,8 @@ def _lane_bounds(
     )
     eps = 64.0 * (L + 3.0 * b + 16.0) * _UNIT
     return (
+        np.where(certified, a, -np.inf),
+        np.where(certified, b, np.inf),
         np.where(certified, slope_b - eps, -np.inf),
         np.where(certified, slope_a + eps, np.inf),
     )
@@ -548,12 +559,15 @@ def _tau_star_argmax(
     ``_LANE_BUDGET`` // L, the rates' lanes in order; no result depends on
     the batch size.  Per batch:
 
-    1. Newton (``_lane_newton``) estimates each lane's root; its digits
-       reach no output.
+    1. Newton (``_lane_newton``) estimates each lane's root, starting
+       from the certified upper end B of the same omega's lane in the
+       last batch (a rate just below), or from its cold start where there
+       is none; its digits reach no output.
     2. Around the estimate, (A, B) is certified as in tau_star_info: both
        ends are evaluated with the reference kernel (``_lane_kernel``), and
        kept only where float phi(A) < target - m, float phi(B) > target + m
-       and B < 2^64.  A is held at 0 or more.
+       and B < 2^64.  A is held at 0 or more.  ``_lane_bounds`` does steps
+       1 to 3 for the grid and the polish of rcb_lower_curve alike.
     3. A certified lane's value lies in [g'(B) - eps, g'(A) + eps], both
        slopes read from step 2.  A lane whose upper end lies below the
        best lower end of its rate cannot be an argmax, so it is dropped;
@@ -593,7 +607,9 @@ def _tau_star_argmax(
     Measured against 40-digit mpmath on 3,200 random lanes (L in 1..17,
     h up to 100), float phi stayed within 0.06 b(h) and g' within 0.03 of
     its bound, so m is over 100 times the largest phi error seen and eps
-    over 300 times the largest g' error.
+    over 300 times the largest g' error.  The same ends also hold for the
+    scalar kernel's bisection, with eps' = eps + 1e-10 / 4 for its value
+    (see rcb_lower_curve).
     """
     omegas = np.asarray(omegas, dtype=np.float64)
     const, terms_g, terms_d = _lane_terms(L, omegas)
@@ -604,12 +620,18 @@ def _tau_star_argmax(
     best = np.full(len(targets), -np.inf)  # per rate, the best lower end
     held = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
     lanes = uncertified = 0
+    # per omega, the upper end of its lane's root in the last batch, NaN
+    # where not certified: its next Newton start
+    roots = np.full(len(omegas), np.nan)
     for r0 in range(0, len(targets), group):
         rows, cols = np.nonzero(targets[r0 : r0 + group, None] < ceiling)
         rows += r0
         for s in range(0, len(rows), size):
             r, j = rows[s : s + size], cols[s : s + size]
-            lower, upper = _lane_bounds(L, const[j], terms_g[j], terms_d[j], targets[r])
+            a, b, lower, upper = _lane_bounds(
+                L, const[j], terms_g[j], terms_d[j], targets[r], roots[j]
+            )
+            roots[j] = np.where(b < np.inf, b, np.nan)
             np.maximum.at(best, r, lower)
             # a rate's best so far is at most its final best
             hold = upper >= best[r]
@@ -651,6 +673,94 @@ class BoundCurve:
     counts: dict[str, int] = field(default_factory=dict)
 
 
+def _golden_polish(
+    L: int, rates: list[float], omegas: np.ndarray, grid_best: list[tuple[int, float]]
+) -> tuple[list[float], dict[str, int]]:
+    """Per rate, max(grid value, fc, fd) after 40 golden-section steps
+    around the grid's winner, every value bit for bit tau_star_info's,
+    with probe counts.  See rcb_lower_curve."""
+    gold = (sqrt(5.0) - 1.0) / 2.0
+    size = max(1, _LANE_BUDGET // L)
+    counts = {"polish_probes": 0, "polish_replays": 0, "polish_uncertified": 0}
+    live = [k for k, (_, tau) in enumerate(grid_best) if tau > 0.0]
+    targets = [rates[k] * L * LN2 for k in live]
+    starts = np.full(len(live), np.nan)  # per rate, its last root's upper end
+
+    def probe(points: list[float]) -> list[list[float]]:
+        """Per live rate, [lo, hi, omega, A, B] at its point: tau_star lies
+        in [lo, hi], a point once read, and (A, B) are its root's ends."""
+        found = []
+        for target, omega in zip(targets, points):
+            omega = _snap_omega(omega)
+            if target < -log(omega ** (L + 1) + (1.0 - omega) ** (L + 1)):
+                found.append([-math.inf, math.inf, omega, -math.inf, math.inf])
+            else:
+                found.append([0.0, 0.0, omega, -math.inf, math.inf])  # no root
+        counts["polish_probes"] += len(found)
+        lanes = [i for i, p in enumerate(found) if p[0] < p[1]]
+        for s in range(0, len(lanes), size):
+            idx = lanes[s : s + size]
+            lane_terms = _lane_terms(L, np.array([found[i][2] for i in idx]))
+            target = np.array([targets[i] for i in idx])
+            a, b, lower, upper = _lane_bounds(L, *lane_terms, target, starts[idx])
+            starts[idx] = np.where(b < np.inf, b, starts[idx])
+            counts["polish_uncertified"] += int(np.count_nonzero(b == np.inf))
+            # a scalar replay stops at width _TAU_TOL, not at 2^-50 (B + 1)
+            lower -= _TAU_TOL / 4.0
+            upper += _TAU_TOL / 4.0
+            ends = zip(lower.tolist(), upper.tolist(), a.tolist(), b.tolist())
+            for i, (lo, hi, a_end, b_end) in zip(idx, ends):
+                found[i][:2], found[i][3:] = (lo, hi), (a_end, b_end)
+        return found
+
+    def read(p: list[float], target: float) -> None:
+        counts["polish_replays"] += 1
+        at = _evaluator(L, *_binom_terms(L, p[2]))
+        p[0] = p[1] = _bisect_root(at, target, p[3], p[4]).value
+
+    def less(p: list[float], q: list[float], target: float) -> bool:
+        # read values only while the intervals overlap
+        while not (p[1] < q[0] or p[0] >= q[1]):
+            read(p if p[0] < p[1] else q, target)
+        return p[1] < q[0]
+
+    def section(k: int, target: float):
+        """The scalar polish of one rate: yields each probe point and
+        receives its probe, then yields the rate's tau."""
+        best, tau = grid_best[k]
+        a = float(omegas[max(best - 1, 0)])
+        b = float(omegas[min(best + 1, len(omegas) - 1)])
+        c = b - gold * (b - a)
+        d = a + gold * (b - a)
+        fc = yield c
+        fd = yield d
+        for _ in range(40):
+            if less(fc, fd, target):
+                a, c, fc = c, d, fd
+                d = a + gold * (b - a)
+                fd = yield d
+            else:
+                b, d, fd = d, c, fc
+                c = b - gold * (b - a)
+                fc = yield c
+        top = [tau, tau]  # the grid's value, as a probe already read
+        for p in (fc, fd):
+            if less(top, p, target):
+                top = p
+        if top[0] < top[1]:
+            read(top, target)
+        yield top[0]
+
+    sections = [section(k, target) for k, target in zip(live, targets)]
+    points = [next(sec) for sec in sections]
+    for _ in range(42):  # c, d and one probe per step
+        points = [sec.send(p) for sec, p in zip(sections, probe(points))]
+    taus = [tau for _, tau in grid_best]
+    for k, tau in zip(live, points):
+        taus[k] = tau
+    return taus, counts
+
+
 def rcb_lower_curve(
     L: int,
     *,
@@ -662,46 +772,56 @@ def rcb_lower_curve(
     around the winner.  Samples come back ordered by increasing tau.
 
     The grid's winner and its value come from ``_tau_star_argmax``, bit
-    for bit those of the reference lanes.  Successive polish probes lie close in omega, so each passes the last
-    one's tilt to tau_star_info as its Newton start; the values do not
-    depend on it."""
+    for bit those of the reference lanes.  The polish (``_golden_polish``)
+    runs the 40 golden-section steps of every rate in lockstep, one
+    generator per rate holding the scalar loop of tests/oracles.py with
+    its state a, b, c, d in Python floats, so every probe point is the
+    same float and every tau is bit for bit the scalar polish's, built on
+    tau_star_info.  The new probes of all rates go through the lanes as
+    one batch, 42 batches in all: ``_lane_bounds``, the certification of
+    the grid argmax, runs ``_lane_newton`` from the certified upper end
+    of the rate's last probe and gives the root's ends (A, B) and the
+    bounds g'(B) - eps, g'(A) + eps.  A probe with no root (target at or
+    past its scalar ceiling) is 0, as in tau_star_info.
+
+    A comparison fc < fd is decided by the value intervals when they are
+    disjoint, [g'(B) - eps', g'(A) + eps'] with eps' = eps + 1e-10 / 4,
+    and so is the final max with the grid's value.  Only a probe that an
+    undecided comparison reads gets its exact value, from one scalar
+    replay (``_bisect_root``) of tau_star_info's bisection with the
+    lane's (A, B) as its skipped ends, or none where the lane is not
+    certified.
+
+    Why the lane ends hold for the scalar kernel.  The lanes certify
+    numpy phi(A) < target - m and phi(B) > target + m with m = 8 b(2B +
+    2), b(h) = 2 (1 + 2c) (L + h + 19) u the numpy kernel's error bound
+    (see ``_tau_star_argmax``).  The scalar kernel is within b_s(h) =
+    2 (1 + 2c) (L + 2h + 16) u of exact phi (see tau_star_info), and
+    every scalar test lies in [0, 2B + 1], so a test at h <= A reads
+    scalar phi(h) <= exact phi(A) + b_s(h) <= numpy phi(A) + b(A) +
+    b_s(h) < target - m + b(A) + b_s(h), where b(A) + b_s(h) <=
+    2 (1 + 2c) (2L + 5B + 37) u.  m is 8 (L + 2B + 21) / (2L + 5B + 37)
+    >= 3.2 times that, so the test reads below, and symmetrically every
+    test at h >= B reads above: the replay skips only tests that read as
+    their evaluation would.  A B below 2^64 keeps the doubling short of
+    its infeasible exit.
+
+    Why the value bound holds.  The replay's lower end only takes points
+    that read below, so it stays below B, and its upper end stays above
+    A; its last bracket is at most 1e-10 wide, so the midpoint h* lies
+    in (A - 1e-10, B + 1e-10).  With |g''| <= 1/4, exact g'(h*) lies in
+    [g'(B) - 1e-10 / 4, g'(A) + 1e-10 / 4], and scalar g' carries at most
+    (2L + 4h + 24) u, less than the numpy slope's share of eps.  The
+    float rounding of the bounds themselves is far below eps."""
     if not 1 <= L <= 17:
         raise ValueError("list size must lie in 1..17")
     if r_points < 2 or omega_points < 2:
         raise ValueError("need at least 2 grid points per axis")
     rates = [k / (r_points + 1) for k in range(1, r_points + 1)]
     omegas = np.array([k / (omega_points + 1) for k in range(1, omega_points + 1)])
-    taus: list[float] = []
-    gold = (sqrt(5.0) - 1.0) / 2.0
-    tilt = None  # the last polish probe's root, the next probe's Newton start
-
-    def probe(R: float, omega: float) -> float:
-        nonlocal tilt
-        res = tau_star_info(R, L, omega, _start=tilt)
-        tilt = res.tilt
-        return res.value
-
     grid_best, counts = _tau_star_argmax(rates, L, omegas)
-    for R, (best, tau_best) in zip(rates, grid_best):
-        if tau_best > 0.0:
-            lo = float(omegas[max(best - 1, 0)])
-            hi = float(omegas[min(best + 1, len(omegas) - 1)])
-            a, b = lo, hi
-            c = b - gold * (b - a)
-            d = a + gold * (b - a)
-            fc = probe(R, c)
-            fd = probe(R, d)
-            for _ in range(40):
-                if fc < fd:
-                    a, c, fc = c, d, fd
-                    d = a + gold * (b - a)
-                    fd = probe(R, d)
-                else:
-                    b, d, fd = d, c, fc
-                    c = b - gold * (b - a)
-                    fc = probe(R, c)
-            tau_best = max(tau_best, fc, fd)
-        taus.append(tau_best)
+    taus, polish_counts = _golden_polish(L, rates, omegas, grid_best)
+    counts.update(polish_counts)
     # high rate means small tau; present the curve tau-ascending and drop
     # the rare exact duplicate so tau stays strictly increasing
     paired = sorted(zip(taus, rates))

@@ -8,7 +8,8 @@ and the package routes is what the oracle tests assert.
 The sections after those are different in kind.  They keep the
 exhaustive ``best_list_code`` scan, ``max_code`` with its eager adjacency
 rows, the scalar ``tau_star`` bisection and its lane-parallel twin over
-an omega grid, the ``check_star`` scan and the per-tau heap scan of
+an omega grid, the one-probe-at-a-time golden-section polish of the
+random-coding curve, the ``check_star`` scan and the per-tau heap scan of
 ``two_stage_rate``, the Fraction certificate check and the Fraction
 Gauss-Jordan support solve as they were before the faster designs
 replaced them, so the package can be held to the same results bit for
@@ -318,6 +319,44 @@ def _tau_star_vec(R, L, omegas):
     e, num = e_and_num(h_star)
     out = num / e
     return np.where(feasible, out, 0.0)
+
+
+def rcb_lower_curve(L, r_points, omega_points):
+    """(taus, rates) of the random-coding lower curve as the scalar polish
+    built it: per rate, the first argmax of the lanes above on the grid,
+    then 40 golden-section steps around it, one tau_star probe at a time."""
+    rates = [k / (r_points + 1) for k in range(1, r_points + 1)]
+    omegas = np.array([k / (omega_points + 1) for k in range(1, omega_points + 1)])
+    taus = []
+    gold = (sqrt(5.0) - 1.0) / 2.0
+    for R in rates:
+        vals = _tau_star_vec(R, L, omegas)
+        best = int(np.argmax(vals))
+        tau_best = float(vals[best])
+        if tau_best > 0.0:
+            a = float(omegas[max(best - 1, 0)])
+            b = float(omegas[min(best + 1, len(omegas) - 1)])
+            c = b - gold * (b - a)
+            d = a + gold * (b - a)
+            fc = tau_star(R, L, c)
+            fd = tau_star(R, L, d)
+            for _ in range(40):
+                if fc < fd:
+                    a, c, fc = c, d, fd
+                    d = a + gold * (b - a)
+                    fd = tau_star(R, L, d)
+                else:
+                    b, d, fd = d, c, fc
+                    c = b - gold * (b - a)
+                    fc = tau_star(R, L, c)
+            tau_best = max(tau_best, fc, fd)
+        taus.append(tau_best)
+    dedup_t, dedup_r = [], []
+    for t_val, r_val in sorted(zip(taus, rates)):
+        if not dedup_t or t_val != dedup_t[-1]:
+            dedup_t.append(t_val)
+            dedup_r.append(r_val)
+    return dedup_t, dedup_r
 
 
 def r2(alpha, tau1, omega, R1):

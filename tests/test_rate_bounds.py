@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from zchannel import rate_bounds
 from zchannel.rate_bounds import (
@@ -228,15 +228,22 @@ _RATES = st.one_of(st.floats(0.0, 0.01), st.floats(0.0, 1.5), st.floats(0.0, 1e-
 @example(R=0.9999999999999999, L=17, omega=0.5)
 @example(R=0.3146454648945901, L=1, omega=0.5)
 def test_any_newton_start_gives_the_reference_bits(R, L, omega):
-    # the start only places the certified bracket; it never moves a bit
+    # a lane's start only places its certified ends; the scalar replay
+    # between them never moves a bit
+    omega = oracles._snap_omega(omega)
+    target = R * L * rate_bounds.LN2
+    assume(R > 0.0 and target < -math.log(omega ** (L + 1) + (1.0 - omega) ** (L + 1)))
     want = _reference_bits(R, L, omega)
     tilt = oracles.tau_star_info(R, L, omega)[2]
-    starts = (
+    starts = np.array([
         0.0, 5e-324, 2.0**21, 2.0**70, math.inf, math.nan,
         math.nextafter(tilt, 0.0), tilt, math.nextafter(tilt, math.inf),
-    )
-    for start in starts:
-        assert _bits(tau_star_info(R, L, omega, _start=start)) == want
+    ])
+    lanes = rate_bounds._lane_terms(L, np.full(len(starts), omega))
+    a, b, _, _ = rate_bounds._lane_bounds(L, *lanes, np.full(len(starts), target), starts)
+    at = rate_bounds._evaluator(L, *rate_bounds._binom_terms(L, omega))
+    for lo_skip, hi_skip in zip(a.tolist(), b.tolist()):
+        assert _bits(rate_bounds._bisect_root(at, target, lo_skip, hi_skip)) == want
 
 
 # stand-ins for the Newton estimate: none at all; far above the root with
@@ -277,7 +284,7 @@ def test_bracket_ends_within_the_margin_are_not_certified():
         # a flat-out slope leaves the half-width 2 step^2 / (1 + h)
         step = math.sqrt(2.0 * half_width)
         with mock.patch.object(rate_bounds, "_root_estimate", lambda *a: (3.0, 1e300, step)):
-            return rate_bounds._certified_bracket(at, L, terms, target, ceiling, None)
+            return rate_bounds._certified_bracket(at, L, terms, target, ceiling)
 
     assert bracket(1e-13) == (-math.inf, math.inf)
     lo, hi = bracket(1e-6)
@@ -402,18 +409,106 @@ def test_lower_curve_list_ten_extends_past_quarter():
     assert curve.taus[-1] < limit
 
 
-def test_lower_curve_equals_the_curve_on_the_reference_kernel(monkeypatch):
-    # a grid no golden file pins; the polish's warm starts change no probe
-    got = {L: rcb_lower_curve(L, r_points=37, omega_points=37) for L in (1, 3, 17)}
+def _curve_bits(curve):
+    return [t.hex() for t in curve.taus], curve.rates
 
-    def reference(R, L, omega, *, _start=None):
-        return rate_bounds.TauStarResult(*oracles.tau_star_info(R, L, omega))
 
-    monkeypatch.setattr(rate_bounds, "tau_star_info", reference)
-    for L, curve in got.items():
-        want = rcb_lower_curve(L, r_points=37, omega_points=37)
-        assert [t.hex() for t in curve.taus] == [t.hex() for t in want.taus]
-        assert curve.rates == want.rates
+def _reference_curve_bits(L, r_points, omega_points):
+    taus, rates = oracles.rcb_lower_curve(L, r_points, omega_points)
+    return [t.hex() for t in taus], rates
+
+
+def test_lower_curve_equals_the_curve_on_the_reference_kernel():
+    # a grid no golden file pins, against the scalar polish on the
+    # reference bisection, one probe at a time
+    for L in (1, 3, 17):
+        got = rcb_lower_curve(L, r_points=37, omega_points=37)
+        assert _curve_bits(got) == _reference_curve_bits(L, 37, 37)
+
+
+@settings(max_examples=12, deadline=None)
+@given(L=st.integers(1, 17), r_points=st.integers(2, 120), omega_points=st.integers(2, 120))
+@example(L=1, r_points=2, omega_points=2)
+@example(L=17, r_points=50, omega_points=3)
+def test_lower_curve_equals_the_reference_curve(L, r_points, omega_points):
+    got = rcb_lower_curve(L, r_points=r_points, omega_points=omega_points)
+    assert _curve_bits(got) == _reference_curve_bits(L, r_points, omega_points)
+
+
+def test_lower_curve_equals_the_reference_curve_on_a_full_sweep():
+    got = rcb_lower_curve(3, r_points=400, omega_points=400)
+    assert _curve_bits(got) == _reference_curve_bits(3, 400, 400)
+    counts = got.counts
+    assert counts["polish_uncertified"] == 0
+    assert counts["polish_replays"] < counts["polish_probes"] == 400 * 42
+
+
+@pytest.mark.parametrize("L", [1, 3, 17])
+def test_lower_curve_does_not_depend_on_the_batch(monkeypatch, L):
+    # one lane per batch splits every polish step over many batches
+    monkeypatch.setattr(rate_bounds, "_LANE_BUDGET", 1)
+    got = rcb_lower_curve(L, r_points=19, omega_points=23)
+    assert _curve_bits(got) == _reference_curve_bits(L, 19, 23)
+
+
+def _no_estimate(*args):
+    return np.full((3, len(args[-1])), np.nan)
+
+
+def _no_value_bounds(real):
+    def unbounded(*args):
+        a, b, lower, upper = real(*args)
+        return a, b, np.full_like(lower, -np.inf), np.full_like(upper, np.inf)
+
+    return unbounded
+
+
+@pytest.mark.parametrize("L", [1, 3, 17])
+def test_polish_replays_every_probe_without_certified_bounds(monkeypatch, L):
+    # with no Newton estimate every lane is uncertified, and with the value
+    # bounds at -inf and inf no comparison is decided by them; either way
+    # every probe with a root is replayed, and every tau stays the same
+    want = _reference_curve_bits(L, 23, 29)
+    replays = []
+    for name, stub in [
+        ("_lane_newton", _no_estimate),
+        ("_lane_bounds", _no_value_bounds(rate_bounds._lane_bounds)),
+    ]:
+        with monkeypatch.context() as patch:
+            patch.setattr(rate_bounds, name, stub)
+            got = rcb_lower_curve(L, r_points=23, omega_points=29)
+        assert _curve_bits(got) == want
+        replays.append(got.counts["polish_replays"])
+        if name == "_lane_newton":
+            assert got.counts["polish_uncertified"] == replays[0]
+        else:
+            assert got.counts["polish_uncertified"] == 0
+    assert 0 < replays[0] == replays[1] <= 23 * 42
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    R=st.floats(1e-6, 1.0),
+    L=st.integers(1, 17),
+    omegas=st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=1, max_size=8),
+    start=st.one_of(st.just(math.nan), st.floats(0.0, 200.0)),
+)
+@example(R=0.5, L=1, omegas=[0.5], start=math.nan)
+def test_certified_polish_bounds_hold_the_reference_value(R, L, omegas, start):
+    # the polish widens each lane's bounds by a quarter of the scalar
+    # bisection's final width; the scalar value lies inside
+    target = R * L * rate_bounds.LN2
+    omegas = np.array(omegas)
+    lanes = rate_bounds._lane_terms(L, omegas)
+    n = len(omegas)
+    _, _, lower, upper = rate_bounds._lane_bounds(
+        L, *lanes, np.full(n, target), np.full(n, start)
+    )
+    for omega, lo, hi in zip(omegas.tolist(), lower.tolist(), upper.tolist()):
+        value, feasible, _ = oracles.tau_star_info(R, L, omega)
+        if math.isfinite(lo):
+            assert feasible
+            assert lo - rate_bounds._TAU_TOL / 4 <= value <= hi + rate_bounds._TAU_TOL / 4
 
 
 def test_lower_curve_range_check():
@@ -514,7 +609,7 @@ def test_certified_lane_bounds_hold_the_bisection_value(R, L, n):
     target = np.full(n, R * L * rate_bounds.LN2)
     j = np.flatnonzero(target < -np.log(const))
     args = (L, const[j], terms_g[j], terms_d[j], target[j])
-    lower, upper = rate_bounds._lane_bounds(*args)
+    _, _, lower, upper = rate_bounds._lane_bounds(*args, np.full(len(j), np.nan))
     value = rate_bounds._bisect_lanes(*args)
     assert np.all(lower <= value) and np.all(value <= upper)
     assert np.all(np.isfinite(lower) == np.isfinite(upper))
