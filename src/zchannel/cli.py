@@ -223,17 +223,7 @@ def _cmd_simulate(args, out: Path, manifest: RunManifest) -> int:
         "t": args.t,
         "messages": messages,
         "valid": validation.all_ok,
-        "validation": [
-            {
-                "e": r.e,
-                "list_bound": r.list_bound,
-                "required_dz": r.required_dz,
-                "available_dz": r.available_dz,
-                "ok": r.ok,
-                "note": r.note,
-            }
-            for r in validation.rows
-        ],
+        "validation": [asdict(r) for r in validation.rows],
     }
     status = 0
     if not validation.all_ok:

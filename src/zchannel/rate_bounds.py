@@ -3,8 +3,13 @@
 Closed-form converse bounds (weight-window counting, a symmetric-channel
 reduction, and an entropy-gap bound), the random-coding exponent machinery
 for list decoding against i.i.d. degradation, and the classic
-symmetric-channel comparison curves.  Scalar entry points mirror the
-vectorized ones used for curve exports.
+symmetric-channel comparison curves.
+
+Every tau_star root is one bisection, ``_bisect_root``, which the scalar
+entry point runs plainly.  The curves (``rcb_lower_curve``, and the
+two-stage thresholds of ``tau_star_lists``) certify root ends in numpy
+lanes (``_lane_newton``, ``_lane_bounds``) and replay it from them, or
+run its lane form (``_bisect_lanes``), with the same bits.
 
 Throughout, ``omega`` is the per-position probability of a 1 in a random
 word, ``tau`` an error fraction (errors per position), ``R`` a rate in
@@ -15,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate, repeat
 from math import comb, exp, fsum, log, sqrt
 from operator import mul
 from typing import Callable
@@ -28,7 +32,7 @@ _NEWTON_TOL = 1e-7  # relative Newton step at which a root estimate is taken
 _NEWTON_STEPS = 30
 _UNIT = 2.0**-53  # unit roundoff of a float
 _VEC_HALVINGS = 64  # bisection steps for the lane-parallel tau_star
-_LANE_BUDGET = 1 << 12  # lanes x L elements per batch of _tau_star_argmax
+_LANE_BUDGET = 1 << 12  # lanes x L elements per lane batch
 
 
 def binary_entropy(p: float) -> float:
@@ -234,95 +238,36 @@ class TauStarResult:
     tilt: float
 
 
-def _root_estimate(
-    L: int,
-    const: float,
-    g_terms: list[float],
-    d_terms: list[float],
-    target: float,
-) -> tuple[float, float, float] | None:
-    """Float Newton estimate of the root of phi(h) = g - h g' = target.
-
-    Runs in u = e^(-h/(L+1)) in (0, 1), where e, e g' and e (g'^2 - g'')
-    are sums over the powers u^1..u^L, and phi'(h) = -h g''(h).  phi falls
-    as u grows, so each evaluation narrows a bracket [ulo, uhi], and a
-    step that leaves it (or overflows) is replaced by the bracket's
-    midpoint.  Starts where the model phi(h) ~ -g''(0) h^2 / 2 of small h
-    meets the target, and at u = 1/2 when that gives no u in (0, 1).
-    Returns (h, phi'(h), last step) once a step is at most 1e-7 (1 + h),
-    or None after 30 evaluations.  None of its digits reach an output: it
-    only places the bracket that tau_star_info certifies.
-    """
-    lp1 = L + 1
-    s_terms = [d * k / lp1 for k, d in enumerate(d_terms, 1)]
-    curv0 = sum(s_terms) - sum(d_terms) ** 2
-    start = sqrt(2.0 * target / curv0) if curv0 > 0.0 else 0.0
-    u = exp(-start / lp1) if start > 0.0 else 0.5
-    if not 0.0 < u < 1.0:  # a start so large that u is 0, or so small that it is 1
-        u = 0.5
-    ulo, uhi = 0.0, 1.0
-    for _ in range(_NEWTON_STEPS):
-        powers = list(accumulate(repeat(u, L), mul))
-        e = const + sum(map(mul, g_terms, powers))
-        slope = sum(map(mul, d_terms, powers)) / e
-        h = -lp1 * log(u)
-        dphi = h * (sum(map(mul, s_terms, powers)) / e - slope * slope)
-        f = -log(e) - h * slope - target
-        if f < 0.0:
-            uhi = u
-        else:
-            ulo = u
-        if dphi > 0.0:
-            step = f / dphi
-            if abs(step) <= _NEWTON_TOL * (1.0 + h):
-                return h - step, dphi, step
-            u *= exp(min(step / lp1, 700.0))
-        # u is still an end of the bracket when there was no step
-        if not ulo < u < uhi:
-            u = (ulo + uhi) / 2.0
-    return None
-
-
-def _certified_bracket(
-    at: Callable[[float], tuple[float, float]],
-    L: int,
-    terms: tuple[float, list[float], list[float]],
-    target: float,
-    ceiling: float,
-) -> tuple[float, float]:
-    """(A, B) with float phi below target at every h <= A and at or above
-    it at every h >= B that tau_star_info's bisection can test; -inf and
-    inf where that is not certified.  See tau_star_info."""
-    lo_skip, hi_skip = -math.inf, math.inf
-    estimate = _root_estimate(L, *terms, target)
-    if estimate is None:
-        return lo_skip, hi_skip
-
-    def margin(h: float) -> float:
-        return 16.0 * (1.0 + 2.0 * ceiling) * (L + 2.0 * h + 16.0) * _UNIT
-
-    h, dphi, step = estimate
-    # Newton's last step leaves the estimate within about 2 step^2 / (1 + h)
-    # of the root; four margins of phi more on each side cover the rounding
-    delta = 2.0 * step * step / (1.0 + h) + 4.0 * margin(2.0 * h + 1.0) / dphi
-    a, b = h - delta, h + delta
-    m = margin(2.0 * b + 1.0)
-    if a > 0.0:
-        e, slope = at(a)
-        if -log(e) - a * slope < target - m:
-            lo_skip = a
-    e, slope = at(b)
-    if -log(e) - b * slope > target + m:
-        hi_skip = b
-    return lo_skip, hi_skip
-
-
 def _bisect_root(
     at: Callable[[float], tuple[float, float]], target: float, lo_skip: float, hi_skip: float
 ) -> TauStarResult:
     """The reference bisection for phi(h) = target, every test at h <=
     lo_skip read as "below" and every test at h >= hi_skip as "above"
-    without an evaluation; -inf and inf skip none.  See tau_star_info."""
+    without an evaluation; -inf and inf skip none (tau_star_info).
+
+    Skipped ends (A, B) come only from ``_lane_bounds``: numpy phi(A) <
+    target - m, numpy phi(B) > target + m and B < 2^64, with m = 8 b(2B +
+    2) and b(h) = 2 (1 + 2c) (L + h + 19) u the numpy kernel's error bound
+    (see ``_tau_star_argmax``).  A skipped test reads as its evaluation
+    would.  Exact phi rises with h (phi' = -h g'' > 0).  With unit
+    roundoff u, libm exp, log and pow within one ulp and fsum correctly
+    rounded, the scalar kernel's phi(h) is within b_s(h) = 2 (1 + 2c) (L
+    + 2h + 16) u of exact, c being the ceiling: the coefficients carry
+    (L + 7) u, each e^(-hk/(L+1)) 2 (h + 1) u, e (L + 2h + 12) u, the
+    slope (2L + 4h + 24) u, and ln e and h g' are at most c.  Every test
+    lies in [0, 2B + 1], as the doubling stops at the first power of two
+    past B.  So a test at h <= A reads phi(h) <= exact phi(A) + b_s(h) <=
+    numpy phi(A) + b(A) + b_s(h) < target - m + 2 (1 + 2c) (2L + 5B + 37)
+    u, and m is at least 3.2 times that last term; symmetrically above B.
+    Float phi is not monotone at the ulp scale (the slope can rise by 3
+    ulps, test_slope_falls_as_the_tilt_grows), hence the margin.
+
+    The value then lies in [g'(B) - eps', g'(A) + eps'], eps' = eps +
+    1e-10 / 4, eps the lane's: the lower end only takes points that read
+    below, so it stays below B, and the upper end above A, so the final
+    midpoint lies within 1e-10 of [A, B]; |g''| <= 1/4, and scalar g'
+    carries at most (2L + 4h + 24) u, less than the numpy slope's share.
+    """
 
     def below(h: float) -> bool:  # the test itself, for lo_skip < h < hi_skip
         e, slope = at(h)
@@ -355,35 +300,9 @@ def tau_star_info(R: float, L: int, omega: float) -> TauStarResult:
     omega - omega^(L+1).
 
     Contract: value and tilt are bit-identical to the reference bisection
-    in tests/oracles.py, and so is every CSV built on them.  The root
-    comes from that bisection, replayed operation for operation by
-    ``_bisect_root``: [0, 1], the upper end doubled until it brackets,
-    the bracket halved to width 1e-10 and read at its midpoint, each test
-    being phi(h) < target with phi(h) = -ln e - h g' from ``_evaluator``.
-    Only tests that the certified bracket (A, B) settles are skipped:
-    every h <= A reads "below" and every h >= B "above", with no
-    evaluation.  A float Newton estimate (``_root_estimate``) places A <
-    B around the root.  The bracket is kept only where float phi(A) <
-    target - m and phi(B) > target + m, and an end that fails is -inf or
-    inf, which replays the plain bisection.
-
-    Why a skipped test reads as it would have: the exact phi of the same
-    omega rises with h (phi' = -h g'' > 0).  With unit roundoff u, libm
-    exp, log and pow within one ulp and fsum correctly rounded, every
-    float phi(h) is within b(h) = 2 (1 + 2c) (L + 2h + 16) u of it, c
-    being the ceiling: the coefficients carry (L + 7) u, each e^(-hk/(L+1))
-    2 (h + 1) u through its rounded argument, e (L + 2h + 12) u, the slope
-    (2L + 4h + 24) u, and both ln e and h g' are at most c.  With B the
-    candidate upper end, certified or not, every skipped test lies in
-    [0, 2B + 1] (the doubling stops at the first power of two past B), so
-    a test at h <= A has float phi(h) <= exact phi(A) + b(h) <= float
-    phi(A) + b(A) + b(h) < target - m + 2 b(2B + 1), and symmetrically
-    above B.  The margin m = 8 b(2B + 1) is four times what this needs, so
-    each skipped test reads as its evaluation would.  Float phi is not
-    monotone at the ulp scale (test_slope_falls_as_the_tilt_grows sees
-    the slope rise by 3 ulps), which is why the ends need the margin.
-    Bracketed Newton steps or numpy's exp in the kernel would change
-    printed digits; they wait for a change that accepts new outputs.
+    in tests/oracles.py, and so is every CSV built on them.  This is that
+    bisection, ``_bisect_root`` with no test skipped; the curves replay it
+    from certified lane ends.
     """
     if not R >= 0.0:
         raise ValueError("rate must be nonnegative")
@@ -393,12 +312,9 @@ def tau_star_info(R: float, L: int, omega: float) -> TauStarResult:
     if R == 0.0:
         return TauStarResult(omega - omega ** (L + 1), True, 0.0)
     target = R * L * LN2
-    ceiling = -log(omega ** (L + 1) + (1.0 - omega) ** (L + 1))
-    if target >= ceiling:
+    if target >= -log(omega ** (L + 1) + (1.0 - omega) ** (L + 1)):
         return TauStarResult(0.0, False, math.inf)
-    terms = _binom_terms(L, omega)
-    at = _evaluator(L, *terms)
-    return _bisect_root(at, target, *_certified_bracket(at, L, terms, target, ceiling))
+    return _bisect_root(_evaluator(L, *_binom_terms(L, omega)), target, -math.inf, math.inf)
 
 
 def tau_star(R: float, L: int, omega: float) -> float:
@@ -465,12 +381,18 @@ def _lane_newton(
     target: np.ndarray,
     start: np.ndarray,
 ) -> np.ndarray:
-    """``_root_estimate``'s Newton, lane-parallel, from ``start``, a tilt
-    per lane: rows h, phi'(h) and the last step, NaN in every lane that
-    30 evaluations do not converge.  A NaN start stands for
-    ``_root_estimate``'s cold start, and a start that gives no u in
-    (0, 1) for u = 1/2.  Each evaluation reads only the lanes still
-    running."""
+    """Float Newton estimates of the roots of phi(h) = g - h g' = target
+    from ``start``, a tilt per lane: rows h, phi'(h) and the last step,
+    NaN in every lane that 30 evaluations do not converge.  Runs in u =
+    e^(-h/(L+1)) in (0, 1), where e, e g' and e (g'^2 - g'') are sums over
+    u^1..u^L and phi'(h) = -h g''(h).  phi falls as u grows, so each
+    evaluation narrows a lane's bracket [ulo, uhi], and a step that leaves
+    it (or overflows) is replaced by its midpoint.  A NaN start stands for
+    the cold start, where phi(h) ~ -g''(0) h^2 / 2 meets the target, and a
+    start that gives no u in (0, 1) for u = 1/2.  A lane is done once a
+    step is at most 1e-7 (1 + h); each evaluation reads only the lanes
+    still running.  Its digits reach no output: it only places the ends
+    that ``_lane_bounds`` certifies."""
     lp1 = L + 1
     s_terms = terms_d * (np.arange(1, lp1, dtype=np.float64) / lp1)
     curv0 = s_terms.sum(axis=1) - terms_d.sum(axis=1) ** 2
@@ -523,7 +445,8 @@ def _lane_bounds(
     def margin(x: np.ndarray) -> np.ndarray:  # 8 b(x)
         return 16.0 * (1.0 + 2.0 * ceiling) * (L + x + 19.0) * _UNIT
 
-    # as in _certified_bracket: Newton's error, then four margins of phi
+    # Newton's last step leaves the estimate within about 2 step^2 / (1 + h)
+    # of the root; four margins of phi more on each side cover the rounding
     delta = 2.0 * step * step / (1.0 + h) + 4.0 * margin(2.0 * h + 2.0) / dphi
     a = np.maximum(h - delta, 0.0)
     b = h + delta
@@ -563,11 +486,11 @@ def _tau_star_argmax(
        from the certified upper end B of the same omega's lane in the
        last batch (a rate just below), or from its cold start where there
        is none; its digits reach no output.
-    2. Around the estimate, (A, B) is certified as in tau_star_info: both
-       ends are evaluated with the reference kernel (``_lane_kernel``), and
-       kept only where float phi(A) < target - m, float phi(B) > target + m
-       and B < 2^64.  A is held at 0 or more.  ``_lane_bounds`` does steps
-       1 to 3 for the grid and the polish of rcb_lower_curve alike.
+    2. Around the estimate, (A, B) is certified: both ends are evaluated
+       with the reference kernel (``_lane_kernel``), and kept only where
+       float phi(A) < target - m, float phi(B) > target + m and B < 2^64.
+       A is held at 0 or more.  ``_lane_bounds`` does steps 1 to 3 for
+       every certified bracket of the package.
     3. A certified lane's value lies in [g'(B) - eps, g'(A) + eps], both
        slopes read from step 2.  A lane whose upper end lies below the
        best lower end of its rate cannot be an argmax, so it is dropped;
@@ -609,7 +532,7 @@ def _tau_star_argmax(
     its bound, so m is over 100 times the largest phi error seen and eps
     over 300 times the largest g' error.  The same ends also hold for the
     scalar kernel's bisection, with eps' = eps + 1e-10 / 4 for its value
-    (see rcb_lower_curve).
+    (see ``_bisect_root``).
     """
     omegas = np.asarray(omegas, dtype=np.float64)
     const, terms_g, terms_d = _lane_terms(L, omegas)
@@ -658,6 +581,68 @@ def _tau_star_argmax(
     return found, counts
 
 
+def _lane_points(
+    L: int, rates: list[float], points: list[float], starts: np.ndarray
+) -> np.ndarray:
+    """tau_star(R, L, omega) at each (rate, point) pair, as the rows lower,
+    upper (bounds on its value), omega (the point snapped) and A, B (its
+    root's certified ends) of one array.  Where tau_star_info solves no
+    root (R = 0, or a target at or past its scalar ceiling), lower = upper
+    = its value and A = B = NaN.  The other pairs are lanes, certified by
+    ``_lane_bounds`` in batches of at most ``_LANE_BUDGET`` // L from
+    ``starts``, which each certified B replaces; their bounds are widened
+    by 1e-10 / 4 for the scalar replay (``_bisect_root``), and read -inf,
+    inf if uncertified."""
+    omegas = [_snap_omega(p) for p in points]
+    targets = [R * L * LN2 for R in rates]
+    values, lanes, nan = [0.0] * len(points), [], [math.nan] * len(points)
+    for k, (R, target, omega) in enumerate(zip(rates, targets, omegas)):
+        if R == 0.0:
+            values[k] = omega - omega ** (L + 1)
+        elif target < -log(omega ** (L + 1) + (1.0 - omega) ** (L + 1)):
+            lanes.append(k)
+    rows = np.array([values, values, omegas, nan, nan])
+    lower, upper, omegas, a, b = rows  # views of the rows
+    targets, lanes = np.array(targets), np.array(lanes, dtype=np.intp)
+    size = max(1, _LANE_BUDGET // L)
+    for s in range(0, len(lanes), size):
+        j = lanes[s : s + size]
+        lane_terms = _lane_terms(L, omegas[j])
+        a[j], b[j], lower[j], upper[j] = _lane_bounds(L, *lane_terms, targets[j], starts[j])
+        starts[j] = np.where(b[j] < np.inf, b[j], starts[j])
+    lower[lanes] -= _TAU_TOL / 4.0
+    upper[lanes] += _TAU_TOL / 4.0
+    return rows
+
+
+def tau_star_lists(
+    pairs: list[tuple[float, float]], l_up: int
+) -> Callable[[float, float], list[float]]:
+    """(R, omega) -> [tau_star(R, L, omega) for L = 1..l_up], bit for bit,
+    at any of the given pairs.  Every root is certified up front, one
+    ``_lane_points`` call per L from the cold start; a call replays its
+    pair's list from those ends with ``_bisect_root``."""
+    rates, points = [R for R, _ in pairs], [omega for _, omega in pairs]
+    table = []  # per L, the rows lower, A and B: A is NaN where no root is solved
+    for L in range(1, l_up + 1):
+        rows = _lane_points(L, rates, points, np.full(len(pairs), np.nan))
+        table.append(rows[[0, 3, 4]])
+    index = {pair: k for k, pair in enumerate(pairs)}
+
+    def thresholds(R: float, omega: float) -> list[float]:
+        k, snapped = index[R, omega], _snap_omega(omega)
+        out = []
+        for L, rows in enumerate(table, 1):
+            value, a, b = rows[:, k].tolist()
+            if not math.isnan(a):
+                at = _evaluator(L, *_binom_terms(L, snapped))
+                value = _bisect_root(at, R * L * LN2, a, b).value
+            out.append(value)
+        return out
+
+    return thresholds
+
+
 # ---------------------------------------------------------------------------
 # curves
 
@@ -680,38 +665,18 @@ def _golden_polish(
     around the grid's winner, every value bit for bit tau_star_info's,
     with probe counts.  See rcb_lower_curve."""
     gold = (sqrt(5.0) - 1.0) / 2.0
-    size = max(1, _LANE_BUDGET // L)
     counts = {"polish_probes": 0, "polish_replays": 0, "polish_uncertified": 0}
     live = [k for k, (_, tau) in enumerate(grid_best) if tau > 0.0]
-    targets = [rates[k] * L * LN2 for k in live]
+    live_rates = [rates[k] for k in live]
     starts = np.full(len(live), np.nan)  # per rate, its last root's upper end
 
     def probe(points: list[float]) -> list[list[float]]:
         """Per live rate, [lo, hi, omega, A, B] at its point: tau_star lies
         in [lo, hi], a point once read, and (A, B) are its root's ends."""
-        found = []
-        for target, omega in zip(targets, points):
-            omega = _snap_omega(omega)
-            if target < -log(omega ** (L + 1) + (1.0 - omega) ** (L + 1)):
-                found.append([-math.inf, math.inf, omega, -math.inf, math.inf])
-            else:
-                found.append([0.0, 0.0, omega, -math.inf, math.inf])  # no root
-        counts["polish_probes"] += len(found)
-        lanes = [i for i, p in enumerate(found) if p[0] < p[1]]
-        for s in range(0, len(lanes), size):
-            idx = lanes[s : s + size]
-            lane_terms = _lane_terms(L, np.array([found[i][2] for i in idx]))
-            target = np.array([targets[i] for i in idx])
-            a, b, lower, upper = _lane_bounds(L, *lane_terms, target, starts[idx])
-            starts[idx] = np.where(b < np.inf, b, starts[idx])
-            counts["polish_uncertified"] += int(np.count_nonzero(b == np.inf))
-            # a scalar replay stops at width _TAU_TOL, not at 2^-50 (B + 1)
-            lower -= _TAU_TOL / 4.0
-            upper += _TAU_TOL / 4.0
-            ends = zip(lower.tolist(), upper.tolist(), a.tolist(), b.tolist())
-            for i, (lo, hi, a_end, b_end) in zip(idx, ends):
-                found[i][:2], found[i][3:] = (lo, hi), (a_end, b_end)
-        return found
+        rows = _lane_points(L, live_rates, points, starts)
+        counts["polish_probes"] += len(points)
+        counts["polish_uncertified"] += int(np.count_nonzero(rows[4] == np.inf))
+        return rows.T.tolist()
 
     def read(p: list[float], target: float) -> None:
         counts["polish_replays"] += 1
@@ -751,7 +716,7 @@ def _golden_polish(
             read(top, target)
         yield top[0]
 
-    sections = [section(k, target) for k, target in zip(live, targets)]
+    sections = [section(k, R * L * LN2) for k, R in zip(live, live_rates)]
     points = [next(sec) for sec in sections]
     for _ in range(42):  # c, d and one probe per step
         points = [sec.send(p) for sec, p in zip(sections, probe(points))]
@@ -778,41 +743,18 @@ def rcb_lower_curve(
     its state a, b, c, d in Python floats, so every probe point is the
     same float and every tau is bit for bit the scalar polish's, built on
     tau_star_info.  The new probes of all rates go through the lanes as
-    one batch, 42 batches in all: ``_lane_bounds``, the certification of
-    the grid argmax, runs ``_lane_newton`` from the certified upper end
-    of the rate's last probe and gives the root's ends (A, B) and the
-    bounds g'(B) - eps, g'(A) + eps.  A probe with no root (target at or
-    past its scalar ceiling) is 0, as in tau_star_info.
+    one batch, 42 batches in all: ``_lane_points`` certifies them with
+    ``_lane_bounds``, as the grid argmax does, from the certified upper
+    end of the rate's last probe, and gives the root's ends (A, B) and the
+    bounds g'(B) - eps', g'(A) + eps', eps' = eps + 1e-10 / 4.  A probe
+    with no root (target at or past its scalar ceiling) is 0, as in
+    tau_star_info.
 
     A comparison fc < fd is decided by the value intervals when they are
-    disjoint, [g'(B) - eps', g'(A) + eps'] with eps' = eps + 1e-10 / 4,
-    and so is the final max with the grid's value.  Only a probe that an
-    undecided comparison reads gets its exact value, from one scalar
-    replay (``_bisect_root``) of tau_star_info's bisection with the
-    lane's (A, B) as its skipped ends, or none where the lane is not
-    certified.
-
-    Why the lane ends hold for the scalar kernel.  The lanes certify
-    numpy phi(A) < target - m and phi(B) > target + m with m = 8 b(2B +
-    2), b(h) = 2 (1 + 2c) (L + h + 19) u the numpy kernel's error bound
-    (see ``_tau_star_argmax``).  The scalar kernel is within b_s(h) =
-    2 (1 + 2c) (L + 2h + 16) u of exact phi (see tau_star_info), and
-    every scalar test lies in [0, 2B + 1], so a test at h <= A reads
-    scalar phi(h) <= exact phi(A) + b_s(h) <= numpy phi(A) + b(A) +
-    b_s(h) < target - m + b(A) + b_s(h), where b(A) + b_s(h) <=
-    2 (1 + 2c) (2L + 5B + 37) u.  m is 8 (L + 2B + 21) / (2L + 5B + 37)
-    >= 3.2 times that, so the test reads below, and symmetrically every
-    test at h >= B reads above: the replay skips only tests that read as
-    their evaluation would.  A B below 2^64 keeps the doubling short of
-    its infeasible exit.
-
-    Why the value bound holds.  The replay's lower end only takes points
-    that read below, so it stays below B, and its upper end stays above
-    A; its last bracket is at most 1e-10 wide, so the midpoint h* lies
-    in (A - 1e-10, B + 1e-10).  With |g''| <= 1/4, exact g'(h*) lies in
-    [g'(B) - 1e-10 / 4, g'(A) + 1e-10 / 4], and scalar g' carries at most
-    (2L + 4h + 24) u, less than the numpy slope's share of eps.  The
-    float rounding of the bounds themselves is far below eps."""
+    disjoint, and so is the final max with the grid's value.  Only a
+    probe that an undecided comparison reads gets its exact value, from
+    one replay of tau_star_info's bisection with the lane's (A, B) as its
+    skipped ends, or none where the lane is not certified (``_bisect_root``)."""
     if not 1 <= L <= 17:
         raise ValueError("list size must lie in 1..17")
     if r_points < 2 or omega_points < 2:

@@ -23,10 +23,11 @@ from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from heapq import heapify, heappop, heapreplace
 from math import inf, isnan, log1p, sqrt
 
-from .rate_bounds import LN2, binary_entropy, tau_star
+from .rate_bounds import LN2, binary_entropy, tau_star, tau_star_lists
 from .tau_lp import TAU_TABLE
 
 
@@ -60,6 +61,8 @@ class TwoStageConfig:
             raise ValueError("list cap must lie in 1..17")
         if self.x_points < 8 or self.omega_points < 2 or self.alpha_points < 2:
             raise ValueError("grids too coarse to mean anything")
+        if not self.rate_ladder or not all(0.0 <= R < 1.0 for R in self.rate_ladder):
+            raise ValueError("rate ladder needs at least one rate, each in [0, 1)")
 
 
 DEFAULT_CONFIG = TwoStageConfig()
@@ -106,9 +109,10 @@ _GRADE_BOUNDS = {L: float(tau) for L, tau in TAU_TABLE.items()}
 
 
 def _thresholds(R: float, omega: float, l_up: int) -> list[float]:
-    """tau_star(R, L, omega) for L = 1..l_up.  They need not rise with L:
-    at (R, omega) = (0.9, 0.4694) they peak near 0.00943 at L = 5 and
-    fall to 0.00671 at L = 17."""
+    """tau_star(R, L, omega) for L = 1..l_up, one plain scalar bisection
+    each; ``two_stage_curve`` reads the same bits from ``tau_star_lists``.
+    They need not rise with L: at (R, omega) = (0.9, 0.4694) they peak
+    near 0.00943 at L = 5 and fall to 0.00671 at L = 17."""
     return [tau_star(R, L, omega) for L in range(1, l_up + 1)]
 
 
@@ -275,6 +279,10 @@ def two_stage_curve(
     fails at every larger R and at every larger tau.  So a failed rung is
     never checked again, and a pair is dropped for good once its bottom
     rung fails, which is checked on its first pop at each tau.
+
+    The thresholds of every (omega, R) of the grid are certified before
+    the walk (``tau_star_lists``), and replayed with the bits of
+    ``_thresholds`` the first time a check needs them.
     """
     for prev, tau in zip([0.0, *taus], taus):
         if not prev <= tau < 1.0:
@@ -283,23 +291,21 @@ def two_stage_curve(
     omegas = sorted({k / (n_om + 1) for k in range(1, n_om + 1)}.union(OMEGA_EXTRAS))
     alphas = sorted({k / (n_al + 1) for k in range(1, n_al + 1)}.union(ALPHA_EXTRAS))
     ladder = sorted(cfg.rate_ladder, reverse=True)
-    heap = []
+    heap, pairs = [], []
     for om in omegas:
         hcap = binary_entropy(om)
         rates = [R for R in ladder if R < hcap]
         if rates:
             heap.extend((-al * rates[0], om, al, 0, rates) for al in alphas)
+        pairs += [(R, om) for R in rates]
     heapify(heap)
-    cache: dict[tuple[float, float], list[float]] = {}
+    thresholds = cache(tau_star_lists(pairs, cfg.l_up))
     checks = 0
 
     def passes(om: float, al: float, R: float, tau: float) -> bool:
         nonlocal checks
         checks += 1
-        thresholds = cache.get((om, R))
-        if thresholds is None:
-            thresholds = cache[om, R] = _thresholds(R, om, cfg.l_up)
-        return check_star(om, al, R, tau, cfg, thresholds=thresholds)
+        return check_star(om, al, R, tau, cfg, thresholds=thresholds(R, om))
 
     points = []
     for tau in taus:

@@ -246,45 +246,62 @@ def test_any_newton_start_gives_the_reference_bits(R, L, omega):
         assert _bits(rate_bounds._bisect_root(at, target, lo_skip, hi_skip)) == want
 
 
-# stand-ins for the Newton estimate: none at all; far above the root with
-# a steep slope (an upper end that certifies, a lower end that cannot);
-# far below it (the reverse); just above zero with a flat slope (a bracket
-# wider than the search)
+def _newton_rows(h, dphi):
+    """A stand-in for the lane Newton: every lane's estimate at h, with
+    slope dphi and a last step of 0; NaN gives no estimate at all."""
+
+    def rows(*args):
+        n = len(args[-1])
+        return np.array([np.full(n, h), np.full(n, dphi), np.zeros(n)])
+
+    return rows
+
+
+# no estimate at all; far above the root with a steep slope (an upper end
+# that certifies, a lower end that cannot); far below it (the reverse);
+# just above zero with a flat slope (a bracket wider than the search)
 _BAD_ESTIMATES = (
-    lambda *args: None,
-    lambda *args: (1e3, 10.0, 0.0),
-    lambda *args: (1e-3, 10.0, 0.0),
-    lambda *args: (1e-9, 1e-30, 0.0),
+    _newton_rows(math.nan, math.nan),
+    _newton_rows(1e3, 10.0),
+    _newton_rows(1e-3, 10.0),
+    _newton_rows(1e-9, 1e-30),
 )
 
 
+def _hex(values):
+    return [v.hex() for v in values]
+
+
 @settings(max_examples=100, deadline=None)
-@given(R=_RATES, L=st.integers(1, 17), omega=_OMEGAS, bad=st.sampled_from(_BAD_ESTIMATES))
-@example(R=0.3, L=1, omega=0.5, bad=_BAD_ESTIMATES[0])
-@example(R=0.9, L=17, omega=0.5, bad=_BAD_ESTIMATES[1])
-@example(R=0.3, L=3, omega=0.4, bad=_BAD_ESTIMATES[2])
-def test_failed_certification_replays_the_reference_bisection(R, L, omega, bad):
-    with mock.patch.object(rate_bounds, "_root_estimate", bad):
-        got = tau_star_info(R, L, omega)
-    assert _bits(got) == _reference_bits(R, L, omega)
+@given(
+    R=_RATES, l_up=st.integers(1, 17), omega=_OMEGAS, bad=st.sampled_from(_BAD_ESTIMATES)
+)
+@example(R=0.3, l_up=1, omega=0.5, bad=_BAD_ESTIMATES[0])
+@example(R=0.9, l_up=17, omega=0.5, bad=_BAD_ESTIMATES[1])
+@example(R=0.3, l_up=3, omega=0.4, bad=_BAD_ESTIMATES[2])
+def test_failed_certification_replays_the_reference_bisection(R, l_up, omega, bad):
+    # the two-stage thresholds keep their bits when no lane certifies
+    with mock.patch.object(rate_bounds, "_lane_newton", bad):
+        got = rate_bounds.tau_star_lists([(R, omega)], l_up)(R, omega)
+    assert _hex(got) == _hex(oracles.tau_star(R, L, omega) for L in range(1, l_up + 1))
 
 
 def test_bracket_ends_within_the_margin_are_not_certified():
-    # the target is float phi(3) itself; 1e-13 either side, phi is off it
-    # by about 1e-14, less than the margin (about 1.3e-13), so neither end
-    # is kept; 1e-6 either side, both are
-    L, omega = 1, 0.5
-    terms = rate_bounds._binom_terms(L, omega)
-    at = rate_bounds._evaluator(L, *terms)
-    e, slope = at(3.0)
-    target = -math.log(e) - 3.0 * slope
-    ceiling = -math.log(terms[0])
+    # the target is numpy float phi(3) itself; 1e-13 either side, phi is
+    # off it by about 1e-14, less than the margin (about 1.2e-13), so the
+    # bracket is not kept; 1e-6 either side, both ends are
+    L = 1
+    lanes = rate_bounds._lane_terms(L, np.array([0.5]))
+    e, num = rate_bounds._lane_kernel(np.array([3.0]), L, *lanes)
+    target = -np.log(e) - 3.0 * (num / e)
 
     def bracket(half_width):
         # a flat-out slope leaves the half-width 2 step^2 / (1 + h)
         step = math.sqrt(2.0 * half_width)
-        with mock.patch.object(rate_bounds, "_root_estimate", lambda *a: (3.0, 1e300, step)):
-            return rate_bounds._certified_bracket(at, L, terms, target, ceiling)
+        rows = lambda *args: np.array([[3.0], [1e300], [step]])
+        with mock.patch.object(rate_bounds, "_lane_newton", rows):
+            a, b, _, _ = rate_bounds._lane_bounds(L, *lanes, target, np.array([math.nan]))
+        return a[0], b[0]
 
     assert bracket(1e-13) == (-math.inf, math.inf)
     lo, hi = bracket(1e-6)
@@ -293,23 +310,20 @@ def test_bracket_ends_within_the_margin_are_not_certified():
 
 
 def test_certified_bracket_skips_the_kernel_away_from_the_root():
-    # the reference makes 42 kernel evaluations here; with the bracket in
-    # place only those inside it, the two ends and the final read remain
+    # the reference makes 42 kernel evaluations here; from the lane ends
+    # only those inside them and the final read remain
+    R, L, omega = 0.3, 3, 0.4
+    _, _, _, a, b = rate_bounds._lane_points(L, [R], [omega], np.array([math.nan]))
+    assert math.isfinite(a[0]) and math.isfinite(b[0])
+    at = rate_bounds._evaluator(L, *rate_bounds._binom_terms(L, omega))
     calls = []
-    kernel = rate_bounds._evaluator
 
-    def counting(L, *terms):
-        at = kernel(L, *terms)
+    def count(h):
+        calls.append(h)
+        return at(h)
 
-        def count(h):
-            calls.append(h)
-            return at(h)
-
-        return count
-
-    with mock.patch.object(rate_bounds, "_evaluator", counting):
-        got = tau_star_info(0.3, 3, 0.4)
-    assert _bits(got) == _reference_bits(0.3, 3, 0.4)
+    got = rate_bounds._bisect_root(count, R * L * rate_bounds.LN2, a[0], b[0])
+    assert _bits(got) == _reference_bits(R, L, omega)
     assert len(calls) <= 8
     assert all(abs(h - got.tilt) < 1e-8 for h in calls)
 

@@ -1,12 +1,14 @@
 import math
 from fractions import Fraction
+from functools import cache
 
+import numpy as np
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
 import oracles
 
-from zchannel import two_stage
+from zchannel import rate_bounds, two_stage
 from zchannel.two_stage import (
     DEFAULT_CONFIG,
     TwoStageConfig,
@@ -527,11 +529,14 @@ def test_two_stage_rate_checks_made_up_ladders_in_value_order(ladder, points):
     assert sorted(got) == sorted(c[1:] for c in want)
 
 
-def test_curve_equals_heap_scan_on_default_grid():
-    """Both sides of the threshold near 0.44, where every pair dies."""
+def test_curve_equals_heap_scan_on_default_grid(monkeypatch):
+    """Both sides of the threshold near 0.44, where every pair dies.  The
+    heap scan reads its thresholds from the reference bisection."""
     taus = [0.15, 0.30, 0.43, 0.44]
     curve = two_stage_curve(taus, DEFAULT_CONFIG)
     assert [p.tau for p in curve] == taus
+    reference = _default_reference()
+    monkeypatch.setattr(two_stage, "_thresholds", lambda R, om, l_up: reference[R, om])
     assert [p.rate for p in curve] == [oracles.two_stage_rate(t, DEFAULT_CONFIG) for t in taus]
     for p in curve:
         if p.rate:
@@ -569,7 +574,10 @@ def test_curve_equals_heap_scan_on_small_configs(
     # tau 0 and one repeated tau in every walk
     taus = sorted([0.0, *taus, taus[repeat % len(taus)]])
     got = [p.rate for p in two_stage_curve(taus, cfg)]
-    assert got == [oracles.two_stage_rate(t, cfg) for t in taus]
+    with pytest.MonkeyPatch.context() as mp:
+        # each heap scan solves the same thresholds; solve them once
+        mp.setattr(two_stage, "_thresholds", cache(two_stage._thresholds))
+        assert got == [oracles.two_stage_rate(t, cfg) for t in taus]
 
 
 def test_curve_never_rechecks_a_failed_rung_or_a_dead_pair(monkeypatch):
@@ -732,3 +740,89 @@ def test_default_config_shape():
     # every grade of a cap in 1..17 has a solved tau_of_L
     with pytest.raises(ValueError):
         TwoStageConfig(l_up=18)
+
+
+@pytest.mark.parametrize(
+    "ladder",
+    [(), (math.nan,), (0.5, math.nan), (-0.1, 0.5), (0.5, 1.0), (2.0,), (math.inf,)],
+    ids=["empty", "nan", "nan-last", "negative", "one", "above-one", "inf"],
+)
+def test_a_malformed_rate_ladder_is_refused(ladder):
+    """At construction, before any walk: a NaN rung once reported rate 0,
+    a negative one raised only once the walk reached it, and a rung at or
+    above 1 was dropped without a word."""
+    with pytest.raises(ValueError, match="rate ladder"):
+        TwoStageConfig(rate_ladder=ladder)
+
+
+def test_a_zero_rung_is_kept():
+    cfg = TwoStageConfig(l_up=3, omega_points=4, alpha_points=4, rate_ladder=(0.0, 0.3))
+    taus = [0.1, 0.2]
+    assert [p.rate for p in two_stage_curve(taus, cfg)] == [
+        oracles.two_stage_rate(t, cfg) for t in taus
+    ]
+
+
+# ---------------------------------------------------------------------------
+# the thresholds two_stage_curve certifies in lanes
+
+
+def _grid_pairs(cfg):
+    """Every (R, omega) of two_stage_curve's grid, as its walk lists them."""
+    n = cfg.omega_points
+    omegas = sorted({k / (n + 1) for k in range(1, n + 1)}.union(two_stage.OMEGA_EXTRAS))
+    ladder = sorted(set(cfg.rate_ladder), reverse=True)
+    return [(R, om) for om in omegas for R in ladder if R < binary_entropy(om)]
+
+
+@cache
+def _default_reference():
+    """(R, omega) -> oracles.tau_star(R, L, omega) for L = 1..17, at every
+    pair of the default grid; shared by the tests that read it."""
+    return {
+        (R, om): [oracles.tau_star(R, L, om) for L in range(1, 18)]
+        for R, om in _grid_pairs(DEFAULT_CONFIG)
+    }
+
+
+def _lane_lists(pairs):
+    table = rate_bounds.tau_star_lists(pairs, 17)
+    return [[t.hex() for t in table(*pair)] for pair in pairs]
+
+
+def _reference_lists(pairs):
+    reference = _default_reference()
+    return [[t.hex() for t in reference[pair]] for pair in pairs]
+
+
+def test_grid_thresholds_equal_the_reference_bisection():
+    pairs = _grid_pairs(DEFAULT_CONFIG)
+    assert len(pairs) == 857
+    assert _lane_lists(pairs) == _reference_lists(pairs)
+
+
+def test_grid_thresholds_do_not_depend_on_the_batch_or_the_estimate(monkeypatch):
+    # one lane per batch; then no Newton estimate, so every lane replays
+    # the plain bisection.  On the default grid's pairs at the omegas
+    # pinned near the zero-rate point
+    pairs = [p for p in _grid_pairs(DEFAULT_CONFIG) if p[1] in two_stage.OMEGA_EXTRAS]
+    want = _reference_lists(pairs)
+    with monkeypatch.context() as patch:
+        patch.setattr(rate_bounds, "_LANE_BUDGET", 1)
+        assert _lane_lists(pairs) == want
+    lanes, uncertified = [], []
+    real = rate_bounds._lane_points
+
+    def spy(*args):
+        lower, upper, _, _, b = rows = real(*args)
+        lanes.append(np.count_nonzero(lower < upper))
+        uncertified.append(np.count_nonzero(b == np.inf))
+        return rows
+
+    def no_estimate(*args):
+        return np.full((3, len(args[-1])), np.nan)
+
+    monkeypatch.setattr(rate_bounds, "_lane_newton", no_estimate)
+    monkeypatch.setattr(rate_bounds, "_lane_points", spy)
+    assert _lane_lists(pairs) == want
+    assert uncertified == lanes and sum(lanes) > 0
