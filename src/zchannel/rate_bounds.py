@@ -52,7 +52,7 @@ def w0(n: int, t: int) -> float:
     """Critical weight for length n and t errors: the smaller root of
     w^2 - wn + tn = 0.  Codewords below this weight are too light to keep
     their distance."""
-    if n < 1 or t < 0:
+    if not (n >= 1 and t >= 0):
         raise ValueError("need n >= 1 and t >= 0")
     disc = n * n - 4 * t * n
     if disc < 0:
@@ -619,18 +619,23 @@ def tau_star_lists(
     pairs: list[tuple[float, float]], l_up: int
 ) -> Callable[[float, float], list[float]]:
     """(R, omega) -> [tau_star(R, L, omega) for L = 1..l_up], bit for bit,
-    at any of the given pairs.  Every root is certified up front, one
+    at any of the given pairs, each a rate in [0, 1) and an omega in
+    (0, 1).  Every root is certified on the first call, one
     ``_lane_points`` call per L from the cold start; a call replays its
     pair's list from those ends with ``_bisect_root``."""
+    for R, omega in pairs:
+        if not (0.0 <= R < 1.0 and 0.0 < omega < 1.0):
+            raise ValueError(f"need a rate in [0, 1) and omega in (0, 1), got {(R, omega)}")
     rates, points = [R for R, _ in pairs], [omega for _, omega in pairs]
     table = []  # per L, the rows lower, A and B: A is NaN where no root is solved
-    for L in range(1, l_up + 1):
-        rows = _lane_points(L, rates, points, np.full(len(pairs), np.nan))
-        table.append(rows[[0, 3, 4]])
     index = {pair: k for k, pair in enumerate(pairs)}
 
     def thresholds(R: float, omega: float) -> list[float]:
         k, snapped = index[R, omega], _snap_omega(omega)
+        if not table:
+            for L in range(1, l_up + 1):
+                rows = _lane_points(L, rates, points, np.full(len(pairs), np.nan))
+                table.append(rows[[0, 3, 4]])
         out = []
         for L, rows in enumerate(table, 1):
             value, a, b = rows[:, k].tolist()

@@ -3,9 +3,12 @@
 Everything here is desk-scale: word lengths up to 24, code sizes in the
 single digits.  Both searches are depth-first in canonical order and stop
 once their node count passes ``max_nodes``, returning the incumbent with
-``optimal`` False.  ``max_code`` builds a word's compatibility row only
-when it first branches on that word, so the cap bounds that work as well.
-``sample_code_radius`` draws from an explicit seed.
+``optimal`` False.  ``max_code`` prunes on a greedy colouring of its pool
+(a code holds at most one word of a colour class, a set of pairwise
+incompatible words), and its ``nodes`` counts branch nodes plus coloured
+words.  It builds a word's compatibility row only when one of those units
+first needs it, so the cap bounds that work, and the rows' memory, as
+well.  ``sample_code_radius`` draws from an explicit seed.
 """
 
 from __future__ import annotations
@@ -37,36 +40,94 @@ def _check_caps(n: int, max_nodes: int) -> None:
         raise ValueError(f"node budget must be at least 1, got {max_nodes}")
 
 
+def _colour(
+    q: int, tops: list[int], want: int, rows: list[int | None], d: int, weights, units: int
+) -> tuple[int, int]:
+    """Greedy colour classes over the words of bitset q, appending each
+    class's top (highest) word to ``tops``, until ``tops`` holds more than
+    ``want`` classes or q is empty.  A class starts at the highest word of
+    q and takes, in turn, the highest word left that is incompatible with
+    every word it holds (the BBMC step), so a code holds at most one word
+    of a class.  Each coloured word is one unit of work and builds at most
+    its row.  Returns the words of q left uncoloured and the units spent:
+    ``units + 1`` once a word is left to colour with the budget spent.
+    """
+    spent = 0
+    while q and len(tops) <= want:
+        c = q
+        tops.append(q.bit_length() - 1)
+        while c:
+            if spent == units:
+                return q, spent + 1
+            spent += 1
+            w = c.bit_length() - 1
+            row = rows[w]
+            if row is None:
+                row = rows[w] = _dz_row(w, d, weights)
+            bit = 1 << w
+            q ^= bit
+            c = (c & ~row) ^ bit
+    return q, spent
+
+
 def max_code(n: int, d: int, *, max_nodes: int = MAX_NODES) -> CodeSearchResult:
     """Largest code of length n with pairwise distance at least d.
 
-    Depth-first search over words in canonical order, branching on
-    include/exclude and pruning when the candidate pool cannot beat the
-    incumbent.  The first maximum found (hence the canonically smallest)
-    is returned.  If the node cap trips, the search stops at once: the
-    incumbent so far is returned, ``optimal`` is False and ``nodes`` is
-    ``max_nodes + 1``.  A word's row of compatible words is
-    built (``words._dz_row``) when the search first branches on it, so at
-    most one row per node.
+    Depth-first search over words in canonical order, branching on the
+    lowest word of the pool, include before exclude.  The first maximum
+    found (hence the canonically smallest) is returned.  The siblings of a
+    depth branch on ever higher words of one pool, so one greedy
+    colouring of that pool (``_colour``) bounds them all: the words >= v
+    hold a code no larger than the number of classes whose top is >= v,
+    and a sibling is pruned when depth + that count <= best.  The
+    colouring is built lazily, for a sibling that passes depth + |pool| >
+    best while depth < best (otherwise any pool branches), and only until
+    the count exceeds best - depth.
+
+    ``nodes`` counts branch nodes plus coloured words, and both draw on
+    ``max_nodes``; each unit builds at most one row (``words._dz_row``).
+    If the cap trips, the search stops at once: the incumbent so far is
+    returned, ``optimal`` is False and ``nodes`` is ``max_nodes + 1``.
+    Rows are kept until the search ends, 2^n/8 bytes each, so they hold
+    at most (max_nodes + 1) * 2^n/8 bytes.  Besides, each depth (at most
+    max_nodes of them) holds a pool and at most one set of uncoloured
+    words of that size.
     """
     _check_caps(n, max_nodes)
     if d < 2 or d % 2:
         raise ValueError("distance must be even and at least 2")
     universe = 1 << n
     weights = _weight_table(n)
-    # rows[v]: bitset of the words compatible with v; None until the
-    # search first branches on v
+    # rows[v]: bitset of the words compatible with v; None until a unit
+    # of work first needs it
     rows: list[int | None] = [None] * universe
     best: list[int] = []
     best_size = 0
     chosen: list[int] = []
-    # stack[k]: the pool left at depth k for when its current branch ends.
-    # A loop, not recursion, since a code (so the depth) can hold all 2^n
-    # words.
-    stack: list[int] = []
-    pool, depth, nodes = (1 << universe) - 1, 0, 0
+    # The frame of a depth: its pool, the words of the pool not yet
+    # coloured (-1 before any colouring, so ``& pool`` gives the pool) and
+    # the tops of its colour classes, descending.  stack[k] is depth k's
+    # frame for when its current branch ends.  A loop, not recursion, since
+    # a code (so the depth) can hold all 2^n words.
+    stack: list[tuple[int, int, list[int]]] = []
+    pool, uncoloured, tops = (1 << universe) - 1, -1, []
+    depth = nodes = 0
     while True:
-        if pool and depth + pool.bit_count() > best_size:
+        live = pool and depth + pool.bit_count() > best_size
+        if live and depth < best_size:
+            v = (pool & -pool).bit_length() - 1
+            while tops and tops[-1] < v:
+                tops.pop()  # classes wholly below v, so out of the pool
+            want = best_size - depth
+            uncoloured, spent = _colour(
+                uncoloured & pool, tops, want, rows, d, weights, max_nodes - nodes
+            )
+            nodes += spent
+            if nodes > max_nodes:
+                break
+            # past want classes, or every word >= v coloured and counted
+            live = len(tops) > want
+        if live:
             nodes += 1
             if nodes > max_nodes:
                 break
@@ -78,14 +139,13 @@ def max_code(n: int, d: int, *, max_nodes: int = MAX_NODES) -> CodeSearchResult:
             row = rows[v]
             if row is None:
                 row = rows[v] = _dz_row(v, d, weights)
-            pool ^= low
-            stack.append(pool)
-            pool &= row
+            stack.append((pool ^ low, uncoloured, tops))
+            pool, uncoloured, tops = pool & row, -1, []
             depth += 1
             continue
         if not stack:
             break
-        pool = stack.pop()
+        pool, uncoloured, tops = stack.pop()
         chosen.pop()
         depth -= 1
     truncated = nodes > max_nodes

@@ -280,9 +280,10 @@ def two_stage_curve(
     never checked again, and a pair is dropped for good once its bottom
     rung fails, which is checked on its first pop at each tau.
 
-    The thresholds of every (omega, R) of the grid are certified before
-    the walk (``tau_star_lists``), and replayed with the bits of
-    ``_thresholds`` the first time a check needs them.
+    The thresholds of every (omega, R) of the grid are certified at the
+    first check (``tau_star_lists``), so not at all when no check runs,
+    and replayed with the bits of ``_thresholds`` the first time a check
+    needs them.
     """
     for prev, tau in zip([0.0, *taus], taus):
         if not prev <= tau < 1.0:

@@ -52,6 +52,12 @@ def test_critical_weight():
         w0(15, 4)
 
 
+@pytest.mark.parametrize("n, t", [(math.nan, 1), (16, math.nan), (-math.inf, 0)])
+def test_critical_weight_refuses_nan(n, t):
+    with pytest.raises(ValueError):
+        w0(n, t)
+
+
 def test_size_bound_constant_weight():
     assert bassalygo_size_bound(16, 6, 4) == 16
     assert bassalygo_size_bound(100, 19, 16) == 26
@@ -281,6 +287,10 @@ def _hex(values):
 @example(R=0.3, l_up=3, omega=0.4, bad=_BAD_ESTIMATES[2])
 def test_failed_certification_replays_the_reference_bisection(R, l_up, omega, bad):
     # the two-stage thresholds keep their bits when no lane certifies
+    if not (R < 1.0 and 0.0 < omega < 1.0):
+        with pytest.raises(ValueError):
+            rate_bounds.tau_star_lists([(R, omega)], l_up)
+        return
     with mock.patch.object(rate_bounds, "_lane_newton", bad):
         got = rate_bounds.tau_star_lists([(R, omega)], l_up)(R, omega)
     assert _hex(got) == _hex(oracles.tau_star(R, L, omega) for L in range(1, l_up + 1))
@@ -326,6 +336,29 @@ def test_certified_bracket_skips_the_kernel_away_from_the_root():
     assert _bits(got) == _reference_bits(R, L, omega)
     assert len(calls) <= 8
     assert all(abs(h - got.tilt) < 1e-8 for h in calls)
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        (math.nan, 0.5),
+        (-0.1, 0.5),
+        (-5e-324, 0.5),
+        (1.0, 0.5),
+        (math.inf, 0.5),
+        (0.3, math.nan),
+        (0.3, 0.0),
+        (0.3, 1.0),
+        (0.3, -0.1),
+    ],
+)
+def test_threshold_lists_refuse_a_pair_before_any_work(monkeypatch, pair):
+    def refuse(*args):
+        raise AssertionError("a root was certified")
+
+    monkeypatch.setattr(rate_bounds, "_lane_points", refuse)
+    with pytest.raises(ValueError):
+        rate_bounds.tau_star_lists([(0.3, 0.5), pair], 3)
 
 
 def test_tau_star_rejects_a_nan_rate_or_tilt():

@@ -1,4 +1,6 @@
+import tracemalloc
 from fractions import Fraction
+from functools import cache
 from math import comb
 from statistics import mean
 
@@ -67,6 +69,21 @@ def test_max_code_whole_space_needs_no_recursion():
     assert [x.mask for x in r.code] == list(range(1024))
 
 
+@cache
+def _largest(n, d):
+    """Words, objective and ``optimal`` of the largest code, from the oracle
+    uncapped."""
+    if (n, d) == (7, 4):
+        # dz >= 4 codes are the single asymmetric-error-correcting ones,
+        # and at n = 7 the largest holds 18 words (the table in Kløve's
+        # survey of asymmetric-error-correcting codes).  No search here
+        # certifies it: the oracle stops at its default cap after some
+        # 15 s, and this search after some 4 s.
+        return None, 18, True
+    r = oracles.max_code(n, d)
+    return [str(x) for x in r.code], r.objective, r.optimal
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     n=st.integers(1, 7),
@@ -74,11 +91,79 @@ def test_max_code_whole_space_needs_no_recursion():
     max_nodes=st.one_of(st.integers(1, 5000), st.none()),
 )
 def test_max_code_matches_eager_adjacency(n, half_d, max_nodes):
-    # (7, 4) runs into the default cap of 10M nodes, some 15 s on both sides
     assume(max_nodes is not None or (n, half_d) != (7, 2))
-    cap = MAX_NODES if max_nodes is None else max_nodes
-    want = oracles.max_code(n, 2 * half_d, max_nodes=cap)
-    assert _fields(max_code(n, 2 * half_d, max_nodes=cap)) == _fields(want)
+    d = 2 * half_d
+    want = _largest(n, d)
+    # the colouring bound prunes more than the oracle's, so only the node
+    # counts differ
+    r = max_code(n, d, max_nodes=MAX_NODES if max_nodes is None else max_nodes)
+    assert r.code.min_dz() is None or r.code.min_dz() >= d
+    assert len(r.code) == r.objective
+    if r.optimal:
+        assert ([str(x) for x in r.code], r.objective, r.optimal) == want
+        assert r.note == ""
+    else:
+        assert max_nodes is not None
+        assert r.nodes == max_nodes + 1
+        assert r.note == "node budget exhausted"
+        assert r.objective <= want[1]
+
+
+@cache
+def _largest_code(words, d):
+    """Size of the largest code among ``words`` (a tuple of masks) with
+    pairwise dz >= d, by including or excluding each word in turn."""
+    if not words:
+        return 0
+    first, rest = words[0], words[1:]
+    keep = tuple(u for u in rest if _dz_masks(first, u) >= d)
+    return max(1 + _largest_code(keep, d), _largest_code(rest, d))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 5), half_d=st.integers(1, 6), data=st.data())
+def test_colour_classes_bound_the_codes_above_each_word(n, half_d, data):
+    d = 2 * half_d
+    words = sorted(data.draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1)))
+    pool = sum(1 << w for w in words)
+    rows, weights = [None] * (1 << n), _weight_table(n)
+    budget = 1 << n
+
+    # the whole pool at once: at every v, the classes whose top is >= v
+    tops = []
+    left, spent = search._colour(pool, tops, len(words), rows, d, weights, budget)
+    assert left == 0 and spent == len(words)
+    assert tops == sorted(set(tops), reverse=True) and set(tops) <= set(words)
+    for v in words:
+        above = tuple(w for w in words if w >= v)
+        assert sum(t >= v for t in tops) >= _largest_code(above, d)
+
+    # lazily, as the siblings of one depth: ascending v, only the words
+    # >= v, classes past want only when the count is needed
+    tops, uncoloured = [], pool
+    siblings = sorted(data.draw(st.sets(st.sampled_from(words), min_size=1)))
+    for v in siblings:
+        above = pool >> v << v
+        while tops and tops[-1] < v:
+            tops.pop()
+        want = data.draw(st.integers(0, len(words)))
+        uncoloured, spent = search._colour(
+            uncoloured & above, tops, want, rows, d, weights, budget
+        )
+        assert spent <= budget
+        if uncoloured:
+            assert len(tops) > want
+        else:
+            assert len(tops) >= _largest_code(tuple(w for w in words if w >= v), d)
+
+
+def test_max_code_certifies_length_eight_distance_six():
+    # the |pool| bound alone stops at the default cap of 10M nodes here
+    r = max_code(8, 6)
+    assert r.optimal
+    assert r.objective == 7
+    assert r.code.min_dz() >= 6
+    assert r.nodes <= 4_000_000
 
 
 def test_dz_row_matches_dz_masks():
@@ -94,7 +179,10 @@ def test_dz_row_matches_dz_masks():
                 assert row == want, (n, d, v)
 
 
-@pytest.mark.parametrize("n, d, cap", [(22, 2, 1), (16, 4, 200), (6, 4, MAX_NODES)])
+@pytest.mark.parametrize(
+    "n, d, cap",
+    [(22, 2, 1), (16, 4, 200), (6, 4, MAX_NODES), (9, 8, 3000), (14, 10, 2000)],
+)
 def test_max_code_node_cap_bounds_the_rows_built(monkeypatch, n, d, cap):
     built = []
 
@@ -108,9 +196,46 @@ def test_max_code_node_cap_bounds_the_rows_built(monkeypatch, n, d, cap):
     assert r.note == ("" if r.optimal else "node budget exhausted")
     assert 1 <= len(built) <= r.nodes + 1
     # no row is built twice, although a finished (6, 4) search branches on
-    # each word many times over its 269,547 nodes
+    # or colours each word many times over its 12,506 units
     assert len(set(built)) == len(built) <= 1 << n
     assert r.code.min_dz() is None or r.code.min_dz() >= d
+
+
+@pytest.mark.parametrize("n, d, cap", [(9, 8, 3000), (14, 10, 2000)])
+def test_node_cap_trips_inside_a_colouring(monkeypatch, n, d, cap):
+    # the rows test's colouring cases stop on a coloured word: coloured
+    # words draw on the same budget as the branch nodes
+    colour, calls = search._colour, []
+
+    def spy(q, tops, want, rows, d, weights, units):
+        left, spent = colour(q, tops, want, rows, d, weights, units)
+        calls.append((units, spent))
+        return left, spent
+
+    monkeypatch.setattr(search, "_colour", spy)
+    r = max_code(n, d, max_nodes=cap)
+    assert r.nodes == cap + 1
+    units, spent = calls[-1]
+    assert spent == units + 1
+    assert sum(spent for _, spent in calls) < r.nodes
+
+
+@pytest.mark.parametrize("n, d, cap", [(20, 4, 200), (14, 10, 2000)])
+def test_max_code_memory_is_bounded_by_the_cap(n, d, cap):
+    rows = (cap + 1) * (1 << n) // 8  # the docstring's bound on the rows
+    # Slack: the stack holds, per depth (at most ``cap`` deep), a pool and
+    # at most one set of uncoloured words, so no more than twice the rows;
+    # a row build's numpy temporaries take about 12 bytes per word; and
+    # 1 MiB for everything else.
+    slack = 2 * rows + 16 * (1 << n) + (1 << 20)
+    tracemalloc.start()
+    try:
+        r = max_code(n, d, max_nodes=cap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.nodes == cap + 1
+    assert peak <= rows + slack
 
 
 def test_best_list_single_list_size():

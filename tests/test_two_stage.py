@@ -617,6 +617,24 @@ def test_curve_checks_every_tau_before_any_work(monkeypatch):
     assert two_stage_curve([]) == []
 
 
+def test_no_threshold_is_certified_when_no_check_runs(monkeypatch):
+    calls = []
+    real = rate_bounds._lane_points
+
+    def spy(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(rate_bounds, "_lane_points", spy)
+    assert two_stage_curve([]) == []
+    assert [p.checks for p in two_stage_curve([0.0])] == [0]
+    assert two_stage_rate(0.0) > 0.0
+    assert calls == []
+    cfg = TwoStageConfig(l_up=3, omega_points=3, alpha_points=3)
+    assert two_stage_curve([0.0, 0.1], cfg)[1].checks > 0
+    assert calls == [1, 2, 3]  # one call per list size, at the first check
+
+
 _LADDER = sorted(DEFAULT_CONFIG.rate_ladder)
 _MONOTONE_ARGS = dict(
     omega=st.floats(0.02, 0.98),
