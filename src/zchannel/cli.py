@@ -50,7 +50,8 @@ class RunManifest:
     # two-stage-curve only: one two_stage.CurvePoint per tau
     two_stage: list[dict] | None = None
     # rcb-curve only: lanes of the omega-grid root, replayed and uncertified,
-    # and the polish's probes, scalar replays and uncertified lanes
+    # and the polish's probes, those bisected (every probe with a root) and
+    # those left uncertified
     rcb_curve: dict[str, int] | None = None
 
     def write(self, out_dir: Path) -> None:

@@ -5,11 +5,12 @@ reduction, and an entropy-gap bound), the random-coding exponent machinery
 for list decoding against i.i.d. degradation, and the classic
 symmetric-channel comparison curves.
 
-Every tau_star root is one bisection, ``_bisect_root``, which the scalar
-entry point runs plainly.  The curves (``rcb_lower_curve``, and the
-two-stage thresholds of ``tau_star_lists``) certify root ends in numpy
-lanes (``_lane_newton``, ``_lane_bounds``) and replay it from them, or
-run its lane form (``_bisect_lanes``), with the same bits.
+There is one tau_star kernel, numpy's (``_lane_terms``, ``_lane_kernel``),
+and one bisection, ``_bisect``, which runs every root as a lane of a
+batch.  The scalar entry points, the curve (``rcb_lower_curve``) and the
+two-stage thresholds (``tau_star_lists``) certify each root's ends in the
+same lanes (``_lane_newton``, ``_lane_bounds``) and bisect between them,
+evaluating the kernel only at the tests that fall inside.
 
 Throughout, ``omega`` is the per-position probability of a 1 in a random
 word, ``tau`` an error fraction (errors per position), ``R`` a rate in
@@ -20,18 +21,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from math import comb, exp, fsum, log, sqrt
-from operator import mul
+from functools import cache
+from math import comb, log, sqrt
 from typing import Callable
 
 import numpy as np
 
 LN2 = log(2.0)
-_TAU_TOL = 1e-10  # bisection width for the scalar tau_star root
+_TAU_TOL = 1e-10  # width at which the tau_star bisection stops
 _NEWTON_TOL = 1e-7  # relative Newton step at which a root estimate is taken
 _NEWTON_STEPS = 30
 _UNIT = 2.0**-53  # unit roundoff of a float
-_VEC_HALVINGS = 64  # bisection steps for the lane-parallel tau_star
 _LANE_BUDGET = 1 << 12  # lanes x L elements per lane batch
 
 
@@ -142,56 +142,6 @@ def list_plotkin_holds(M: int, L: int, omega: float, tau: float) -> bool:
 # random-coding exponent for list decoding under i.i.d. degradation
 
 
-def _binom_terms(L: int, omega: float) -> tuple[float, list[float], list[float]]:
-    """Pieces of the tilted moment sum.
-
-    The all-zero and all-one weights sit outside the tilt and form the
-    constant; the interior weights i = 1..L carry e^(-h i/(L+1)).  The
-    second list is the derivative's numerator series over the same range.
-    """
-    const = omega ** (L + 1) + (1.0 - omega) ** (L + 1)
-    g_terms = [
-        comb(L + 1, i) * omega**i * (1.0 - omega) ** (L + 1 - i) for i in range(1, L + 1)
-    ]
-    d_terms = [
-        comb(L, i - 1) * omega**i * (1.0 - omega) ** (L + 1 - i) for i in range(1, L + 1)
-    ]
-    return const, g_terms, d_terms
-
-
-def _evaluator(
-    L: int, const: float, g_terms: list[float], d_terms: list[float]
-) -> Callable[[float], tuple[float, float]]:
-    """h -> (e(h), g'(h)): the tilted moment sum and the slope of
-    g = -ln e, with e = const + sum_k g_k e^(-h k/(L+1)) over k = 1..L,
-    for the pieces ``_binom_terms`` returns.
-
-    The one kernel behind tau_star_info, rcb_g and rcb_delta.  ``ks`` and
-    ``lp1`` are floats holding small integers, so ``-h * k / lp1`` rounds
-    exactly as it does with int operands.  For L = 1 the single term is
-    added without ``fsum``, which returns a lone finite term unchanged, and
-    ``-h / lp1`` stands for ``-h * 1 / lp1``, since ``-h * 1`` is ``-h``.
-    """
-    lp1 = float(L + 1)
-    if L == 1:
-        (g1,), (d1,) = g_terms, d_terms
-
-        def one_term(h: float) -> tuple[float, float]:
-            w = exp(-h / lp1)
-            e = const + g1 * w
-            return e, d1 * w / e
-
-        return one_term
-    ks = [float(k) for k in range(1, L + 1)]
-
-    def terms(h: float) -> tuple[float, float]:
-        w = [exp(-h * k / lp1) for k in ks]
-        e = const + fsum(map(mul, g_terms, w))
-        return e, fsum(map(mul, d_terms, w)) / e
-
-    return terms
-
-
 def _snap_omega(omega: float) -> float:
     """Clamp near-degenerate bit probabilities to their analytic limit."""
     if not 0.0 <= omega <= 1.0:
@@ -203,11 +153,43 @@ def _snap_omega(omega: float) -> float:
     return omega
 
 
+def _lane_terms(L: int, omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pieces of the tilted moment sum, one row per bit probability.
+
+    The all-zero and all-one weights sit outside the tilt and form the
+    constant; the interior weights i = 1..L carry e^(-h i/(L+1)).  The
+    third array is the slope's numerator series over the same range."""
+    i = np.arange(1, L + 1, dtype=np.float64)
+    gcoef = np.array([comb(L + 1, k) for k in range(1, L + 1)])
+    dcoef = np.array([comb(L, k - 1) for k in range(1, L + 1)])
+    om = omegas[:, None]
+    const = omegas ** (L + 1) + (1.0 - omegas) ** (L + 1)
+    terms_g = gcoef * om**i * (1.0 - om) ** (L + 1 - i)
+    terms_d = dcoef * om**i * (1.0 - om) ** (L + 1 - i)
+    return const, terms_g, terms_d
+
+
+def _lane_kernel(
+    h: np.ndarray, L: int, const: np.ndarray, terms_g: np.ndarray, terms_d: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(e, e g') at tilt h[k] for lane k, e = const + sum_i g_i
+    e^(-h i/(L+1)) and g = -ln e, from numpy's exp of -h i / (L + 1) and
+    row sums.  The one kernel behind every tau_star root, rcb_g and
+    rcb_delta."""
+    i = np.arange(1, L + 1, dtype=np.float64)
+    w = np.exp(-h[:, None] * i / (L + 1))
+    return const + (terms_g * w).sum(axis=1), (terms_d * w).sum(axis=1)
+
+
+def _one_lane(h: float, L: int, omega: float) -> tuple[np.ndarray, np.ndarray]:
+    """``_lane_kernel`` on the one lane (h, omega)."""
+    return _lane_kernel(np.array([h]), L, *_lane_terms(L, np.array([omega])))
+
+
 def rcb_g(h: float, L: int, omega: float) -> float:
     """Negative log of the tilted moment sum; increasing and concave in h."""
-    omega = _check_rcb_args(h, L, omega)
-    e, _ = _evaluator(L, *_binom_terms(L, omega))(h)
-    return -log(e)
+    e, _ = _one_lane(h, L, _check_rcb_args(h, L, omega))
+    return float(-np.log(e)[0])
 
 
 def rcb_delta(h: float, L: int, omega: float) -> float:
@@ -219,8 +201,8 @@ def rcb_delta(h: float, L: int, omega: float) -> float:
     omega = _check_rcb_args(h, L, omega)
     if h == 0.0:
         return omega - omega ** (L + 1)
-    _, slope = _evaluator(L, *_binom_terms(L, omega))(h)
-    return slope
+    e, num = _one_lane(h, L, omega)
+    return float((num / e)[0])
 
 
 def _check_rcb_args(h: float, L: int, omega: float) -> float:
@@ -238,58 +220,6 @@ class TauStarResult:
     tilt: float
 
 
-def _bisect_root(
-    at: Callable[[float], tuple[float, float]], target: float, lo_skip: float, hi_skip: float
-) -> TauStarResult:
-    """The reference bisection for phi(h) = target, every test at h <=
-    lo_skip read as "below" and every test at h >= hi_skip as "above"
-    without an evaluation; -inf and inf skip none (tau_star_info).
-
-    Skipped ends (A, B) come only from ``_lane_bounds``: numpy phi(A) <
-    target - m, numpy phi(B) > target + m and B < 2^64, with m = 8 b(2B +
-    2) and b(h) = 2 (1 + 2c) (L + h + 19) u the numpy kernel's error bound
-    (see ``_tau_star_argmax``).  A skipped test reads as its evaluation
-    would.  Exact phi rises with h (phi' = -h g'' > 0).  With unit
-    roundoff u, libm exp, log and pow within one ulp and fsum correctly
-    rounded, the scalar kernel's phi(h) is within b_s(h) = 2 (1 + 2c) (L
-    + 2h + 16) u of exact, c being the ceiling: the coefficients carry
-    (L + 7) u, each e^(-hk/(L+1)) 2 (h + 1) u, e (L + 2h + 12) u, the
-    slope (2L + 4h + 24) u, and ln e and h g' are at most c.  Every test
-    lies in [0, 2B + 1], as the doubling stops at the first power of two
-    past B.  So a test at h <= A reads phi(h) <= exact phi(A) + b_s(h) <=
-    numpy phi(A) + b(A) + b_s(h) < target - m + 2 (1 + 2c) (2L + 5B + 37)
-    u, and m is at least 3.2 times that last term; symmetrically above B.
-    Float phi is not monotone at the ulp scale (the slope can rise by 3
-    ulps, test_slope_falls_as_the_tilt_grows), hence the margin.
-
-    The value then lies in [g'(B) - eps', g'(A) + eps'], eps' = eps +
-    1e-10 / 4, eps the lane's: the lower end only takes points that read
-    below, so it stays below B, and the upper end above A, so the final
-    midpoint lies within 1e-10 of [A, B]; |g''| <= 1/4, and scalar g'
-    carries at most (2L + 4h + 24) u, less than the numpy slope's share.
-    """
-
-    def below(h: float) -> bool:  # the test itself, for lo_skip < h < hi_skip
-        e, slope = at(h)
-        return -log(e) - h * slope < target
-
-    lo, hi = 0.0, 1.0
-    while hi <= lo_skip or (hi < hi_skip and below(hi)):
-        lo, hi = hi, hi * 2.0
-        if hi > 2.0**64:
-            # the plateau sits essentially at the target; treat as infeasible
-            return TauStarResult(0.0, False, math.inf)
-    while hi - lo > _TAU_TOL:
-        mid = (lo + hi) / 2.0
-        if mid <= lo_skip or (mid < hi_skip and below(mid)):
-            lo = mid
-        else:
-            hi = mid
-    h_star = (lo + hi) / 2.0
-    _, slope = at(h_star)
-    return TauStarResult(slope, True, h_star)
-
-
 def tau_star_info(R: float, L: int, omega: float) -> TauStarResult:
     """Largest error fraction a random size-2^(RLn) list-L code withstands.
 
@@ -300,76 +230,87 @@ def tau_star_info(R: float, L: int, omega: float) -> TauStarResult:
     omega - omega^(L+1).
 
     Contract: value and tilt are bit-identical to the reference bisection
-    in tests/oracles.py, and so is every CSV built on them.  This is that
-    bisection, ``_bisect_root`` with no test skipped; the curves replay it
-    from certified lane ends.
+    in tests/oracles.py, and so is every CSV built on them.  This is one
+    lane of ``_lane_points``, which certifies the root's ends and runs
+    that bisection (``_bisect``) between them.  A call costs about 0.6 ms
+    (2 CPUs, numpy 2.4), almost all of it numpy's per-call overhead over
+    some 50 lane steps, so many roots at one list size are far cheaper as
+    the lanes of one ``tau_star_lists`` table.
     """
     if not R >= 0.0:
         raise ValueError("rate must be nonnegative")
     if L < 1:
         raise ValueError("list size must be at least 1")
-    omega = _snap_omega(omega)
-    if R == 0.0:
-        return TauStarResult(omega - omega ** (L + 1), True, 0.0)
-    target = R * L * LN2
-    if target >= -log(omega ** (L + 1) + (1.0 - omega) ** (L + 1)):
-        return TauStarResult(0.0, False, math.inf)
-    return _bisect_root(_evaluator(L, *_binom_terms(L, omega)), target, -math.inf, math.inf)
+    value, tilt, _ = _lane_points(L, [R], [omega], np.array([math.nan]))
+    return TauStarResult(float(value[0]), bool(tilt[0] < math.inf), float(tilt[0]))
 
 
 def tau_star(R: float, L: int, omega: float) -> float:
+    """The value of ``tau_star_info``, at the same cost of about 0.6 ms."""
     return tau_star_info(R, L, omega).value
 
 
-def _lane_terms(L: int, omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(const, g_terms, d_terms) of ``_binom_terms`` for every bit
-    probability, one row each, from the numpy expressions of the
-    reference lanes (tests/oracles.py), so every lane sees their floats."""
-    i = np.arange(1, L + 1, dtype=np.float64)
-    gcoef = np.array([comb(L + 1, k) for k in range(1, L + 1)])
-    dcoef = np.array([comb(L, k - 1) for k in range(1, L + 1)])
-    om = omegas[:, None]
-    const = omegas ** (L + 1) + (1.0 - omegas) ** (L + 1)
-    terms_g = gcoef * om**i * (1.0 - om) ** (L + 1 - i)
-    terms_d = dcoef * om**i * (1.0 - om) ** (L + 1 - i)
-    return const, terms_g, terms_d
-
-
-def _lane_kernel(
-    h: np.ndarray, L: int, const: np.ndarray, terms_g: np.ndarray, terms_d: np.ndarray
+def _bisect(
+    L: int,
+    terms: tuple[np.ndarray, np.ndarray, np.ndarray],
+    target: np.ndarray,
+    lo_skip: np.ndarray,
+    hi_skip: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(e, e g') at tilt h[k] for lane k, computed as the reference lanes
-    compute them: numpy's exp of -h k / (L + 1), then row sums."""
-    i = np.arange(1, L + 1, dtype=np.float64)
-    w = np.exp(-h[:, None] * i / (L + 1))
-    return const + (terms_g * w).sum(axis=1), (terms_d * w).sum(axis=1)
+    """The tau_star bisection, in every lane at once: (g' at the root's
+    final midpoint, that midpoint) per lane, or (0, inf) where the root
+    is not found below 2^64.  Lane k reads row k of ``terms``
+    (``_lane_terms``).
 
+    Per lane, a test reads whether phi(h) = g - h g' lies below its
+    target.  The bracket [0, 1] doubles while its top reads below, and
+    past 2^64 the plateau sits essentially at the target, so the lane is
+    infeasible; then it halves until it is at most 1e-10 wide.  A test at
+    h <= lo_skip reads "below" and one at h >= hi_skip "above" without an
+    evaluation, so the kernel runs only on the lanes whose test lies
+    strictly between; -inf and inf skip none, which is the reference
+    bisection of tests/oracles.py.  Skipped ends come only from
+    ``_lane_bounds``, whose certificate makes a skipped test read as its
+    evaluation would (see ``_tau_star_argmax``).
+    """
+    const, terms_g, terms_d = terms
 
-def _bisect_lanes(
-    L: int, const: np.ndarray, terms_g: np.ndarray, terms_d: np.ndarray, target: np.ndarray
-) -> np.ndarray:
-    """The reference lanes' bisection, unchanged but for a target per lane,
-    on lanes that all have a root: g' at the final bracket's midpoint."""
+    def phi_slope(h: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        e, num = _lane_kernel(h, L, const[j], terms_g[j], terms_d[j])
+        slope = num / e
+        return -np.log(e) - h * slope, slope
 
-    def phi(h: np.ndarray) -> np.ndarray:
-        e, num = _lane_kernel(h, L, const, terms_g, terms_d)
-        return -np.log(e) - h * (num / e)
+    def below(h, k, a, b, t):  # the tests at h in lanes k, whose skip ends are a, b
+        out = h <= a
+        (ev,) = (~out & (h < b)).nonzero()
+        if ev.size:
+            out[ev] = phi_slope(h[ev], k[ev])[0] < t[ev]
+        return out
 
-    lo = np.zeros_like(target)
-    hi = np.ones_like(target)
-    for _ in range(80):  # expand brackets where needed
-        short = phi(hi) < target
-        if not short.any():
-            break
-        lo = np.where(short, hi, lo)
-        hi = np.where(short, hi * 2.0, hi)
-    for _ in range(_VEC_HALVINGS):
+    lo, hi = np.zeros_like(target), np.ones_like(target)
+    k = np.arange(len(target))  # the lanes still doubling
+    while k.size:
+        k = k[below(hi[k], k, lo_skip[k], hi_skip[k], target[k])]
+        lo[k] = hi[k]
+        hi[k] *= 2.0
+        k = k[hi[k] <= 2.0**64]
+    tilt = np.full_like(target, np.inf)
+    # the lanes still halving, with their brackets, skip ends and targets,
+    # compacted as lanes stop; a feasible bracket is at least 1 wide here
+    k = np.flatnonzero(hi <= 2.0**64)
+    lo, hi, a, b, t = lo[k], hi[k], lo_skip[k], hi_skip[k], target[k]
+    while k.size:
         mid = (lo + hi) / 2.0
-        below = phi(mid) < target
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    e, num = _lane_kernel((lo + hi) / 2.0, L, const, terms_g, terms_d)
-    return num / e
+        down = below(mid, k, a, b, t)
+        lo, hi = np.where(down, mid, lo), np.where(down, hi, mid)
+        go = hi - lo > _TAU_TOL
+        if not go.all():
+            tilt[k[~go]] = (lo[~go] + hi[~go]) / 2.0
+            k, lo, hi, a, b, t = k[go], lo[go], hi[go], a[go], b[go], t[go]
+    value = np.zeros_like(target)
+    j = np.flatnonzero(tilt < np.inf)
+    value[j] = phi_slope(tilt[j], j)[1]
+    return value, tilt
 
 
 @np.errstate(all="ignore")
@@ -436,9 +377,9 @@ def _lane_bounds(
     start: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per lane, the certified ends (A, B) of its root and (lower, upper)
-    around the value the reference lanes' bisection returns; -inf and inf
-    where the bracket is not certified.  ``start`` goes to
-    ``_lane_newton``.  See ``_tau_star_argmax``."""
+    around the value that ``_bisect`` returns; -inf and inf where the
+    bracket is not certified.  ``start`` goes to ``_lane_newton``.  See
+    ``_tau_star_argmax``."""
     h, dphi, step = _lane_newton(L, const, terms_g, terms_d, target, start)
     ceiling = -np.log(const)
 
@@ -459,7 +400,7 @@ def _lane_bounds(
         & (-np.log(eb) - b * slope_b > target + m)
         & (b < 2.0**64)
     )
-    eps = 64.0 * (L + 3.0 * b + 16.0) * _UNIT
+    eps = 64.0 * (L + 3.0 * b + 16.0) * _UNIT + _TAU_TOL / 4.0
     return (
         np.where(certified, a, -np.inf),
         np.where(certified, b, np.inf),
@@ -487,52 +428,52 @@ def _tau_star_argmax(
        last batch (a rate just below), or from its cold start where there
        is none; its digits reach no output.
     2. Around the estimate, (A, B) is certified: both ends are evaluated
-       with the reference kernel (``_lane_kernel``), and kept only where
-       float phi(A) < target - m, float phi(B) > target + m and B < 2^64.
-       A is held at 0 or more.  ``_lane_bounds`` does steps 1 to 3 for
-       every certified bracket of the package.
+       with the kernel (``_lane_kernel``), and kept only where float
+       phi(A) < target - m, float phi(B) > target + m and B < 2^64.  A is
+       held at 0 or more.  ``_lane_bounds`` does steps 1 to 3 for every
+       certified bracket of the package.
     3. A certified lane's value lies in [g'(B) - eps, g'(A) + eps], both
        slopes read from step 2.  A lane whose upper end lies below the
        best lower end of its rate cannot be an argmax, so it is dropped;
        every uncertified lane is kept.
-    4. The reference bisection (``_bisect_lanes``) replays the kept lanes,
-       each with its own target, and the first argmax is taken per rate
-       over the replayed values, 0 on every lane without a root and -inf
-       on the dropped ones.
+    4. The bisection (``_bisect``) replays the kept lanes, each with its
+       own target and its (A, B) as skipped ends, and the first argmax is
+       taken per rate over the replayed values, 0 on every lane without a
+       root and -inf on the dropped ones.
 
-    Why the ends hold.  The exact phi of the same omega rises with h.
-    With unit roundoff u, numpy's exp, log and power within 4 ulps (at
-    most 1 ulp was measured for exp and log against mpmath, numpy 2.4.6)
-    and a row sum of k positive terms within (k - 1) u, whatever its
-    order: each coefficient carries (L + 18) u, each e^(-hk/(L+1)) (2h +
-    8) u through its rounded argument, e and e g' (2L + 2h + 27) u, the
-    slope (4L + 4h + 55) u, and ln e and h g' are at most the ceiling c.
-    So float phi(h) is within b(h) = 2 (1 + 2c) (L + h + 19) u of exact
-    phi(h); an exponential that underflows adds at most 2^-1074 to an e
-    of at least 2^-17.  Every test of the bisection lies in [0, 2B + 2]: the
-    doubling stops by the first power of two past B, well before its 80
-    steps.  A test at h <= A then reads float phi(h) <= exact phi(A) + b(h)
-    <= float phi(A) + 2 b(2B + 2) < target - m + 2 b(2B + 2), which is
-    below the target with m = 8 b(2B + 2), four times what this needs;
-    symmetrically every test at h >= B reads above.
+    Why the ends hold.  The exact phi of the same omega rises with h
+    (phi' = -h g'' > 0).  With unit roundoff u, numpy's exp, log and
+    power within 4 ulps (at most 1 ulp was measured for exp and log
+    against mpmath, numpy 2.4.6) and a row sum of k positive terms within
+    (k - 1) u, whatever its order: each coefficient carries (L + 18) u,
+    each e^(-hk/(L+1)) (2h + 8) u through its rounded argument, e and e g'
+    (2L + 2h + 27) u, the slope (4L + 4h + 55) u, and ln e and h g' are at
+    most the ceiling c.  So float phi(h) is within b(h) = 2 (1 + 2c) (L +
+    h + 19) u of exact phi(h); an exponential that underflows adds at most
+    2^-1074 to an e of at least 2^-17.  Every test of the bisection lies in
+    [0, 2B + 2]: the doubling stops by the first power of two past B, so
+    below 2^65 and never at the infeasible exit.  A test at h <= A then
+    reads float phi(h) <= exact phi(A) + b(h) <= float phi(A) + 2 b(2B +
+    2) < target - m + 2 b(2B + 2), which is below the target with m = 8
+    b(2B + 2), four times what this needs; symmetrically every test at h
+    >= B reads above.  Float phi is not monotone at the ulp scale (the
+    slope can rise by 3 ulps, test_slope_falls_as_the_tilt_grows), hence
+    the margin.
 
     Why the value bound holds.  The bisection's lower end only takes
     points that read below, so it stays below B, and its upper end stays
-    above A.  Each halving leaves at most half the width plus u hi, so
-    with the first bracket at most max(1, B) wide and hi at most
-    max(1, 2B), the last is w <= 2^-50 (B + 1) wide and its midpoint h*
-    lies in (A - w, B + w).  g' falls as h grows, with |g''| <= 1/4 (a
-    variance of a variable in [0, 1]), so exact g'(h*) lies in [g'(B) -
-    w/4, g'(A) + w/4], and float g' is within (4L + 4h + 55) u of exact
-    (g' < 1), at h*, A and B alike.  eps = 64 (L + 3B + 16) u is eight
-    times that total, 2 (4L + 8B + 63) u + 2 (B + 1) u.
+    above A.  It stops at most 1e-10 wide, and the rounded midpoint h*
+    lies between its ends, so h* lies in (A - 1e-10, B + 1e-10).  g'
+    falls as h grows, with |g''| <= 1/4 (a variance of a variable in [0,
+    1]), so exact g'(h*) lies in [g'(B) - 1e-10/4, g'(A) + 1e-10/4], and
+    float g' is within (4L + 4h + 55) u of exact (g' < 1), at h*, A and B
+    alike.  eps = 64 (L + 3B + 16) u + 1e-10/4 covers that total, 2 (4L +
+    4B + 56) u + 1e-10/4.
 
     Measured against 40-digit mpmath on 3,200 random lanes (L in 1..17,
     h up to 100), float phi stayed within 0.06 b(h) and g' within 0.03 of
     its bound, so m is over 100 times the largest phi error seen and eps
-    over 300 times the largest g' error.  The same ends also hold for the
-    scalar kernel's bisection, with eps' = eps + 1e-10 / 4 for its value
-    (see ``_bisect_root``).
+    over 300 times the largest g' error.
     """
     omegas = np.asarray(omegas, dtype=np.float64)
     const, terms_g, terms_d = _lane_terms(L, omegas)
@@ -541,7 +482,8 @@ def _tau_star_argmax(
     size = max(1, _LANE_BUDGET // L)
     group = max(1, size // len(omegas))  # rates whose lanes are listed at once
     best = np.full(len(targets), -np.inf)  # per rate, the best lower end
-    held = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
+    empty = np.empty(0)
+    held = [(np.empty(0, np.intp), np.empty(0, np.intp), empty, empty, empty)]
     lanes = uncertified = 0
     # per omega, the upper end of its lane's root in the last batch, NaN
     # where not certified: its next Newton start
@@ -558,16 +500,17 @@ def _tau_star_argmax(
             np.maximum.at(best, r, lower)
             # a rate's best so far is at most its final best
             hold = upper >= best[r]
-            held.append((r[hold], j[hold], upper[hold]))
+            held.append((r[hold], j[hold], upper[hold], a[hold], b[hold]))
             lanes += len(r)
             uncertified += int(np.count_nonzero(upper == np.inf))
-    r, j, upper = (np.concatenate(parts) for parts in zip(*held))
+    r, j, upper, a, b = (np.concatenate(parts) for parts in zip(*held))
     keep = upper >= best[r]
-    r, j = r[keep], j[keep]
-    values = [np.empty(0)]
+    r, j, a, b = r[keep], j[keep], a[keep], b[keep]
+    values = [empty]
     for s in range(0, len(r), size):
-        rs, js = r[s : s + size], j[s : s + size]
-        values.append(_bisect_lanes(L, const[js], terms_g[js], terms_d[js], targets[rs]))
+        c = slice(s, s + size)
+        lane_terms = const[j[c]], terms_g[j[c]], terms_d[j[c]]
+        values.append(_bisect(L, lane_terms, targets[r[c]], a[c], b[c])[0])
     values = np.concatenate(values)
     found: list[tuple[int, float]] = []
     for r0 in range(0, len(targets), group):
@@ -583,36 +526,35 @@ def _tau_star_argmax(
 
 def _lane_points(
     L: int, rates: list[float], points: list[float], starts: np.ndarray
-) -> np.ndarray:
-    """tau_star(R, L, omega) at each (rate, point) pair, as the rows lower,
-    upper (bounds on its value), omega (the point snapped) and A, B (its
-    root's certified ends) of one array.  Where tau_star_info solves no
-    root (R = 0, or a target at or past its scalar ceiling), lower = upper
-    = its value and A = B = NaN.  The other pairs are lanes, certified by
-    ``_lane_bounds`` in batches of at most ``_LANE_BUDGET`` // L from
-    ``starts``, which each certified B replaces; their bounds are widened
-    by 1e-10 / 4 for the scalar replay (``_bisect_root``), and read -inf,
-    inf if uncertified."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """tau_star_info(R, L, omega) at each (rate, point) pair, bit for bit,
+    as the arrays value, tilt and B (the upper end of its root's certified
+    bracket).  Where tau_star_info solves no root (R = 0, or a target at
+    or past its scalar ceiling), B is NaN, and the tilt 0 or inf.  The
+    other pairs are lanes, in batches of at most ``_LANE_BUDGET`` // L:
+    ``_lane_bounds`` certifies (A, B) from ``starts``, which each
+    certified B replaces, and ``_bisect`` runs between them, in full where
+    the lane is not certified (B = inf)."""
     omegas = [_snap_omega(p) for p in points]
     targets = [R * L * LN2 for R in rates]
-    values, lanes, nan = [0.0] * len(points), [], [math.nan] * len(points)
+    n = len(points)
+    values, tilts, lanes = [0.0] * n, [math.inf] * n, []
     for k, (R, target, omega) in enumerate(zip(rates, targets, omegas)):
         if R == 0.0:
-            values[k] = omega - omega ** (L + 1)
+            values[k], tilts[k] = omega - omega ** (L + 1), 0.0
         elif target < -log(omega ** (L + 1) + (1.0 - omega) ** (L + 1)):
             lanes.append(k)
-    rows = np.array([values, values, omegas, nan, nan])
-    lower, upper, omegas, a, b = rows  # views of the rows
-    targets, lanes = np.array(targets), np.array(lanes, dtype=np.intp)
+    values, tilts, omegas, ends = np.array([values, tilts, omegas, [math.nan] * n])
+    lanes = np.array(lanes, dtype=np.intp)
+    targets = np.array(targets)
     size = max(1, _LANE_BUDGET // L)
     for s in range(0, len(lanes), size):
         j = lanes[s : s + size]
-        lane_terms = _lane_terms(L, omegas[j])
-        a[j], b[j], lower[j], upper[j] = _lane_bounds(L, *lane_terms, targets[j], starts[j])
-        starts[j] = np.where(b[j] < np.inf, b[j], starts[j])
-    lower[lanes] -= _TAU_TOL / 4.0
-    upper[lanes] += _TAU_TOL / 4.0
-    return rows
+        terms = _lane_terms(L, omegas[j])
+        a, ends[j], _, _ = _lane_bounds(L, *terms, targets[j], starts[j])
+        values[j], tilts[j] = _bisect(L, terms, targets[j], a, ends[j])
+        starts[j] = np.where(ends[j] < np.inf, ends[j], starts[j])
+    return values, tilts, ends
 
 
 def tau_star_lists(
@@ -620,30 +562,32 @@ def tau_star_lists(
 ) -> Callable[[float, float], list[float]]:
     """(R, omega) -> [tau_star(R, L, omega) for L = 1..l_up], bit for bit,
     at any of the given pairs, each a rate in [0, 1) and an omega in
-    (0, 1).  Every root is certified on the first call, one
-    ``_lane_points`` call per L from the cold start; a call replays its
-    pair's list from those ends with ``_bisect_root``."""
+    (0, 1).  The first call builds the whole table, one ``_lane_points``
+    call per L, each pair's Newton start taken from its root at the L
+    before; every call is then a lookup, of the same list each time."""
     for R, omega in pairs:
         if not (0.0 <= R < 1.0 and 0.0 < omega < 1.0):
             raise ValueError(f"need a rate in [0, 1) and omega in (0, 1), got {(R, omega)}")
     rates, points = [R for R, _ in pairs], [omega for _, omega in pairs]
-    table = []  # per L, the rows lower, A and B: A is NaN where no root is solved
     index = {pair: k for k, pair in enumerate(pairs)}
 
+    @cache
+    def table() -> np.ndarray:
+        """Row L - 1: tau_star at list size L, a column per pair."""
+        starts, columns = np.full(len(pairs), np.nan), []
+        for L in range(1, l_up + 1):
+            values, _, ends = _lane_points(L, rates, points, starts)
+            # the root's tilt grows with L about as L + 1 does; from this
+            # start the default grid's table builds about 10% faster than
+            # from cold starts
+            starts = np.where(ends < np.inf, ends * (L + 2) / (L + 1), np.nan)
+            columns.append(values)
+        return np.array(columns)
+
+    @cache
     def thresholds(R: float, omega: float) -> list[float]:
-        k, snapped = index[R, omega], _snap_omega(omega)
-        if not table:
-            for L in range(1, l_up + 1):
-                rows = _lane_points(L, rates, points, np.full(len(pairs), np.nan))
-                table.append(rows[[0, 3, 4]])
-        out = []
-        for L, rows in enumerate(table, 1):
-            value, a, b = rows[:, k].tolist()
-            if not math.isnan(a):
-                at = _evaluator(L, *_binom_terms(L, snapped))
-                value = _bisect_root(at, R * L * LN2, a, b).value
-            out.append(value)
-        return out
+        # a walk reads about half its pairs, so only those become lists
+        return table()[:, index[R, omega]].tolist()
 
     return thresholds
 
@@ -675,28 +619,17 @@ def _golden_polish(
     live_rates = [rates[k] for k in live]
     starts = np.full(len(live), np.nan)  # per rate, its last root's upper end
 
-    def probe(points: list[float]) -> list[list[float]]:
-        """Per live rate, [lo, hi, omega, A, B] at its point: tau_star lies
-        in [lo, hi], a point once read, and (A, B) are its root's ends."""
-        rows = _lane_points(L, live_rates, points, starts)
+    def probe(points: list[float]) -> list[float]:
+        """Per live rate, tau_star at its point."""
+        values, _, ends = _lane_points(L, live_rates, points, starts)
         counts["polish_probes"] += len(points)
-        counts["polish_uncertified"] += int(np.count_nonzero(rows[4] == np.inf))
-        return rows.T.tolist()
+        counts["polish_replays"] += int(np.count_nonzero(~np.isnan(ends)))
+        counts["polish_uncertified"] += int(np.count_nonzero(ends == np.inf))
+        return values.tolist()
 
-    def read(p: list[float], target: float) -> None:
-        counts["polish_replays"] += 1
-        at = _evaluator(L, *_binom_terms(L, p[2]))
-        p[0] = p[1] = _bisect_root(at, target, p[3], p[4]).value
-
-    def less(p: list[float], q: list[float], target: float) -> bool:
-        # read values only while the intervals overlap
-        while not (p[1] < q[0] or p[0] >= q[1]):
-            read(p if p[0] < p[1] else q, target)
-        return p[1] < q[0]
-
-    def section(k: int, target: float):
-        """The scalar polish of one rate: yields each probe point and
-        receives its probe, then yields the rate's tau."""
+    def section(k: int):
+        """The polish of one rate: yields each probe point and
+        receives its value, then yields the rate's tau."""
         best, tau = grid_best[k]
         a = float(omegas[max(best - 1, 0)])
         b = float(omegas[min(best + 1, len(omegas) - 1)])
@@ -705,7 +638,7 @@ def _golden_polish(
         fc = yield c
         fd = yield d
         for _ in range(40):
-            if less(fc, fd, target):
+            if fc < fd:
                 a, c, fc = c, d, fd
                 d = a + gold * (b - a)
                 fd = yield d
@@ -713,15 +646,9 @@ def _golden_polish(
                 b, d, fd = d, c, fc
                 c = b - gold * (b - a)
                 fc = yield c
-        top = [tau, tau]  # the grid's value, as a probe already read
-        for p in (fc, fd):
-            if less(top, p, target):
-                top = p
-        if top[0] < top[1]:
-            read(top, target)
-        yield top[0]
+        yield max(tau, fc, fd)
 
-    sections = [section(k, R * L * LN2) for k, R in zip(live, live_rates)]
+    sections = [section(k) for k in live]
     points = [next(sec) for sec in sections]
     for _ in range(42):  # c, d and one probe per step
         points = [sec.send(p) for sec, p in zip(sections, probe(points))]
@@ -744,22 +671,18 @@ def rcb_lower_curve(
     The grid's winner and its value come from ``_tau_star_argmax``, bit
     for bit those of the reference lanes.  The polish (``_golden_polish``)
     runs the 40 golden-section steps of every rate in lockstep, one
-    generator per rate holding the scalar loop of tests/oracles.py with
-    its state a, b, c, d in Python floats, so every probe point is the
-    same float and every tau is bit for bit the scalar polish's, built on
-    tau_star_info.  The new probes of all rates go through the lanes as
-    one batch, 42 batches in all: ``_lane_points`` certifies them with
-    ``_lane_bounds``, as the grid argmax does, from the certified upper
-    end of the rate's last probe, and gives the root's ends (A, B) and the
-    bounds g'(B) - eps', g'(A) + eps', eps' = eps + 1e-10 / 4.  A probe
-    with no root (target at or past its scalar ceiling) is 0, as in
-    tau_star_info.
-
-    A comparison fc < fd is decided by the value intervals when they are
-    disjoint, and so is the final max with the grid's value.  Only a
-    probe that an undecided comparison reads gets its exact value, from
-    one replay of tau_star_info's bisection with the lane's (A, B) as its
-    skipped ends, or none where the lane is not certified (``_bisect_root``)."""
+    generator per rate holding the golden-section loop of tests/oracles.py
+    with its state a, b, c, d in Python floats, so every probe point is
+    the same float and every tau is bit for bit the reference polish's,
+    built on tau_star_info.  The new probes of all rates go through the lanes as
+    one batch, 42 batches in all: ``_lane_points`` certifies each probe's
+    root from the certified upper end of the rate's last probe, as the
+    grid argmax does, and bisects between the ends, so every probe
+    arrives with tau_star_info's value and the comparisons are plain float
+    comparisons.  A probe with no root (target at or past its scalar
+    ceiling) is 0, as in tau_star_info.  ``counts`` records the probes,
+    the lanes among them (``polish_replays``: probes with a root, each
+    bisected) and the lanes left uncertified."""
     if not 1 <= L <= 17:
         raise ValueError("list size must lie in 1..17")
     if r_points < 2 or omega_points < 2:

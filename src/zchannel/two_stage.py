@@ -23,7 +23,6 @@ from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from heapq import heapify, heappop, heapreplace
 from math import inf, isnan, log1p, sqrt
 
@@ -109,11 +108,15 @@ _GRADE_BOUNDS = {L: float(tau) for L, tau in TAU_TABLE.items()}
 
 
 def _thresholds(R: float, omega: float, l_up: int) -> list[float]:
-    """tau_star(R, L, omega) for L = 1..l_up, one plain scalar bisection
-    each; ``two_stage_curve`` reads the same bits from ``tau_star_lists``.
+    """tau_star(R, L, omega) for L = 1..l_up, from one ``tau_star_lists``
+    table of the one pair, as ``two_stage_curve`` reads them for its grid.
+    That table refuses a rate of 1 or more, whose target lies at or past
+    every ceiling; tau_star reads it, 0 at each L.
     They need not rise with L: at (R, omega) = (0.9, 0.4694) they peak
     near 0.00943 at L = 5 and fall to 0.00671 at L = 17."""
-    return [tau_star(R, L, omega) for L in range(1, l_up + 1)]
+    if R >= 1.0:
+        return [tau_star(R, L, omega) for L in range(1, l_up + 1)]
+    return tau_star_lists([(R, omega)], l_up)(R, omega)
 
 
 def _x_extras(xmax: float, thresholds: list[float]) -> list[float]:
@@ -197,8 +200,11 @@ def check_star(
     x)/(1 - alpha) <= tau_of_L(L), and the tail lhs <= tau_star(r2, 1, 1/2)
     for the shortened-code rate r2.  Anything within ``BOUNDARY_TOL`` of
     failing fails.  ``thresholds`` is tau_star(R, L, omega) for L =
-    1..cfg.l_up, computed here when not given; its first entry doubles as
-    r2's list-1 threshold.  A given list must hold cfg.l_up entries, each
+    1..cfg.l_up, computed here by ``_thresholds`` when not given, at
+    about 12 ms a call for l_up = 17 (2 CPUs): a caller that checks many
+    candidates passes them from one ``tau_star_lists`` table, as
+    ``two_stage_curve`` does.  Their first entry doubles as r2's list-1
+    threshold.  A given list must hold cfg.l_up entries, each
     >= 0 and not NaN.  Neither sorted thresholds nor a sorted probe
     list is needed:
 
@@ -280,10 +286,9 @@ def two_stage_curve(
     never checked again, and a pair is dropped for good once its bottom
     rung fails, which is checked on its first pop at each tau.
 
-    The thresholds of every (omega, R) of the grid are certified at the
-    first check (``tau_star_lists``), so not at all when no check runs,
-    and replayed with the bits of ``_thresholds`` the first time a check
-    needs them.
+    The thresholds of every (omega, R) of the grid, with the bits of
+    ``_thresholds``, are solved in lanes at the first check
+    (``tau_star_lists``), so not at all when no check runs.
     """
     for prev, tau in zip([0.0, *taus], taus):
         if not prev <= tau < 1.0:
@@ -300,7 +305,7 @@ def two_stage_curve(
             heap.extend((-al * rates[0], om, al, 0, rates) for al in alphas)
         pairs += [(R, om) for R in rates]
     heapify(heap)
-    thresholds = cache(tau_star_lists(pairs, cfg.l_up))
+    thresholds = tau_star_lists(pairs, cfg.l_up)
     checks = 0
 
     def passes(om: float, al: float, R: float, tau: float) -> bool:

@@ -134,11 +134,19 @@ def _dz_row(v: int, d: int, weights: np.ndarray) -> int:
 
     With c = |u & v| the one-sided gaps are |u| - c and |v| - c, so
     dz(u, v) >= d exactly when max(|u|, |v|) - c >= d/2; bit v is never
-    set.  One vectorised pass over all 2^n masks, packed into a Python int.
+    set.  The meet weights c of the first 2^10 masks are one gather; the
+    rest are built by doubling, as ``_weight_table`` builds the weights,
+    adding 1 only at v's bits, with no index array over all 2^n masks.
+    Then one vectorised pass over all 2^n masks, packed into a Python int.
     """
-    meet = weights[np.arange(weights.size, dtype=np.uint32) & v]
-    row = np.maximum(weights, weights[v]) - meet >= d // 2
-    return int.from_bytes(np.packbits(row, bitorder="little"), "little")
+    low = min(weights.size, 1 << 10)
+    meet = np.empty_like(weights)
+    meet[:low] = weights[np.arange(low) & v]
+    for k in range(low.bit_length() - 1, weights.size.bit_length() - 1):
+        np.add(meet[: 1 << k], v >> k & 1, out=meet[1 << k : 2 << k])
+    gap = np.maximum(weights, weights[v])
+    gap -= meet
+    return int.from_bytes(np.packbits(gap >= d // 2, bitorder="little"), "little")
 
 
 def zball_contains(center: BitWord, t: int, candidate: BitWord) -> bool:

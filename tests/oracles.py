@@ -7,8 +7,8 @@ and the package routes is what the oracle tests assert.
 
 The sections after those are different in kind.  They keep the
 exhaustive ``best_list_code`` scan, ``max_code`` with its eager adjacency
-rows, the scalar ``tau_star`` bisection and its lane-parallel twin over
-an omega grid, the one-probe-at-a-time golden-section polish of the
+rows, the plain ``tau_star`` bisection (on numpy's kernel in lanes, and
+on the libm kernel one root at a time), the golden-section polish of the
 random-coding curve, the ``check_star`` scan and the per-tau heap scan of
 ``two_stage_rate``, the Fraction certificate check and the Fraction
 Gauss-Jordan support solve as they were before the faster designs
@@ -19,6 +19,7 @@ starting basis and the LP's symmetry sigma from their definitions.
 
 import math
 from fractions import Fraction
+from functools import cache
 from heapq import heapify, heappop, heapreplace
 from itertools import combinations, product
 from math import comb, exp, fsum, log, sqrt
@@ -196,13 +197,132 @@ def max_code(n: int, d: int, *, max_nodes: int = MAX_NODES) -> CodeSearchResult:
 
 
 # ---------------------------------------------------------------------------
-# Float-for-float references for the tau_star kernel and check_star: the
-# scalar and lane-parallel bisections and the x-scan as they stood before
-# their fast paths, kept verbatim so the fast paths can be held to
-# bit-identical results.
+# Float-for-float references for the tau_star kernel and check_star.  The
+# reference bisection runs on numpy's kernel as lanes, over many (rate,
+# omega) pairs at once, and evaluates every lane at every step; the scalar
+# tau_star is one lane of it.  The same bisection on the libm kernel
+# (math.exp and fsum), which the package ran until it kept only the numpy
+# kernel, is the second reference.  The golden-section polish of the
+# random-coding curve, the check_star x-scan and the per-tau heap scan
+# are kept as they stood before their fast paths, so the package can be
+# held to bit-identical results.
 
 LN2 = log(2.0)
 _TAU_TOL = 1e-10
+
+
+def _snap_omega(omega):
+    if not 0.0 <= omega <= 1.0:
+        raise ValueError(f"bit probability {omega} outside [0, 1]")
+    if omega <= 1e-12:
+        return 0.0
+    if omega >= 1.0 - 1e-12:
+        return 1.0
+    return omega
+
+
+def _lane_terms(L, omegas):
+    """The constant, tilted and slope terms of the moment sum, one row per
+    bit probability."""
+    i = np.arange(1, L + 1, dtype=np.float64)
+    gcoef = np.array([comb(L + 1, k) for k in range(1, L + 1)])
+    dcoef = np.array([comb(L, k - 1) for k in range(1, L + 1)])
+    om = omegas[:, None]
+    const = omegas ** (L + 1) + (1.0 - omegas) ** (L + 1)
+    terms_g = gcoef * om**i * (1.0 - om) ** (L + 1 - i)
+    terms_d = dcoef * om**i * (1.0 - om) ** (L + 1 - i)
+    return const, terms_g, terms_d
+
+
+def e_and_num(h, L, const, terms_g, terms_d):
+    """(e, e g') at tilt h[k] in lane k: e = const + sum_i g_i
+    e^(-h i/(L+1)), with numpy's exp and row sums."""
+    i = np.arange(1, L + 1, dtype=np.float64)
+    w = np.exp(-h[:, None] * i / (L + 1))
+    return const + (terms_g * w).sum(axis=1), (terms_d * w).sum(axis=1)
+
+
+def _bisect_lanes(L, omegas, targets):
+    """(value, tilt) per lane of the bisection for phi(h) = g - h g' =
+    target: the bracket [0, 1] doubles while phi(hi) < target, a lane
+    whose bracket passes 2^64 is infeasible (0, inf), and the rest halve
+    while wider than 1e-10; g' at the final midpoint."""
+    terms = _lane_terms(L, omegas)
+
+    def phi(h):
+        e, num = e_and_num(h, L, *terms)
+        return -np.log(e) - h * (num / e)
+
+    lo = np.zeros_like(targets)
+    hi = np.ones_like(targets)
+    feasible = np.ones(len(targets), dtype=bool)
+    doubling = feasible
+    while doubling.any():
+        doubling = doubling & (phi(hi) < targets)
+        lo = np.where(doubling, hi, lo)
+        hi = np.where(doubling, hi * 2.0, hi)
+        feasible = hi <= 2.0**64
+        doubling &= feasible
+    halving = feasible
+    while halving.any():
+        mid = (lo + hi) / 2.0
+        below = phi(mid) < targets
+        lo = np.where(halving & below, mid, lo)
+        hi = np.where(halving & ~below, mid, hi)
+        halving = halving & (hi - lo > _TAU_TOL)
+    h_star = np.where(feasible, (lo + hi) / 2.0, np.inf)
+    e, num = e_and_num(np.where(feasible, h_star, 0.0), L, *terms)
+    return np.where(feasible, num / e, 0.0), h_star
+
+
+def tau_star_lanes(rates, L, omegas):
+    """[(value, feasible, tilt) of the list-L random-coding threshold] at
+    each (rate, omega) pair, the bisections run as lanes."""
+    if L < 1:
+        raise ValueError("list size must be at least 1")
+    out, lanes = [], []
+    for k, (R, omega) in enumerate(zip(rates, omegas)):
+        if not R >= 0.0:
+            raise ValueError("rate must be nonnegative")
+        omega = _snap_omega(omega)
+        target = R * L * LN2
+        if R == 0.0:
+            out.append((omega - omega ** (L + 1), True, 0.0))
+        elif target >= -log(omega ** (L + 1) + (1.0 - omega) ** (L + 1)):
+            out.append((0.0, False, math.inf))
+        else:
+            out.append(None)
+            lanes.append((k, omega, target))
+    if lanes:
+        ks, oms, targets = zip(*lanes)
+        values, tilts = _bisect_lanes(L, np.array(oms), np.array(targets))
+        for k, value, tilt in zip(ks, values.tolist(), tilts.tolist()):
+            out[k] = (value, True, tilt) if tilt < math.inf else (0.0, False, math.inf)
+    return out
+
+
+@cache
+def tau_star_info(R, L, omega):
+    """(value, feasible, tilt) of the list-L random-coding threshold."""
+    return tau_star_lanes([R], L, [omega])[0]
+
+
+def tau_star(R, L, omega):
+    return tau_star_info(R, L, omega)[0]
+
+
+def _tau_star_vec(R, L, omegas):
+    """tau_star over an array of bit probabilities at one (R, L), with the
+    lanes' own R = 0 value and ceiling test in numpy; infeasible lanes
+    come back 0."""
+    omegas = np.asarray(omegas, dtype=np.float64)
+    if R == 0.0:
+        return omegas - omegas ** (L + 1)
+    target = R * L * LN2
+    feasible = target < -np.log(omegas ** (L + 1) + (1.0 - omegas) ** (L + 1))
+    out = np.zeros_like(omegas)
+    out[feasible], _ = _bisect_lanes(L, omegas[feasible], np.full(feasible.sum(), target))
+    return out
 
 
 def _binom_terms(L, omega):
@@ -223,18 +343,9 @@ def _e_and_slope(h, L, const, g_terms, d_terms):
     return e, num / e
 
 
-def _snap_omega(omega):
-    if not 0.0 <= omega <= 1.0:
-        raise ValueError(f"bit probability {omega} outside [0, 1]")
-    if omega <= 1e-12:
-        return 0.0
-    if omega >= 1.0 - 1e-12:
-        return 1.0
-    return omega
-
-
-def tau_star_info(R, L, omega):
-    """(value, feasible, tilt) of the list-L random-coding threshold."""
+def tau_star_info_libm(R, L, omega):
+    """(value, feasible, tilt) from the same bisection, one scalar at a
+    time, on the libm kernel: math.exp and correctly rounded fsum."""
     if R < 0.0:
         raise ValueError("rate must be nonnegative")
     if L < 1:
@@ -268,89 +379,53 @@ def tau_star_info(R, L, omega):
     return slope, True, h_star
 
 
-def tau_star(R, L, omega):
-    return tau_star_info(R, L, omega)[0]
-
-
-def _tau_star_vec(R, L, omegas):
-    """tau_star over an array of bit probabilities at one (R, L).
-
-    Same bisection as the scalar path, run lane-parallel; infeasible lanes
-    come back 0.
-    """
-    omegas = np.asarray(omegas, dtype=np.float64)
-    target = R * L * LN2
-    i = np.arange(1, L + 1, dtype=np.float64)
-    gcoef = np.array([comb(L + 1, k) for k in range(1, L + 1)])
-    dcoef = np.array([comb(L, k - 1) for k in range(1, L + 1)])
-    om = omegas[:, None]
-    const = omegas ** (L + 1) + (1.0 - omegas) ** (L + 1)
-    terms_g = gcoef * om**i * (1.0 - om) ** (L + 1 - i)
-    terms_d = dcoef * om**i * (1.0 - om) ** (L + 1 - i)
-
-    def e_and_num(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        w = np.exp(-h[:, None] * i / (L + 1))
-        return const + (terms_g * w).sum(axis=1), (terms_d * w).sum(axis=1)
-
-    if R == 0.0:
-        return omegas - omegas ** (L + 1)
-
-    ceiling = -np.log(omegas ** (L + 1) + (1.0 - omegas) ** (L + 1))
-    feasible = target < ceiling
-
-    lo = np.zeros_like(omegas)
-    hi = np.ones_like(omegas)
-    for _ in range(80):  # expand brackets where needed
-        e, num = e_and_num(hi)
-        phi = -np.log(e) - hi * (num / e)
-        short = feasible & (phi < target)
-        if not short.any():
-            break
-        lo = np.where(short, hi, lo)
-        hi = np.where(short, hi * 2.0, hi)
-    for _ in range(64):
-        mid = (lo + hi) / 2.0
-        e, num = e_and_num(mid)
-        phi = -np.log(e) - mid * (num / e)
-        below = phi < target
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    h_star = (lo + hi) / 2.0
-    e, num = e_and_num(h_star)
-    out = num / e
-    return np.where(feasible, out, 0.0)
-
-
 def rcb_lower_curve(L, r_points, omega_points):
     """(taus, rates) of the random-coding lower curve as the scalar polish
     built it: per rate, the first argmax of the lanes above on the grid,
-    then 40 golden-section steps around it, one tau_star probe at a time."""
+    then 40 golden-section steps around it.  The rates polish side by
+    side: each step, every rate makes its own comparison and names its
+    next probe, and the new probes of all rates are one call of the lane
+    bisection."""
     rates = [k / (r_points + 1) for k in range(1, r_points + 1)]
     omegas = np.array([k / (omega_points + 1) for k in range(1, omega_points + 1)])
     taus = []
     gold = (sqrt(5.0) - 1.0) / 2.0
-    for R in rates:
+    brackets = {}  # rate index -> [a, b, c, d]
+    for k, R in enumerate(rates):
         vals = _tau_star_vec(R, L, omegas)
         best = int(np.argmax(vals))
-        tau_best = float(vals[best])
-        if tau_best > 0.0:
+        taus.append(float(vals[best]))
+        if taus[-1] > 0.0:
             a = float(omegas[max(best - 1, 0)])
             b = float(omegas[min(best + 1, len(omegas) - 1)])
-            c = b - gold * (b - a)
-            d = a + gold * (b - a)
-            fc = tau_star(R, L, c)
-            fd = tau_star(R, L, d)
-            for _ in range(40):
-                if fc < fd:
-                    a, c, fc = c, d, fd
-                    d = a + gold * (b - a)
-                    fd = tau_star(R, L, d)
-                else:
-                    b, d, fd = d, c, fc
-                    c = b - gold * (b - a)
-                    fc = tau_star(R, L, c)
-            tau_best = max(tau_best, fc, fd)
-        taus.append(tau_best)
+            brackets[k] = [a, b, b - gold * (b - a), a + gold * (b - a)]
+    live = list(brackets)
+
+    def probe(points):
+        found = tau_star_lanes([rates[k] for k in live], L, points)
+        return [value for value, _, _ in found]
+
+    fc = probe([brackets[k][2] for k in live])
+    fd = probe([brackets[k][3] for k in live])
+    for _ in range(40):
+        points, moved = [], []
+        for n, k in enumerate(live):
+            a, b, c, d = brackets[k]
+            if fc[n] < fd[n]:
+                a, c, fc[n] = c, d, fd[n]
+                d = a + gold * (b - a)
+                points.append(d)
+                moved.append(fd)
+            else:
+                b, d, fd[n] = d, c, fc[n]
+                c = b - gold * (b - a)
+                points.append(c)
+                moved.append(fc)
+            brackets[k] = [a, b, c, d]
+        for n, (side, value) in enumerate(zip(moved, probe(points))):
+            side[n] = value
+    for n, k in enumerate(live):
+        taus[k] = max(taus[k], fc[n], fd[n])
     dedup_t, dedup_r = [], []
     for t_val, r_val in sorted(zip(taus, rates)):
         if not dedup_t or t_val != dedup_t[-1]:

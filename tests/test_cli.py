@@ -123,7 +123,8 @@ def test_rcb_curve_output_format(tmp_path):
     assert lanes["lanes_uncertified"] == 0
     assert 40 <= lanes["lanes_replayed"] < lanes["lanes"] <= 40 * 40
     assert lanes["polish_uncertified"] == 0
-    assert 0 < lanes["polish_replays"] < lanes["polish_probes"] <= 40 * 42
+    # every probe with a root is bisected, and here every probe has one
+    assert 0 < lanes["polish_replays"] == lanes["polish_probes"] <= 40 * 42
 
     out2 = tmp_path / "b"
     assert main(["rcb-curve", "--list-size", "1", "--grid", "40", "--out", str(out2)]) == 0

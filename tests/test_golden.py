@@ -5,8 +5,15 @@ file it writes, except the manifest (which records wall time), with the
 fixture copy.  The fixtures were recorded before the refactors they
 guard; regenerate them only for a deliberate change of output, and say
 so where the change is recorded.
+
+With ``ZCHANNEL_STRETCH=1``, two larger runs are also held to the sha256
+of one output file each, recorded the same way: the grid-2000 list-3
+curve (about 5 s) and the grid-50 two-stage curve.  They reach many more
+tau_star roots than the grid-50 fixtures.
 """
 
+import hashlib
+import os
 from pathlib import Path
 
 import pytest
@@ -59,3 +66,23 @@ def test_cli_output_matches_golden(name, tmp_path):
     assert got == want
     for file in sorted(want):
         assert (tmp_path / file).read_bytes() == (GOLDEN / name / file).read_bytes(), file
+
+
+STRETCH_RUNS = {
+    "rcb_lower_L3.csv": (
+        ["rcb-curve", "--list-size", "3", "--grid", "2000"],
+        "38092a7f0847c24b321debcc5db221152927054bb433573024c25d1679a72499",
+    ),
+    "two_stage.csv": (
+        ["two-stage-curve", "--lup", "17", "--grid", "50"],
+        "9fc5cef1749c0f2f950e66727ba97313cfc94c504233942793e4c381ab79e51a",
+    ),
+}
+
+
+@pytest.mark.skipif(os.environ.get("ZCHANNEL_STRETCH") != "1", reason="stretch run")
+@pytest.mark.parametrize("name", sorted(STRETCH_RUNS))
+def test_large_run_matches_its_pinned_digest(name, tmp_path):
+    argv, digest = STRETCH_RUNS[name]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest

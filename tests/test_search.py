@@ -225,9 +225,9 @@ def test_max_code_memory_is_bounded_by_the_cap(n, d, cap):
     rows = (cap + 1) * (1 << n) // 8  # the docstring's bound on the rows
     # Slack: the stack holds, per depth (at most ``cap`` deep), a pool and
     # at most one set of uncoloured words, so no more than twice the rows;
-    # a row build's numpy temporaries take about 12 bytes per word; and
+    # a row build's numpy temporaries take about 3 bytes per word; and
     # 1 MiB for everything else.
-    slack = 2 * rows + 16 * (1 << n) + (1 << 20)
+    slack = 2 * rows + 4 * (1 << n) + (1 << 20)
     tracemalloc.start()
     try:
         r = max_code(n, d, max_nodes=cap)

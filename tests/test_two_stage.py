@@ -464,6 +464,19 @@ def test_a_nan_rate_is_refused():
         r2(0.5, 0.3, 0.6, math.nan)
 
 
+@pytest.mark.parametrize("R", [1.0, 1.5, math.inf])
+def test_a_rate_of_one_or_more_reads_zero_thresholds(R):
+    # no root lies there, and check_star still gives its verdict
+    cfg = TwoStageConfig(l_up=3)
+    for omega in (0.5, 0.3):
+        want = [oracles.tau_star(R, L, omega) for L in range(1, 4)]
+        assert two_stage._thresholds(R, omega, 3) == want == [0.0] * 3
+        for tau in (0.05, 0.3):
+            assert check_star(omega, 0.3, R, tau, cfg) == check_star(
+                omega, 0.3, R, tau, cfg, thresholds=want
+            )
+
+
 def test_check_star_solves_no_root_when_given_thresholds(monkeypatch):
     """With thresholds given, the graded probes read the table and the
     probes past the last cut read the GV curve in closed form."""
@@ -574,9 +587,15 @@ def test_curve_equals_heap_scan_on_small_configs(
     # tau 0 and one repeated tau in every walk
     taus = sorted([0.0, *taus, taus[repeat % len(taus)]])
     got = [p.rate for p in two_stage_curve(taus, cfg)]
+    # each heap scan reads the thresholds of the reference lanes, solved
+    # once for the whole grid, and the curve's own table holds their bits
+    pairs = _grid_pairs(cfg)
+    table = _reference_table(pairs, l_up)
+    lists = rate_bounds.tau_star_lists(pairs, l_up)
+    hexes = lambda values: [t.hex() for t in values]
+    assert [hexes(lists(*p)) for p in pairs] == [hexes(table[p]) for p in pairs]
     with pytest.MonkeyPatch.context() as mp:
-        # each heap scan solves the same thresholds; solve them once
-        mp.setattr(two_stage, "_thresholds", cache(two_stage._thresholds))
+        mp.setattr(two_stage, "_thresholds", lambda R, om, l_up: table[R, om])
         assert got == [oracles.two_stage_rate(t, cfg) for t in taus]
 
 
@@ -793,14 +812,19 @@ def _grid_pairs(cfg):
     return [(R, om) for om in omegas for R in ladder if R < binary_entropy(om)]
 
 
+def _reference_table(pairs, l_up):
+    """(R, omega) -> oracles.tau_star(R, L, omega) for L = 1..l_up, at
+    every pair, from one run of the reference lanes per L."""
+    rates, omegas = [R for R, _ in pairs], [om for _, om in pairs]
+    columns = [oracles.tau_star_lanes(rates, L, omegas) for L in range(1, l_up + 1)]
+    return {pair: [col[k][0] for col in columns] for k, pair in enumerate(pairs)}
+
+
 @cache
 def _default_reference():
-    """(R, omega) -> oracles.tau_star(R, L, omega) for L = 1..17, at every
-    pair of the default grid; shared by the tests that read it."""
-    return {
-        (R, om): [oracles.tau_star(R, L, om) for L in range(1, 18)]
-        for R, om in _grid_pairs(DEFAULT_CONFIG)
-    }
+    """The reference table of the default grid; shared by the tests that
+    read it."""
+    return _reference_table(_grid_pairs(DEFAULT_CONFIG), 17)
 
 
 def _lane_lists(pairs):
@@ -832,10 +856,10 @@ def test_grid_thresholds_do_not_depend_on_the_batch_or_the_estimate(monkeypatch)
     real = rate_bounds._lane_points
 
     def spy(*args):
-        lower, upper, _, _, b = rows = real(*args)
-        lanes.append(np.count_nonzero(lower < upper))
-        uncertified.append(np.count_nonzero(b == np.inf))
-        return rows
+        values, tilts, ends = real(*args)
+        lanes.append(np.count_nonzero(~np.isnan(ends)))
+        uncertified.append(np.count_nonzero(ends == np.inf))
+        return values, tilts, ends
 
     def no_estimate(*args):
         return np.full((3, len(args[-1])), np.nan)
