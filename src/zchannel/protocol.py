@@ -104,7 +104,7 @@ class ValidationRow:
     e: int
     list_bound: int
     required_dz: int
-    available_dz: int | None  # None: grade missing or single-word (no pairs)
+    available_dz: int | None  # smallest over grades 2..list_bound; None: none present
     ok: bool
     note: str = ""
 
@@ -127,31 +127,33 @@ class ValidationReport:
 def validate_parameters(p: ProtocolParams) -> ValidationReport:
     """Per-error-count readiness check.
 
-    For every stage-1 error count e the candidate list stays within
-    list_bound(e); the matching stage-2 grade must exist and keep distance
-    at least 2(t - e) + 1 so the leftover budget cannot flip the rank.  A
-    single-word grade has no pairs to confuse, so its distance requirement
-    is vacuous.
+    For every stage-1 error count e the candidate list holds between 1
+    and list_bound(e) entries, and stage 2 uses the grade of its actual
+    size.  So every grade 2..list_bound(e) must exist and keep distance at
+    least 2(t - e) + 1, so that the leftover budget cannot flip the rank.
+    A list of one needs no stage 2.  A row reports the smallest distance
+    among those grades and names the first one that fails.
     """
     rows: list[ValidationRow] = []
     for e in range(0, min(p.w, p.t) + 1):
         bound = p.list_bound(e)
         required = 2 * (p.t - e) + 1
-        code = p.stage2_family.get(bound)
-        if code is None:
-            rows.append(
-                ValidationRow(e, bound, required, None, False,
-                              f"no stage-2 code for list size {bound}")
-            )
-            continue
         if bound == 1:
             rows.append(ValidationRow(e, bound, required, None, True,
                                       "single candidate, stage 2 unused"))
             continue
-        have = code.min_dz()  # not None: each grade >= 2 holds >= 2 words
-        ok = have >= required
-        note = "" if ok else f"distance {have} below required {required}"
-        rows.append(ValidationRow(e, bound, required, have, ok, note))
+        sizes = range(2, bound + 1)
+        # each grade >= 2 holds >= 2 words, so min_dz is not None
+        have = {s: p.stage2_family[s].min_dz() for s in sizes if s in p.stage2_family}
+        failing = next((s for s in sizes if have.get(s, -1) < required), None)
+        if failing is None:
+            note = ""
+        elif failing not in have:
+            note = f"no stage-2 code for list size {failing}"
+        else:
+            note = f"grade {failing} distance {have[failing]} below required {required}"
+        rows.append(ValidationRow(e, bound, required, min(have.values(), default=None),
+                                  failing is None, note))
     return ValidationReport(rows)
 
 
@@ -267,26 +269,18 @@ def _subset_budget(w: int, t: int) -> int:
     return sum(comb(w, k) for k in range(0, min(w, t) + 1))
 
 
-def adversary_exhaustive(
-    p: ProtocolParams,
-    m: int,
-    *,
-    require_valid: bool = True,
-) -> AdversaryReport:
+def adversary_exhaustive(p: ProtocolParams, m: int) -> AdversaryReport:
     """Try every split of the error budget against message m.
 
     Stage-1 error sets range over subsets of the sent support; the
     stage-2 set is chosen against the resulting stage-2 codeword, which
     makes the sweep automatically adaptive.  Refuses outright (never
-    samples) when the pattern count would exceed the budget cap.  The
-    report's digest is a sha256 over every transcript in enumeration
-    order, so reruns can be compared byte-for-byte.
+    samples) when the pattern count would exceed the budget cap, which
+    is checked first, since it is plain arithmetic; then refuses
+    parameters that fail ``validate_parameters``.  The report's digest is
+    a sha256 over every transcript in enumeration order, so reruns can
+    be compared byte-for-byte.
     """
-    if require_valid:
-        report = validate_parameters(p)
-        if not report:
-            bad = ", ".join(f"e={r.e}: {r.note}" for r in report.failing())
-            raise ProtocolError(f"parameters fail validation ({bad})")
     x1 = encode_stage1(p, m)
     w2_max = max(
         (max(c.weight() for c in code) for code in p.stage2_family.values()),
@@ -296,6 +290,10 @@ def adversary_exhaustive(
         raise BudgetExceededError(
             f"{cost} patterns exceed the cap of {ADVERSARY_BUDGET}"
         )
+    report = validate_parameters(p)
+    if not report:
+        bad = ", ".join(f"e={r.e}: {r.note}" for r in report.failing())
+        raise ProtocolError(f"parameters fail validation ({bad})")
 
     support1 = x1.support()
     sha = hashlib.sha256()

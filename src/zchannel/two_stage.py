@@ -9,6 +9,10 @@ a size-L+1-grade second stage, whose guaranteed fraction is tau_of_L) or
 overflows the list cap and must be handled by the shortened-code rate
 bound.  ``two_stage_curve`` grid-searches the triple maximizing alpha * R
 subject to that feasibility check, for a whole list of taus in one pass.
+The check depends on R only through the list thresholds tau_star(R, L,
+omega), L = 1..l_up, and takes them as input: the curve solves every
+one of its grid in lanes, as one ``tau_star_lists`` table, and nothing
+here solves a root of its own.
 
 The degenerate point where the achievable rate hits zero is computed
 exactly from the stationarity cubic 1 + 3 omega^2 - 8 omega^3 = 0, and
@@ -26,7 +30,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heapreplace
 from math import inf, isnan, log1p, sqrt
 
-from .rate_bounds import LN2, binary_entropy, tau_star, tau_star_lists
+from .rate_bounds import LN2, binary_entropy, tau_star_lists
 from .tau_lp import TAU_TABLE
 
 
@@ -67,32 +71,24 @@ class TwoStageConfig:
 DEFAULT_CONFIG = TwoStageConfig()
 
 
-def r2(
-    alpha: float,
-    tau1: float,
-    omega: float,
-    R1: float,
-    *,
-    list1_tau: float | None = None,
-) -> float:
+def r2(alpha: float, tau1: float, omega: float, list1_tau: float) -> float:
     """Rate still extractable from the second stage after stage-1 damage
     tau1, per the shortened-code argument.
 
-    ``list1_tau`` is tau_star(R1, 1, omega), computed here when not given.
-    Zero whenever the expression degenerates (negative square-root
-    argument or negative bracket): those regimes leave at most polynomial
-    list growth, which costs no rate.
+    ``list1_tau`` is tau_star(R1, 1, omega) for the stage-1 rate R1, the
+    first entry of the threshold list that check_star reads.  Zero
+    whenever the expression degenerates (negative square-root argument or
+    negative bracket): those regimes leave at most polynomial list growth,
+    which costs no rate.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"stage split {alpha} outside (0, 1)")
     if not 0.0 <= tau1 <= omega:
         raise ValueError(f"stage-1 fraction {tau1} outside [0, {omega}]")
-    if not R1 >= 0.0:
-        raise ValueError("stage-1 rate must be nonnegative")
+    if not list1_tau >= 0.0:
+        raise ValueError("list-1 threshold must be nonnegative")
     if tau1 == 0.0:
         return 0.0
-    if list1_tau is None:
-        list1_tau = tau_star(R1, 1, omega)
     shrink = 1.0 - omega + tau1
     sqrt_arg = 1.0 - 4.0 * list1_tau / (1.0 + omega - tau1)
     if sqrt_arg < 0.0:
@@ -105,18 +101,6 @@ def r2(
 
 # float(tau_of_L(L)) for every solved L, so for every grade of a cap in 1..17
 _GRADE_BOUNDS = {L: float(tau) for L, tau in TAU_TABLE.items()}
-
-
-def _thresholds(R: float, omega: float, l_up: int) -> list[float]:
-    """tau_star(R, L, omega) for L = 1..l_up, from one ``tau_star_lists``
-    table of the one pair, as ``two_stage_curve`` reads them for its grid.
-    That table refuses a rate of 1 or more, whose target lies at or past
-    every ceiling; tau_star reads it, 0 at each L.
-    They need not rise with L: at (R, omega) = (0.9, 0.4694) they peak
-    near 0.00943 at L = 5 and fall to 0.00671 at L = 17."""
-    if R >= 1.0:
-        return [tau_star(R, L, omega) for L in range(1, l_up + 1)]
-    return tau_star_lists([(R, omega)], l_up)(R, omega)
 
 
 def _x_extras(xmax: float, thresholds: list[float]) -> list[float]:
@@ -184,29 +168,27 @@ def _gv_fails(t: float, rate: float) -> bool:
 def check_star(
     omega: float,
     alpha: float,
-    R: float,
     tau: float,
+    thresholds: list[float],
     cfg: TwoStageConfig = DEFAULT_CONFIG,
-    *,
-    thresholds: list[float] | None = None,
 ) -> bool:
-    """Whether (omega, alpha, R) survives every probed stage-1 damage x.
+    """Whether a stage split survives every probed stage-1 damage x.
 
+    ``thresholds`` is tau_star(R, L, omega) for L = 1..cfg.l_up at the
+    stage-1 rate R, cfg.l_up entries, each >= 0 and not NaN: the check
+    reads R and every root through them, and solves none of its own.
+    ``two_stage_curve`` reads them from one ``tau_star_lists`` table.
     The probes lie below xmax = min(omega, tau/alpha): cfg.x_points
     uniform ones xmax k/(x_points + 1) and the few of ``_x_extras``.  A
     probe x has the grade of the first list size L with x <= cut L =
     thresholds[L-1] - tol, or lies in the tail past every cut.  Grade 1
     needs no second stage; 2 <= L <= the cap needs lhs = (tau - alpha
     x)/(1 - alpha) <= tau_of_L(L), and the tail lhs <= tau_star(r2, 1, 1/2)
-    for the shortened-code rate r2.  Anything within ``BOUNDARY_TOL`` of
-    failing fails.  ``thresholds`` is tau_star(R, L, omega) for L =
-    1..cfg.l_up, computed here by ``_thresholds`` when not given, at
-    about 12 ms a call for l_up = 17 (2 CPUs): a caller that checks many
-    candidates passes them from one ``tau_star_lists`` table, as
-    ``two_stage_curve`` does.  Their first entry doubles as r2's list-1
-    threshold.  A given list must hold cfg.l_up entries, each
-    >= 0 and not NaN.  Neither sorted thresholds nor a sorted probe
-    list is needed:
+    for the shortened-code rate r2, whose list-1 threshold is
+    thresholds[0].  Anything within ``BOUNDARY_TOL`` of failing fails.
+    The thresholds need not rise with L: at (R, omega) = (0.9, 0.4694)
+    they peak near 0.00943 at L = 5 and fall to 0.00671 at L = 17.
+    Neither sorted thresholds nor a sorted probe list is needed:
 
     - Grade L holds the probes in (largest earlier cut, cut L], an empty
       region when cut L is not above that maximum.  Float lhs never rises
@@ -226,16 +208,12 @@ def check_star(
     g'(h) = p/2 and g - h g' = ln2 (1 - h(p)) = r2 ln2 at the root.  With
     t = lhs + tol the tail fails iff t > 1/4 or r2 > 1 - h(2t).
     """
-    if not 0.0 < omega < 1.0 or not 0.0 < alpha < 1.0 or not R >= 0.0 or isnan(tau):
-        raise ValueError("need omega, alpha in (0, 1), R >= 0 and tau not NaN")
-    if thresholds is not None and (
-        len(thresholds) != cfg.l_up or not all(thr >= 0.0 for thr in thresholds)
-    ):
+    if not 0.0 < omega < 1.0 or not 0.0 < alpha < 1.0 or isnan(tau):
+        raise ValueError("need omega, alpha in (0, 1) and tau not NaN")
+    if len(thresholds) != cfg.l_up or not all(thr >= 0.0 for thr in thresholds):
         raise ValueError(f"need {cfg.l_up} thresholds, each >= 0 and not NaN")
     if tau <= 0.0:
         return True
-    if thresholds is None:
-        thresholds = _thresholds(R, omega, cfg.l_up)
     tol = BOUNDARY_TOL
     nx = cfg.x_points
     xmax = min(omega, tau / alpha)
@@ -254,7 +232,7 @@ def check_star(
         low = cut
     for x in _probes_above(low, xmax, nx, extras):
         lhs = (tau - alpha * x) / (1.0 - alpha)
-        if _gv_fails(lhs + tol, r2(alpha, x, omega, R, list1_tau=thresholds[0])):
+        if _gv_fails(lhs + tol, r2(alpha, x, omega, thresholds[0])):
             return False
     return True
 
@@ -286,9 +264,9 @@ def two_stage_curve(
     never checked again, and a pair is dropped for good once its bottom
     rung fails, which is checked on its first pop at each tau.
 
-    The thresholds of every (omega, R) of the grid, with the bits of
-    ``_thresholds``, are solved in lanes at the first check
-    (``tau_star_lists``), so not at all when no check runs.
+    The thresholds of every (omega, R) of the grid are solved in lanes at
+    the first check (``tau_star_lists``), so not at all when no check
+    runs, and each check reads its rung's list from that table.
     """
     for prev, tau in zip([0.0, *taus], taus):
         if not prev <= tau < 1.0:
@@ -311,7 +289,7 @@ def two_stage_curve(
     def passes(om: float, al: float, R: float, tau: float) -> bool:
         nonlocal checks
         checks += 1
-        return check_star(om, al, R, tau, cfg, thresholds=thresholds(R, om))
+        return check_star(om, al, tau, thresholds(R, om), cfg)
 
     points = []
     for tau in taus:

@@ -521,12 +521,13 @@ def ranked_candidates(cfg):
     return candidates
 
 
-def two_stage_rate(tau, cfg):
+def two_stage_rate(tau, cfg, thresholds):
     """The per-tau heap scan: every candidate of the grid in value order,
-    each checked with the package's ``check_star`` until one passes.
+    each checked with the package's ``check_star`` until one passes, on
+    the list ``thresholds(R, omega)`` of its rung.
 
-    It reaches ``check_star`` and ``_thresholds`` through the
-    ``two_stage`` module, so a test can record the candidates it checks.
+    It reaches ``check_star`` through the ``two_stage`` module, so a test
+    can record the candidates it checks.
     """
     if not 0.0 <= tau < 1.0:
         raise ValueError(f"error fraction {tau} outside [0, 1)")
@@ -554,18 +555,12 @@ def two_stage_rate(tau, cfg):
         if rates:
             heap.extend((-al * rates[0], om, al, 0, rates) for al in alphas)
     heapify(heap)
-    cache = {}
     while heap:
         neg_value, om, al, i, rates = heap[0]
         if tau < 0.0:
             return -neg_value
         R = rates[i]
-        key = (om, R)
-        thresholds = cache.get(key)
-        if thresholds is None:
-            thresholds = two_stage._thresholds(R, om, cfg.l_up)
-            cache[key] = thresholds
-        if two_stage.check_star(om, al, R, tau, cfg, thresholds=thresholds):
+        if two_stage.check_star(om, al, tau, thresholds(R, om), cfg):
             return -neg_value
         if i + 1 < len(rates):
             heapreplace(heap, (-al * rates[i + 1], om, al, i + 1, rates))

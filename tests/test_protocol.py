@@ -11,7 +11,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from zchannel import protocol
 from zchannel.protocol import (
@@ -224,7 +224,7 @@ def test_adversary_budget_refusal():
     stage1 = Code.from_strings(words)
     params = ProtocolParams(stage1, {1: Code.from_strings(["0000"])}, t=12)
     with pytest.raises(BudgetExceededError):
-        adversary_exhaustive(params, 0, require_valid=False)
+        adversary_exhaustive(params, 0)
 
 
 @st.composite
@@ -250,6 +250,27 @@ def small_params(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(p=small_params())
+# one error leaves a list of at most 3, but x1 = 0110 -> y1 = 0010 leaves
+# 2, and grade 2 has distance 2 < 3: the adversary defeats messages 2 and 4
+@example(
+    p=ProtocolParams(
+        Code.from_strings(["1100", "1010", "0110", "1001", "0101"]),
+        {
+            size: Code.from_strings(words)
+            for size, words in enumerate(
+                [
+                    ["0000"],
+                    ["0000", "1000"],
+                    ["0000", "1100", "0011"],
+                    ["0000", "1000", "0100", "1100"],
+                    ["0000", "1000", "0100", "1100", "0010"],
+                ],
+                start=1,
+            )
+        },
+        t=2,
+    )
+)
 def test_valid_parameters_round_trip_and_survive_the_adversary(p):
     masks = [word.mask for word in p.stage1]
     for e in range(min(p.w, p.t) + 1):

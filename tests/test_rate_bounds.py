@@ -288,17 +288,54 @@ def test_the_two_reference_kernels_agree_within_their_rounding_bound(R, L, omega
 _RATES = st.one_of(st.floats(0.0, 0.01), st.floats(0.0, 1.5), st.floats(0.0, 1e-12))
 
 
+def _ceiling(L, omega):
+    return -math.log(omega ** (L + 1) + (1.0 - omega) ** (L + 1))
+
+
+def _inside_ceiling(R, L, omega):
+    return R > 0.0 and R * L * rate_bounds.LN2 < _ceiling(L, omega)
+
+
+@st.composite
+def _lanes_with_a_root(draw):
+    """(R, L, omega) with R > 0 and R L ln2 below the lane's ceiling:
+    omega from _OMEGAS less the values that snap to 0 or 1, whose ceiling
+    is 0, and R from (0, 0.01], (0, 1.5] or (0, 1e-12], each cut at the
+    largest float rate inside the ceiling, so every draw has a root, or
+    from within 1e-12 of that rate, where phi is nearly flat."""
+    L = draw(st.integers(1, 17))
+    omega = draw(
+        st.one_of(
+            st.floats(1e-12, 1.0 - 1e-12, exclude_min=True, exclude_max=True),
+            st.floats(1e-12, 2e-12, exclude_min=True),
+            st.floats(1.0 - 2e-12, 1.0 - 1e-12, exclude_max=True),
+        )
+    )
+    top = _ceiling(L, omega) / (L * rate_bounds.LN2)  # within a few ulps of the cut
+    while not _inside_ceiling(top, L, omega):
+        top = math.nextafter(top, 0.0)
+    while _inside_ceiling(math.nextafter(top, 2.0), L, omega):
+        top = math.nextafter(top, 2.0)
+    R = draw(
+        st.one_of(
+            *(st.floats(0.0, min(cap, top), exclude_min=True) for cap in (0.01, 1.5, 1e-12)),
+            st.floats(top * (1.0 - 1e-12), top),
+        )
+    )
+    return R, L, omega
+
+
 @settings(max_examples=150, deadline=None)
-@given(R=_RATES, L=st.integers(1, 17), omega=_OMEGAS)
-@example(R=0.5, L=3, omega=0.5)
-@example(R=0.9999999999999999, L=17, omega=0.5)
-@example(R=0.3146454648945901, L=1, omega=0.5)
-def test_any_newton_start_gives_the_reference_bits(R, L, omega):
+@given(lane=_lanes_with_a_root())
+@example(lane=(0.5, 3, 0.5))
+@example(lane=(0.9999999999999999, 17, 0.5))
+@example(lane=(0.3146454648945901, 1, 0.5))
+def test_any_newton_start_gives_the_reference_bits(lane):
     # a lane's start only places its certified ends; the scalar replay
     # between them never moves a bit
-    omega = oracles._snap_omega(omega)
+    R, L, omega = lane
+    assert _inside_ceiling(R, L, omega)
     target = R * L * rate_bounds.LN2
-    assume(R > 0.0 and target < -math.log(omega ** (L + 1) + (1.0 - omega) ** (L + 1)))
     want = _reference_bits(R, L, omega)
     tilt = oracles.tau_star_info(R, L, omega)[2]
     starts = np.array([

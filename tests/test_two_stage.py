@@ -23,41 +23,59 @@ from zchannel.rate_bounds import binary_entropy, tau_star
 from zchannel.tau_lp import tau_of_L
 
 
+def _lists(R, omega, l_up):
+    """tau_star(R, L, omega) for L = 1..l_up, from a one-pair table."""
+    return rate_bounds.tau_star_lists([(R, omega)], l_up)(R, omega)
+
+
+def _lookup(table):
+    """A reference table as the (R, omega) -> thresholds callable that
+    the heap scan reads."""
+    return lambda R, om: table[R, om]
+
+
+# the list-1 threshold of the stage-1 rate 0.05 at omega = 0.6
+_LIST1 = oracles.tau_star(0.05, 1, 0.6)
+
+
 def test_residual_rate_worked_value():
-    assert r2(0.5, 0.3, 0.6, 0.05) == pytest.approx(0.2453979696204505, abs=1e-11)
+    assert r2(0.5, 0.3, 0.6, _LIST1) == pytest.approx(0.2453979696204505, abs=1e-11)
 
 
 def test_residual_rate_edges():
-    assert r2(0.5, 0.0, 0.6, 0.05) == 0.0
-    # a first-stage rate past the exponent ceiling removes the subtracted
-    # entropy term entirely, leaving the full first term
+    assert r2(0.5, 0.0, 0.6, _LIST1) == 0.0
+    # a first-stage rate past the exponent ceiling has list-1 threshold 0,
+    # which removes the subtracted entropy term entirely, leaving the full
+    # first term
+    assert oracles.tau_star(0.99, 1, 0.6) == 0.0
     full = (0.5 / 0.5) * 0.7 * binary_entropy(0.3 / 0.7)
-    assert r2(0.5, 0.3, 0.6, 0.99) == pytest.approx(full, abs=1e-12)
+    assert r2(0.5, 0.3, 0.6, 0.0) == pytest.approx(full, abs=1e-12)
     with pytest.raises(ValueError):
-        r2(0.0, 0.3, 0.6, 0.05)
+        r2(0.0, 0.3, 0.6, _LIST1)
     with pytest.raises(ValueError):
-        r2(1.0, 0.3, 0.6, 0.05)
+        r2(1.0, 0.3, 0.6, _LIST1)
     with pytest.raises(ValueError):
-        r2(0.5, -0.1, 0.6, 0.05)
+        r2(0.5, -0.1, 0.6, _LIST1)
 
 
 def test_residual_rate_grows_with_first_stage_fraction():
-    lo = r2(0.3, 0.3, 0.6, 0.05)
-    hi = r2(0.7, 0.3, 0.6, 0.05)
+    lo = r2(0.3, 0.3, 0.6, _LIST1)
+    hi = r2(0.7, 0.3, 0.6, _LIST1)
     assert hi > lo > 0
 
 
 def test_threshold_check_trivial_cases():
     cfg = TwoStageConfig(l_up=4, x_points=40)
-    assert check_star(0.6, 0.5, 0.1, 0.0, cfg)
-    assert check_star(0.6, 0.5, 0.1, -1.0, cfg)
+    thresholds = _lists(0.1, 0.6, 4)
+    assert check_star(0.6, 0.5, 0.0, thresholds, cfg)
+    assert check_star(0.6, 0.5, -1.0, thresholds, cfg)
     # an error fraction past every plateau bound must fail
-    assert not check_star(0.6, 0.5, 0.1, 0.45, cfg)
+    assert not check_star(0.6, 0.5, 0.45, thresholds, cfg)
 
 
 def test_threshold_check_accepts_small_fractions():
     cfg = TwoStageConfig(l_up=4, x_points=40)
-    assert check_star(0.6, 0.5, 0.05, 0.05, cfg)
+    assert check_star(0.6, 0.5, 0.05, _lists(0.05, 0.6, 4), cfg)
 
 
 def _threshold_on(x, tol):
@@ -85,7 +103,7 @@ _CHECK_ARGS = dict(
 @given(**_CHECK_ARGS)
 def test_check_star_matches_reference_scan(omega, alpha, R, tau, l_up, x_points):
     cfg = TwoStageConfig(l_up=l_up, x_points=x_points)
-    assert check_star(omega, alpha, R, tau, cfg) == oracles.check_star(
+    assert check_star(omega, alpha, tau, _lists(R, omega, l_up), cfg) == oracles.check_star(
         omega, alpha, R, tau, cfg
     )
 
@@ -97,10 +115,11 @@ def test_check_star_matches_reference_scan_on_made_up_thresholds(
 ):
     """Unsorted threshold lists exercise the forward-only grade pointer; a
     cut placed exactly on a probed x exercises the boundary.  The
-    first entry stays tau_star(R, 1, omega), which r2 reads from it."""
+    first entry stays tau_star(R, 1, omega), which r2 reads from it and
+    the reference's r2 solves from R."""
     cfg = TwoStageConfig(l_up=l_up, x_points=x_points)
     rest = data.draw(st.lists(st.floats(0.0, 0.8), min_size=l_up - 1, max_size=l_up - 1))
-    thresholds = [tau_star(R, 1, omega), *rest]
+    thresholds = [oracles.tau_star(R, 1, omega), *rest]
     if l_up > 1 and data.draw(st.booleans()):
         # a cut on a probed x of the uniform part of the grid
         xmax = min(omega, tau / alpha)
@@ -108,7 +127,7 @@ def test_check_star_matches_reference_scan_on_made_up_thresholds(
         thr = _threshold_on(x, two_stage.BOUNDARY_TOL)
         assume(thr is not None)
         thresholds[data.draw(st.integers(1, l_up - 1))] = thr
-    assert check_star(omega, alpha, R, tau, cfg, thresholds=thresholds) == (
+    assert check_star(omega, alpha, tau, thresholds, cfg) == (
         oracles.check_star(omega, alpha, R, tau, cfg, thresholds=thresholds)
     )
 
@@ -127,7 +146,7 @@ def _on_cut_verdicts(cut2, cut3):
     [tau_star(R, 1, omega), cut2 + tol, cut3 + tol, 0.8]."""
     tol = two_stage.BOUNDARY_TOL
     thresholds = [
-        tau_star(_ON_CUT_R, 1, _ON_CUT_OMEGA),
+        oracles.tau_star(_ON_CUT_R, 1, _ON_CUT_OMEGA),
         _threshold_on(cut2, tol),
         _threshold_on(cut3, tol),
         0.8,
@@ -136,10 +155,12 @@ def _on_cut_verdicts(cut2, cut3):
     assert thresholds[0] < _X0 - tol
     lhs = (_TAU_ON_CUT - _ON_CUT_ALPHA * _X0) / (1 - _ON_CUT_ALPHA)
     assert lhs > float(tau_of_L(3)) - tol
-    args = (_ON_CUT_OMEGA, _ON_CUT_ALPHA, _ON_CUT_R, _TAU_ON_CUT, _ON_CUT_CFG)
     return (
-        check_star(*args, thresholds=thresholds),
-        oracles.check_star(*args, thresholds=thresholds),
+        check_star(_ON_CUT_OMEGA, _ON_CUT_ALPHA, _TAU_ON_CUT, thresholds, _ON_CUT_CFG),
+        oracles.check_star(
+            _ON_CUT_OMEGA, _ON_CUT_ALPHA, _ON_CUT_R, _TAU_ON_CUT, _ON_CUT_CFG,
+            thresholds=thresholds,
+        ),
     )
 
 
@@ -170,7 +191,7 @@ def _draw_thresholds(data, omega, alpha, R, tau, l_up, x_points):
     xmax)."""
     tol = two_stage.BOUNDARY_TOL
     xmax = min(omega, tau / alpha)
-    thresholds = [tau_star(R, 1, omega)]
+    thresholds = [oracles.tau_star(R, 1, omega)]
     for _ in range(l_up - 1):
         kind = data.draw(st.sampled_from(("repeat", "low", "high", "near xmax", "inside")))
         if kind == "repeat":
@@ -214,7 +235,7 @@ def test_check_star_matches_reference_scan_on_adversarial_cuts(
     from ``_draw_thresholds``."""
     cfg = TwoStageConfig(l_up=l_up, x_points=x_points)
     thresholds = _draw_thresholds(data, omega, alpha, R, tau, l_up, x_points)
-    assert check_star(omega, alpha, R, tau, cfg, thresholds=thresholds) == (
+    assert check_star(omega, alpha, tau, thresholds, cfg) == (
         oracles.check_star(omega, alpha, R, tau, cfg, thresholds=thresholds)
     )
 
@@ -289,7 +310,7 @@ def test_r2_reads_the_tail_in_order_and_stops_at_the_first_failure(
     if made_up:
         thresholds = _draw_thresholds(data, omega, alpha, R, tau, l_up, x_points)
     else:
-        thresholds = two_stage._thresholds(R, omega, l_up)
+        thresholds = _lists(R, omega, l_up)
     real_r2, xs = two_stage.r2, []
 
     def spy(alpha, x, *args, **kwargs):
@@ -298,7 +319,7 @@ def test_r2_reads_the_tail_in_order_and_stops_at_the_first_failure(
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(two_stage, "r2", spy)
-        ok = check_star(omega, alpha, R, tau, cfg, thresholds=thresholds)
+        ok = check_star(omega, alpha, tau, thresholds, cfg)
 
     def lhs(x):
         return (tau - alpha * x) / (1.0 - alpha)
@@ -310,7 +331,7 @@ def test_r2_reads_the_tail_in_order_and_stops_at_the_first_failure(
         grade = next((L for L, cut in enumerate(cuts, start=1) if x <= cut), None)
         if grade is None:
             want.append(x)
-            rate = real_r2(alpha, x, omega, R, list1_tau=thresholds[0])
+            rate = real_r2(alpha, x, omega, thresholds[0])
             if two_stage._gv_fails(lhs(x) + tol, rate):
                 tail_fails = True
                 break
@@ -325,12 +346,10 @@ def test_r2_reads_the_tail_in_order_and_stops_at_the_first_failure(
 def test_a_nan_tau_is_refused():
     """A negative tau still passes vacuously."""
     cfg = TwoStageConfig(l_up=2)
-    thresholds = two_stage._thresholds(0.1, 0.6, 2)
+    thresholds = _lists(0.1, 0.6, 2)
     with pytest.raises(ValueError):
-        check_star(0.6, 0.3, 0.1, math.nan)
-    with pytest.raises(ValueError):
-        check_star(0.6, 0.3, 0.1, math.nan, cfg, thresholds=thresholds)
-    assert check_star(0.6, 0.3, 0.1, -0.5, cfg, thresholds=thresholds)
+        check_star(0.6, 0.3, math.nan, thresholds, cfg)
+    assert check_star(0.6, 0.3, -0.5, thresholds, cfg)
 
 
 @settings(max_examples=200, deadline=None)
@@ -447,57 +466,28 @@ def test_a_malformed_threshold_list_is_refused(thresholds):
     """Before any probe is read: one entry per list size, each >= 0 and not
     NaN.  The negative list once reached r2 at a negative x."""
     with pytest.raises(ValueError, match="thresholds"):
-        check_star(0.6, 0.3, 0.1, 0.1, DEFAULT_CONFIG, thresholds=thresholds)
+        check_star(0.6, 0.3, 0.1, thresholds, DEFAULT_CONFIG)
 
 
-def test_a_nan_rate_is_refused():
-    # with thresholds given, no tau_star call would catch it either
-    thresholds = two_stage._thresholds(0.1, 0.6, 2)
-    cfg = TwoStageConfig(l_up=2)
-    with pytest.raises(ValueError):
-        check_star(0.6, 0.3, math.nan, 0.1, cfg, thresholds=thresholds)
-    with pytest.raises(ValueError):
-        check_star(0.6, 0.3, math.nan, 0.1, cfg)
-    with pytest.raises(ValueError):
-        r2(0.5, 0.3, 0.6, math.nan, list1_tau=thresholds[0])
-    with pytest.raises(ValueError):
-        r2(0.5, 0.3, 0.6, math.nan)
+def test_a_nan_or_negative_list1_threshold_is_refused():
+    # r2 reads no rate; a list-1 threshold is a value of tau_star, >= 0
+    for list1_tau in (math.nan, -1e-300, -math.inf):
+        with pytest.raises(ValueError, match="list-1 threshold"):
+            r2(0.5, 0.3, 0.6, list1_tau)
 
 
 @pytest.mark.parametrize("R", [1.0, 1.5, math.inf])
 def test_a_rate_of_one_or_more_reads_zero_thresholds(R):
-    # no root lies there, and check_star still gives its verdict
+    # no root lies there, so the reference reads 0 at every list size,
+    # and check_star on those zeros gives the reference's verdict at R
     cfg = TwoStageConfig(l_up=3)
     for omega in (0.5, 0.3):
-        want = [oracles.tau_star(R, L, omega) for L in range(1, 4)]
-        assert two_stage._thresholds(R, omega, 3) == want == [0.0] * 3
+        zeros = [oracles.tau_star(R, L, omega) for L in range(1, 4)]
+        assert zeros == [0.0] * 3
         for tau in (0.05, 0.3):
-            assert check_star(omega, 0.3, R, tau, cfg) == check_star(
-                omega, 0.3, R, tau, cfg, thresholds=want
+            assert check_star(omega, 0.3, tau, zeros, cfg) == oracles.check_star(
+                omega, 0.3, R, tau, cfg
             )
-
-
-def test_check_star_solves_no_root_when_given_thresholds(monkeypatch):
-    """With thresholds given, the graded probes read the table and the
-    probes past the last cut read the GV curve in closed form."""
-    cfg = TwoStageConfig(l_up=2, x_points=40)
-    omega, alpha, R, tau = 0.6, 0.3, 0.3, 0.1
-    thresholds = two_stage._thresholds(R, omega, cfg.l_up)
-    assert thresholds[-1] < min(omega, tau / alpha)
-    assert oracles.check_star(omega, alpha, R, tau, cfg, thresholds=thresholds)
-    real_r2, tail = two_stage.r2, []
-
-    def spy(*args, **kwargs):
-        tail.append(args)
-        return real_r2(*args, **kwargs)
-
-    def refuse(*args):
-        raise AssertionError("tau_star called")
-
-    monkeypatch.setattr(two_stage, "r2", spy)
-    monkeypatch.setattr(two_stage, "tau_star", refuse)
-    assert check_star(omega, alpha, R, tau, cfg, thresholds=thresholds)
-    assert tail
 
 
 def _checked_candidates(cfg):
@@ -505,14 +495,14 @@ def _checked_candidates(cfg):
     check_star, in order, when none passes."""
     seen = []
 
-    def record(om, al, R, tau, cfg, *, thresholds):
+    def record(om, al, tau, R, cfg):
         seen.append((om, al, R))
         return False
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(two_stage, "check_star", record)
-        mp.setattr(two_stage, "_thresholds", lambda R, om, l_up: [])
-        assert oracles.two_stage_rate(0.3, cfg) == 0.0
+        # the rung's rate stands in for its thresholds, so record sees it
+        assert oracles.two_stage_rate(0.3, cfg, lambda R, om: R) == 0.0
     return seen
 
 
@@ -542,19 +532,20 @@ def test_two_stage_rate_checks_made_up_ladders_in_value_order(ladder, points):
     assert sorted(got) == sorted(c[1:] for c in want)
 
 
-def test_curve_equals_heap_scan_on_default_grid(monkeypatch):
+def test_curve_equals_heap_scan_on_default_grid():
     """Both sides of the threshold near 0.44, where every pair dies.  The
     heap scan reads its thresholds from the reference bisection."""
     taus = [0.15, 0.30, 0.43, 0.44]
     curve = two_stage_curve(taus, DEFAULT_CONFIG)
     assert [p.tau for p in curve] == taus
     reference = _default_reference()
-    monkeypatch.setattr(two_stage, "_thresholds", lambda R, om, l_up: reference[R, om])
-    assert [p.rate for p in curve] == [oracles.two_stage_rate(t, DEFAULT_CONFIG) for t in taus]
+    assert [p.rate for p in curve] == [
+        oracles.two_stage_rate(t, DEFAULT_CONFIG, _lookup(reference)) for t in taus
+    ]
     for p in curve:
         if p.rate:
             assert p.rate == p.alpha * p.R
-            assert check_star(p.omega, p.alpha, p.R, p.tau, DEFAULT_CONFIG)
+            assert check_star(p.omega, p.alpha, p.tau, reference[p.R, p.omega], DEFAULT_CONFIG)
         else:
             assert p.omega is p.alpha is p.R is None
     assert curve[-1].rate == 0.0
@@ -594,21 +585,30 @@ def test_curve_equals_heap_scan_on_small_configs(
     lists = rate_bounds.tau_star_lists(pairs, l_up)
     hexes = lambda values: [t.hex() for t in values]
     assert [hexes(lists(*p)) for p in pairs] == [hexes(table[p]) for p in pairs]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(two_stage, "_thresholds", lambda R, om, l_up: table[R, om])
-        assert got == [oracles.two_stage_rate(t, cfg) for t in taus]
+    assert got == [oracles.two_stage_rate(t, cfg, _lookup(table)) for t in taus]
 
 
 def test_curve_never_rechecks_a_failed_rung_or_a_dead_pair(monkeypatch):
     cfg = TwoStageConfig(l_up=6, omega_points=8, alpha_points=8, x_points=40)
-    real = two_stage.check_star
-    calls = []
+    real, real_lists = two_stage.check_star, two_stage.tau_star_lists
+    rungs, calls = [], []
 
-    def spy(om, al, R, tau, cfg, *, thresholds):
-        ok = real(om, al, R, tau, cfg, thresholds=thresholds)
-        calls.append((om, al, R, ok))
+    def lists(pairs, l_up):
+        # the curve looks up a rung's thresholds just before it checks them
+        table = real_lists(pairs, l_up)
+
+        def lookup(R, om):
+            rungs.append(R)
+            return table(R, om)
+
+        return lookup
+
+    def spy(om, al, tau, thresholds, cfg):
+        ok = real(om, al, tau, thresholds, cfg)
+        calls.append((om, al, rungs[-1], ok))
         return ok
 
+    monkeypatch.setattr(two_stage, "tau_star_lists", lists)
     monkeypatch.setattr(two_stage, "check_star", spy)
     curve = two_stage_curve([0.1, 0.2, 0.3, 0.3, 0.4, 0.45], cfg)
     assert sum(p.checks for p in curve) == len(calls)
@@ -677,7 +677,7 @@ def test_check_star_failure_persists_up_the_ladder(
 
     def ok(R):
         return oracles.check_star(
-            omega, alpha, R, tau, cfg, thresholds=two_stage._thresholds(R, omega, l_up)
+            omega, alpha, R, tau, cfg, thresholds=_lists(R, omega, l_up)
         )
 
     assert ok(R) or not ok(higher)
@@ -692,7 +692,7 @@ def test_check_star_failure_persists_at_larger_tau(
     every larger tau."""
     cfg = TwoStageConfig(l_up=l_up, x_points=x_points)
     R = _LADDER[rung]
-    thresholds = two_stage._thresholds(R, omega, l_up)
+    thresholds = _lists(R, omega, l_up)
     lo, hi = sorted((tau, larger))
     assert oracles.check_star(omega, alpha, R, lo, cfg, thresholds=thresholds) or not (
         oracles.check_star(omega, alpha, R, hi, cfg, thresholds=thresholds)
@@ -795,8 +795,9 @@ def test_a_malformed_rate_ladder_is_refused(ladder):
 def test_a_zero_rung_is_kept():
     cfg = TwoStageConfig(l_up=3, omega_points=4, alpha_points=4, rate_ladder=(0.0, 0.3))
     taus = [0.1, 0.2]
+    table = _reference_table(_grid_pairs(cfg), cfg.l_up)
     assert [p.rate for p in two_stage_curve(taus, cfg)] == [
-        oracles.two_stage_rate(t, cfg) for t in taus
+        oracles.two_stage_rate(t, cfg, _lookup(table)) for t in taus
     ]
 
 
