@@ -9,8 +9,10 @@ There is one tau_star kernel, numpy's (``_lane_terms``, ``_lane_kernel``),
 and one bisection, ``_bisect``, which runs every root as a lane of a
 batch.  The scalar entry points, the curve (``rcb_lower_curve``) and the
 two-stage thresholds (``tau_star_lists``) certify each root's ends in the
-same lanes (``_lane_newton``, ``_lane_bounds``) and bisect between them,
-evaluating the kernel only at the tests that fall inside.
+same lanes (``_lane_newton``, ``_lane_bounds``) and bisect between them.
+The bisection jumps in closed form over every test those ends decide,
+so a certified lane costs one loop round per test inside its ends, and
+the kernel runs only there.
 
 Throughout, ``omega`` is the per-position probability of a 1 in a random
 word, ``tau`` an error fraction (errors per position), ``R`` a rate in
@@ -29,6 +31,7 @@ import numpy as np
 
 LN2 = log(2.0)
 _TAU_TOL = 1e-10  # width at which the tau_star bisection stops
+_CELL = 34  # its final bracket is 2^-34 wide, the widest power of two within 1e-10
 _NEWTON_TOL = 1e-7  # relative Newton step at which a root estimate is taken
 _NEWTON_STEPS = 30
 _UNIT = 2.0**-53  # unit roundoff of a float
@@ -153,15 +156,26 @@ def _snap_omega(omega: float) -> float:
     return omega
 
 
+@cache
+def _interior(L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per list size L, read-only: the interior weights i = 1..L and the
+    binomial rows C(L + 1, i) and C(L, i - 1) of the moment sum and its
+    slope, as floats."""
+    i = np.arange(1, L + 1, dtype=np.float64)
+    gcoef = np.array([comb(L + 1, k) for k in range(1, L + 1)], dtype=np.float64)
+    dcoef = np.array([comb(L, k - 1) for k in range(1, L + 1)], dtype=np.float64)
+    for row in (i, gcoef, dcoef):
+        row.flags.writeable = False
+    return i, gcoef, dcoef
+
+
 def _lane_terms(L: int, omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pieces of the tilted moment sum, one row per bit probability.
 
     The all-zero and all-one weights sit outside the tilt and form the
     constant; the interior weights i = 1..L carry e^(-h i/(L+1)).  The
     third array is the slope's numerator series over the same range."""
-    i = np.arange(1, L + 1, dtype=np.float64)
-    gcoef = np.array([comb(L + 1, k) for k in range(1, L + 1)])
-    dcoef = np.array([comb(L, k - 1) for k in range(1, L + 1)])
+    i, gcoef, dcoef = _interior(L)
     om = omegas[:, None]
     const = omegas ** (L + 1) + (1.0 - omegas) ** (L + 1)
     terms_g = gcoef * om**i * (1.0 - om) ** (L + 1 - i)
@@ -176,8 +190,7 @@ def _lane_kernel(
     e^(-h i/(L+1)) and g = -ln e, from numpy's exp of -h i / (L + 1) and
     row sums.  The one kernel behind every tau_star root, rcb_g and
     rcb_delta."""
-    i = np.arange(1, L + 1, dtype=np.float64)
-    w = np.exp(-h[:, None] * i / (L + 1))
+    w = np.exp(-h[:, None] * _interior(L)[0] / (L + 1))
     return const + (terms_g * w).sum(axis=1), (terms_d * w).sum(axis=1)
 
 
@@ -232,21 +245,23 @@ def tau_star_info(R: float, L: int, omega: float) -> TauStarResult:
     Contract: value and tilt are bit-identical to the reference bisection
     in tests/oracles.py, and so is every CSV built on them.  This is one
     lane of ``_lane_points``, which certifies the root's ends and runs
-    that bisection (``_bisect``) between them.  A call costs about 0.6 ms
-    (2 CPUs, numpy 2.4), almost all of it numpy's per-call overhead over
-    some 50 lane steps, so many roots at one list size are far cheaper as
-    the lanes of one ``tau_star_lists`` table.
+    that bisection (``_bisect``) between them.  A call costs about 0.3 ms
+    (2 CPUs, numpy 2.4), almost all of it numpy's per-call overhead: half
+    in the lane Newton, the rest in the certificate and a bisection whose
+    certified ends leave it a few rounds at most (none at (0.3, 3, 0.4)),
+    so many roots at one list size are far cheaper as the lanes of one
+    ``tau_star_lists`` table.
     """
     if not R >= 0.0:
         raise ValueError("rate must be nonnegative")
     if L < 1:
         raise ValueError("list size must be at least 1")
-    value, tilt, _ = _lane_points(L, [R], [omega], np.array([math.nan]))
+    value, tilt, _, _ = _lane_points(L, [R], [omega], np.array([math.nan]))
     return TauStarResult(float(value[0]), bool(tilt[0] < math.inf), float(tilt[0]))
 
 
 def tau_star(R: float, L: int, omega: float) -> float:
-    """The value of ``tau_star_info``, at the same cost of about 0.6 ms."""
+    """The value of ``tau_star_info``, at the same cost of about 0.3 ms."""
     return tau_star_info(R, L, omega).value
 
 
@@ -256,22 +271,44 @@ def _bisect(
     target: np.ndarray,
     lo_skip: np.ndarray,
     hi_skip: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, int]:
     """The tau_star bisection, in every lane at once: (g' at the root's
     final midpoint, that midpoint) per lane, or (0, inf) where the root
-    is not found below 2^64.  Lane k reads row k of ``terms``
-    (``_lane_terms``).
+    is not found below 2^64, and the number of loop rounds.  Lane k reads
+    row k of ``terms`` (``_lane_terms``).
 
-    Per lane, a test reads whether phi(h) = g - h g' lies below its
-    target.  The bracket [0, 1] doubles while its top reads below, and
-    past 2^64 the plateau sits essentially at the target, so the lane is
-    infeasible; then it halves until it is at most 1e-10 wide.  A test at
-    h <= lo_skip reads "below" and one at h >= hi_skip "above" without an
-    evaluation, so the kernel runs only on the lanes whose test lies
-    strictly between; -inf and inf skip none, which is the reference
-    bisection of tests/oracles.py.  Skipped ends come only from
-    ``_lane_bounds``, whose certificate makes a skipped test read as its
-    evaluation would (see ``_tau_star_argmax``).
+    A test reads whether phi(h) = g - h g' lies below the lane's target.
+    The bracket [0, 1] doubles while its top reads below (past 2^64 the
+    lane is infeasible), then halves until it is 2^-34 wide, the widest
+    power of two within 1e-10.  A test at h <= lo_skip reads below and
+    one at h >= hi_skip above without an evaluation; such ends come only
+    from ``_lane_bounds``, whose certificate makes them read as the
+    kernel would (see ``_tau_star_argmax``).  -inf and inf skip none.
+
+    The loop evaluates the same tests, and returns the same bits, as the
+    walk that spends a step per level (``bisect_with_skips`` in
+    tests/oracles.py), but it spends a round per evaluated test.  The
+    doubling starts at the largest power of two at or below lo_skip.  In
+    the halving a lane keeps first = floor(x) and last = ceil(y) - 1, in
+    units of 2^-34, for (x, y) the part of its bracket inside (lo_skip,
+    hi_skip).  The walk's next evaluated test is the integer n in first +
+    1 .. last with the most trailing zeros: with s the largest power of
+    two at most last - first, the one multiple of 2 s there, or else of
+    s.  A test reading below sets first = n, one reading above last =
+    n - 1, and once last <= first the final cell is [first, first + 1].
+
+    The bits hold since a float operation whose exact result is a float
+    is exact (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., SIAM 2002, ch. 2).  Below 2^18 the walk's tests and bracket ends
+    are multiples of 2^-34 (52 bits) and its final midpoint one of 2^-35
+    (53 bits).  A skip end scaled by 2^34 is exact, and so is its floor
+    or ceiling, which decides each skip as the walk's comparison does;
+    the units are whole numbers below 2^53.  From 2^18 to 2^19 only the
+    final midpoint rounds, as in the walk, from the same two floats.  At
+    2^19 floats are 2^-33 apart and the walk never ends.  No root lies
+    there (float phi meets its ceiling by tilt 80 or 710; see
+    test_rate_bounds), so a lane whose skip ends take it there raises
+    ArithmeticError.
     """
     const, terms_g, terms_d = terms
 
@@ -280,37 +317,40 @@ def _bisect(
         slope = num / e
         return -np.log(e) - h * slope, slope
 
-    def below(h, k, a, b, t):  # the tests at h in lanes k, whose skip ends are a, b
-        out = h <= a
-        (ev,) = (~out & (h < b)).nonzero()
-        if ev.size:
-            out[ev] = phi_slope(h[ev], k[ev])[0] < t[ev]
-        return out
-
-    lo, hi = np.zeros_like(target), np.ones_like(target)
-    k = np.arange(len(target))  # the lanes still doubling
+    # every power of two at or below lo_skip reads below, and the largest
+    # is top / 2m for top = m 2^e; from 2^64 on the lane is infeasible
+    top = np.clip(lo_skip, 1.0, 2.0**64)
+    lo = np.where(lo_skip >= 1.0, top / (2.0 * np.frexp(top)[0]), 0.0)
+    hi = np.where(lo > 0.0, 2.0 * lo, 1.0)
+    k = np.flatnonzero((hi < hi_skip) & (hi <= 2.0**64))  # tops that need a test
+    rounds = 0
     while k.size:
-        k = k[below(hi[k], k, lo_skip[k], hi_skip[k], target[k])]
+        rounds += 1
+        k = k[phi_slope(hi[k], k)[0] < target[k]]
         lo[k] = hi[k]
         hi[k] *= 2.0
-        k = k[hi[k] <= 2.0**64]
-    tilt = np.full_like(target, np.inf)
-    # the lanes still halving, with their brackets, skip ends and targets,
-    # compacted as lanes stop; a feasible bracket is at least 1 wide here
-    k = np.flatnonzero(hi <= 2.0**64)
-    lo, hi, a, b, t = lo[k], hi[k], lo_skip[k], hi_skip[k], target[k]
+        k = k[(hi[k] < hi_skip[k]) & (hi[k] <= 2.0**64)]
+    feasible = hi <= 2.0**64
+    if np.any(feasible & (hi > 2.0**19)):
+        raise ArithmeticError("a tau_star bracket above 2^19 never gets 1e-10 wide")
+    first = np.floor(np.clip(lo_skip, lo, hi) * 2.0**_CELL)
+    last = np.ceil(np.clip(hi_skip, lo, hi) * 2.0**_CELL) - 1.0
+    (k,) = (feasible & (last > first)).nonzero()
     while k.size:
-        mid = (lo + hi) / 2.0
-        down = below(mid, k, a, b, t)
-        lo, hi = np.where(down, mid, lo), np.where(down, hi, mid)
-        go = hi - lo > _TAU_TOL
-        if not go.all():
-            tilt[k[~go]] = (lo[~go] + hi[~go]) / 2.0
-            k, lo, hi, a, b, t = k[go], lo[go], hi[go], a[go], b[go], t[go]
+        rounds += 1
+        f, l = first[k], last[k]
+        step = (l - f) / np.frexp(l - f)[0]  # 2 s; every quotient here is exact
+        n = np.floor(l / step) * step
+        n = np.where(n > f, n, np.floor(2.0 * l / step) * step / 2.0)
+        down = phi_slope(n * 2.0**-_CELL, k)[0] < target[k]
+        first[k], last[k] = np.where(down, n, f), np.where(down, l, n - 1.0)
+        k = k[last[k] > first[k]]
+    lo = first * 2.0**-_CELL
+    tilt = np.where(feasible, (lo + (lo + 2.0**-_CELL)) / 2.0, np.inf)
     value = np.zeros_like(target)
-    j = np.flatnonzero(tilt < np.inf)
+    j = np.flatnonzero(feasible)
     value[j] = phi_slope(tilt[j], j)[1]
-    return value, tilt
+    return value, tilt, rounds
 
 
 @np.errstate(all="ignore")
@@ -335,7 +375,7 @@ def _lane_newton(
     still running.  Its digits reach no output: it only places the ends
     that ``_lane_bounds`` certifies."""
     lp1 = L + 1
-    s_terms = terms_d * (np.arange(1, lp1, dtype=np.float64) / lp1)
+    s_terms = terms_d * (_interior(L)[0] / lp1)
     curv0 = s_terms.sum(axis=1) - terms_d.sum(axis=1) ** 2
     cold = np.sqrt(np.where(curv0 > 0.0, 2.0 * target / curv0, 0.0))
     u = np.exp(-np.where(np.isnan(start), cold, start) / lp1)
@@ -506,11 +546,13 @@ def _tau_star_argmax(
     r, j, upper, a, b = (np.concatenate(parts) for parts in zip(*held))
     keep = upper >= best[r]
     r, j, a, b = r[keep], j[keep], a[keep], b[keep]
-    values = [empty]
+    values, rounds = [empty], 0
     for s in range(0, len(r), size):
         c = slice(s, s + size)
         lane_terms = const[j[c]], terms_g[j[c]], terms_d[j[c]]
-        values.append(_bisect(L, lane_terms, targets[r[c]], a[c], b[c])[0])
+        value, _, n = _bisect(L, lane_terms, targets[r[c]], a[c], b[c])
+        values.append(value)
+        rounds += n
     values = np.concatenate(values)
     found: list[tuple[int, float]] = []
     for r0 in range(0, len(targets), group):
@@ -520,17 +562,23 @@ def _tau_star_argmax(
         vals[r[lo:hi] - r0, j[lo:hi]] = values[lo:hi]
         idx = vals.argmax(axis=1)
         found += zip(idx.tolist(), vals[np.arange(len(t)), idx].tolist())
-    counts = {"lanes": lanes, "lanes_replayed": len(r), "lanes_uncertified": uncertified}
+    counts = {
+        "lanes": lanes,
+        "lanes_replayed": len(r),
+        "lanes_uncertified": uncertified,
+        "bisect_rounds": rounds,
+    }
     return found, counts
 
 
 def _lane_points(
     L: int, rates: list[float], points: list[float], starts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """tau_star_info(R, L, omega) at each (rate, point) pair, bit for bit,
     as the arrays value, tilt and B (the upper end of its root's certified
-    bracket).  Where tau_star_info solves no root (R = 0, or a target at
-    or past its scalar ceiling), B is NaN, and the tilt 0 or inf.  The
+    bracket), and the ``_bisect`` rounds it took.  Where tau_star_info
+    solves no root (R = 0, or a target at or past its scalar ceiling), B
+    is NaN, and the tilt 0 or inf.  The
     other pairs are lanes, in batches of at most ``_LANE_BUDGET`` // L:
     ``_lane_bounds`` certifies (A, B) from ``starts``, which each
     certified B replaces, and ``_bisect`` runs between them, in full where
@@ -547,14 +595,15 @@ def _lane_points(
     values, tilts, omegas, ends = np.array([values, tilts, omegas, [math.nan] * n])
     lanes = np.array(lanes, dtype=np.intp)
     targets = np.array(targets)
-    size = max(1, _LANE_BUDGET // L)
+    size, rounds = max(1, _LANE_BUDGET // L), 0
     for s in range(0, len(lanes), size):
         j = lanes[s : s + size]
         terms = _lane_terms(L, omegas[j])
         a, ends[j], _, _ = _lane_bounds(L, *terms, targets[j], starts[j])
-        values[j], tilts[j] = _bisect(L, terms, targets[j], a, ends[j])
+        values[j], tilts[j], n = _bisect(L, terms, targets[j], a, ends[j])
         starts[j] = np.where(ends[j] < np.inf, ends[j], starts[j])
-    return values, tilts, ends
+        rounds += n
+    return values, tilts, ends, rounds
 
 
 def tau_star_lists(
@@ -576,7 +625,7 @@ def tau_star_lists(
         """Row L - 1: tau_star at list size L, a column per pair."""
         starts, columns = np.full(len(pairs), np.nan), []
         for L in range(1, l_up + 1):
-            values, _, ends = _lane_points(L, rates, points, starts)
+            values, _, ends, _ = _lane_points(L, rates, points, starts)
             # the root's tilt grows with L about as L + 1 does; from this
             # start the default grid's table builds about 10% faster than
             # from cold starts
@@ -614,15 +663,16 @@ def _golden_polish(
     around the grid's winner, every value bit for bit tau_star_info's,
     with probe counts.  See rcb_lower_curve."""
     gold = (sqrt(5.0) - 1.0) / 2.0
-    counts = {"polish_probes": 0, "polish_replays": 0, "polish_uncertified": 0}
+    counts = {"polish_probes": 0, "polish_replays": 0, "polish_uncertified": 0, "bisect_rounds": 0}
     live = [k for k, (_, tau) in enumerate(grid_best) if tau > 0.0]
     live_rates = [rates[k] for k in live]
     starts = np.full(len(live), np.nan)  # per rate, its last root's upper end
 
     def probe(points: list[float]) -> list[float]:
         """Per live rate, tau_star at its point."""
-        values, _, ends = _lane_points(L, live_rates, points, starts)
+        values, _, ends, rounds = _lane_points(L, live_rates, points, starts)
         counts["polish_probes"] += len(points)
+        counts["bisect_rounds"] += rounds
         counts["polish_replays"] += int(np.count_nonzero(~np.isnan(ends)))
         counts["polish_uncertified"] += int(np.count_nonzero(ends == np.inf))
         return values.tolist()
@@ -682,7 +732,8 @@ def rcb_lower_curve(
     comparisons.  A probe with no root (target at or past its scalar
     ceiling) is 0, as in tau_star_info.  ``counts`` records the probes,
     the lanes among them (``polish_replays``: probes with a root, each
-    bisected) and the lanes left uncertified."""
+    bisected), the lanes left uncertified, and ``bisect_rounds``, the
+    ``_bisect`` loop rounds of the argmax and the polish together."""
     if not 1 <= L <= 17:
         raise ValueError("list size must lie in 1..17")
     if r_points < 2 or omega_points < 2:
@@ -691,7 +742,8 @@ def rcb_lower_curve(
     omegas = np.array([k / (omega_points + 1) for k in range(1, omega_points + 1)])
     grid_best, counts = _tau_star_argmax(rates, L, omegas)
     taus, polish_counts = _golden_polish(L, rates, omegas, grid_best)
-    counts.update(polish_counts)
+    for key, n in polish_counts.items():
+        counts[key] = counts.get(key, 0) + n
     # high rate means small tau; present the curve tau-ascending and drop
     # the rare exact duplicate so tau stays strictly increasing
     paired = sorted(zip(taus, rates))

@@ -242,6 +242,53 @@ def e_and_num(h, L, const, terms_g, terms_d):
     return const + (terms_g * w).sum(axis=1), (terms_d * w).sum(axis=1)
 
 
+def bisect_with_skips(L, terms, target, lo_skip, hi_skip):
+    """The level walk of the package's lane bisection with skip ends, as
+    it stood before its closed-form jump: (g' at the final midpoint, that
+    midpoint) per lane, or (0, inf) past 2^64.  Every doubling and halving
+    step is one loop step; a test at h <= lo_skip reads below and one at
+    h >= hi_skip above without an evaluation, and the kernel (``e_and_num``)
+    runs on the lanes whose test lies strictly between."""
+    const, terms_g, terms_d = terms
+
+    def phi_slope(h, j):
+        e, num = e_and_num(h, L, const[j], terms_g[j], terms_d[j])
+        slope = num / e
+        return -np.log(e) - h * slope, slope
+
+    def below(h, k, a, b, t):  # the tests at h in lanes k, whose skip ends are a, b
+        out = h <= a
+        (ev,) = (~out & (h < b)).nonzero()
+        if ev.size:
+            out[ev] = phi_slope(h[ev], k[ev])[0] < t[ev]
+        return out
+
+    lo, hi = np.zeros_like(target), np.ones_like(target)
+    k = np.arange(len(target))  # the lanes still doubling
+    while k.size:
+        k = k[below(hi[k], k, lo_skip[k], hi_skip[k], target[k])]
+        lo[k] = hi[k]
+        hi[k] *= 2.0
+        k = k[hi[k] <= 2.0**64]
+    tilt = np.full_like(target, np.inf)
+    # the lanes still halving, with their brackets, skip ends and targets,
+    # compacted as lanes stop; a feasible bracket is at least 1 wide here
+    k = np.flatnonzero(hi <= 2.0**64)
+    lo, hi, a, b, t = lo[k], hi[k], lo_skip[k], hi_skip[k], target[k]
+    while k.size:
+        mid = (lo + hi) / 2.0
+        down = below(mid, k, a, b, t)
+        lo, hi = np.where(down, mid, lo), np.where(down, hi, mid)
+        go = hi - lo > _TAU_TOL
+        if not go.all():
+            tilt[k[~go]] = (lo[~go] + hi[~go]) / 2.0
+            k, lo, hi, a, b, t = k[go], lo[go], hi[go], a[go], b[go], t[go]
+    value = np.zeros_like(target)
+    j = np.flatnonzero(tilt < np.inf)
+    value[j] = phi_slope(tilt[j], j)[1]
+    return value, tilt
+
+
 def _bisect_lanes(L, omegas, targets):
     """(value, tilt) per lane of the bisection for phi(h) = g - h g' =
     target: the bracket [0, 1] doubles while phi(hi) < target, a lane

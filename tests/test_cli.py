@@ -125,6 +125,8 @@ def test_rcb_curve_output_format(tmp_path):
     assert lanes["polish_uncertified"] == 0
     # every probe with a root is bisected, and here every probe has one
     assert 0 < lanes["polish_replays"] == lanes["polish_probes"] <= 40 * 42
+    # 43 bisection calls (one grid replay, 42 polish batches), each a few rounds
+    assert 0 < lanes["bisect_rounds"] <= 43 * 8
 
     out2 = tmp_path / "b"
     assert main(["rcb-curve", "--list-size", "1", "--grid", "40", "--out", str(out2)]) == 0

@@ -345,7 +345,7 @@ def test_any_newton_start_gives_the_reference_bits(lane):
     lanes = rate_bounds._lane_terms(L, np.full(len(starts), omega))
     targets = np.full(len(starts), target)
     a, b, _, _ = rate_bounds._lane_bounds(L, *lanes, targets, starts)
-    values, tilts = rate_bounds._bisect(L, lanes, targets, a, b)
+    values, tilts, _ = rate_bounds._bisect(L, lanes, targets, a, b)
     for value, tilt in zip(values.tolist(), tilts.tolist()):
         assert (value.hex(), True, tilt.hex()) == want
 
@@ -432,10 +432,128 @@ def test_certified_bracket_skips_the_kernel_away_from_the_root(monkeypatch):
         return real(h, *args)
 
     monkeypatch.setattr(rate_bounds, "_lane_kernel", count)
-    value, tilt = rate_bounds._bisect(L, lanes, target, a, b)
+    value, tilt, _ = rate_bounds._bisect(L, lanes, target, a, b)
     assert (value[0].hex(), True, tilt[0].hex()) == _reference_bits(R, L, omega)
     assert len(calls) <= 8
     assert all(abs(h - tilt[0]) < 1e-8 for h in calls)
+
+
+def _free_tilt(L, omega, target):
+    """The reference walk's tilt with no test skipped, inf if infeasible."""
+    terms = oracles._lane_terms(L, np.array([omega]))
+    free = np.array([math.inf])
+    return float(oracles.bisect_with_skips(L, terms, np.array([target]), -free, free)[1][0])
+
+
+@st.composite
+def _skip_ends(draw, root):
+    """A skip end: +-inf, a power of two, a point below 1, a point just
+    below or above 2^18, or, around the free root where there is one, a
+    test point of the walk (a multiple of 2^-k, k <= 34) or a point
+    within 1e-6.  Every finite end lies below 2^19, past which the walk
+    never ends."""
+    kinds = [
+        st.sampled_from([-math.inf, math.inf]),
+        st.integers(-40, 18).map(lambda j: 2.0**j),
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.floats(2.0**18 - 1.0, 2.0**18 + 1.0),
+    ]
+    if math.isfinite(root):
+        kinds += [
+            st.builds(
+                lambda k, up: (math.ceil if up else math.floor)(root * 2.0**k) / 2.0**k,
+                st.integers(0, 34),
+                st.booleans(),
+            ),
+            st.floats(-1e-6, 1e-6).map(lambda d: max(root + d, 0.0)),
+        ]
+    return draw(st.one_of(*kinds))
+
+
+@st.composite
+def _skip_lanes(draw):
+    """(L, [(omega, target, lo_skip, hi_skip)]): targets up to 1.5 times
+    the lane's ceiling, so some are infeasible, and lo_skip <= hi_skip."""
+    L = draw(st.integers(1, 17))
+    lanes = []
+    for _ in range(draw(st.integers(1, 3))):
+        omega = draw(st.floats(0.01, 0.99))
+        target = draw(st.floats(0.0, 1.5)) * _ceiling(L, omega)
+        root = _free_tilt(L, omega, target)
+        a, b = sorted([draw(_skip_ends(root)), draw(_skip_ends(root))])
+        lanes.append((omega, target, a, b))
+    return L, lanes
+
+
+_BIG_TARGET = 0.9999999999999999 * 17 * rate_bounds.LN2  # tilt 709.749...
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_skip_lanes())
+@example(case=(17, [(0.5, _BIG_TARGET, -math.inf, math.inf)]))
+@example(case=(17, [(0.5, _BIG_TARGET, 709.7, 709.8), (0.5, _BIG_TARGET, 512.0, math.inf)]))
+# an end exactly on a test point: the walk's final cell's ends, and h = 3
+@example(case=(1, [(0.5, 0.21809561686765838, 3.0 - 2.0**-34, 3.0)]))
+@example(case=(1, [(0.5, 0.21809561686765838, 2.5, 3.0 + 2.0**-33)]))
+@example(case=(3, [(0.4, 0.6238324625039507, 0.25, 8.0), (0.4, 0.6238324625039507, 4.0, 6.0)]))
+# a bracket past 2^18: every test up to the lower end reads below
+@example(case=(3, [(0.4, 0.6238324625039507, 2.0**18 + 0.3, math.inf)]))
+@example(case=(3, [(0.4, 0.6238324625039507, 2.0**18, 2.0**18 + 2.0**-30)]))
+# infeasible: no end, then an upper end that stops the doubling
+@example(case=(1, [(0.5, 1.2 * math.log(2.0), -math.inf, math.inf)]))
+@example(case=(1, [(0.5, 1.2 * math.log(2.0), 0.5, 9.0)]))
+@example(case=(2, [(0.3, 0.1, math.inf, math.inf)]))
+def test_bisect_takes_the_reference_walks_tests_and_bits(case):
+    # the closed-form jump evaluates the kernel at exactly the tests the
+    # level walk evaluates, and returns its (value, tilt) bits
+    L, lanes = case
+    omegas, targets, a, b = (np.array(column) for column in zip(*lanes))
+    terms = rate_bounds._lane_terms(L, omegas)
+
+    def recorded(kernel, calls):
+        def run(h, L, const, *rest):
+            calls.extend(zip(const.tolist(), h.tolist()))
+            return kernel(h, L, const, *rest)
+
+        return run
+
+    want_calls, got_calls = [], []
+    with mock.patch.object(oracles, "e_and_num", recorded(oracles.e_and_num, want_calls)):
+        want = oracles.bisect_with_skips(L, terms, targets, a, b)
+    kernel = recorded(rate_bounds._lane_kernel, got_calls)
+    with mock.patch.object(rate_bounds, "_lane_kernel", kernel):
+        got = rate_bounds._bisect(L, terms, targets, a, b)
+    assert _hex(got[0]) == _hex(want[0])
+    assert _hex(got[1]) == _hex(want[1])
+    assert sorted(got_calls) == sorted(want_calls)
+
+
+def test_bisect_refuses_a_bracket_the_walk_never_closes():
+    # above 2^19 floats are 2^-33 apart, wider than the 1e-10 stop, so the
+    # level walk would halve forever; there is no root up there
+    L = 3
+    terms = rate_bounds._lane_terms(L, np.array([0.4]))
+    with pytest.raises(ArithmeticError):
+        rate_bounds._bisect(L, terms, np.array([0.6]), np.array([2.0**19]), np.array([math.inf]))
+
+
+def test_bisect_takes_few_rounds_per_call_on_a_certified_grid(monkeypatch):
+    # grid 100, L = 3: every bisection call has certified ends; measured
+    # at most 6 rounds a call and 227 in all over 43 calls, where the level
+    # walk takes about 45 a call.  Slack: 2 rounds a call, 10% in all
+    real, rounds = rate_bounds._bisect, []
+
+    def spy(L, terms, target, lo_skip, hi_skip):
+        assert np.isfinite(lo_skip).all() and np.isfinite(hi_skip).all()
+        out = real(L, terms, target, lo_skip, hi_skip)
+        rounds.append(out[2])
+        return out
+
+    monkeypatch.setattr(rate_bounds, "_bisect", spy)
+    counts = rcb_lower_curve(3, r_points=100, omega_points=100).counts
+    assert counts["bisect_rounds"] == sum(rounds)
+    assert max(rounds) <= 8
+    assert sum(rounds) <= 250
 
 
 @pytest.mark.parametrize(
@@ -759,6 +877,6 @@ def test_certified_lane_bounds_hold_the_bisection_value(R, L, n):
     args = (L, const[j], terms_g[j], terms_d[j], target[j])
     _, _, lower, upper = rate_bounds._lane_bounds(*args, np.full(len(j), np.nan))
     free = np.full(len(j), np.inf)  # no test skipped
-    value, _ = rate_bounds._bisect(L, args[1:4], target[j], -free, free)
+    value, _, _ = rate_bounds._bisect(L, args[1:4], target[j], -free, free)
     assert np.all(lower <= value) and np.all(value <= upper)
     assert np.all(np.isfinite(lower) == np.isfinite(upper))
