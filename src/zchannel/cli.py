@@ -205,6 +205,8 @@ def _parse_stage2(items: list[str]) -> dict[int, Path]:
             raise ValueError(
                 f"--stage2 takes GRADE=FILE with a positive GRADE, got {item!r}"
             )
+        if int(grade) in family:
+            raise ValueError(f"--stage2 gives grade {int(grade)} twice")
         family[int(grade)] = Path(file)
     return family
 

@@ -7,9 +7,12 @@ symmetric-channel comparison curves.
 
 There is one tau_star kernel, numpy's (``_lane_terms``, ``_lane_kernel``),
 and one bisection, ``_bisect``, which runs every root as a lane of a
-batch.  The scalar entry points, the curve (``rcb_lower_curve``) and the
-two-stage thresholds (``tau_star_lists``) certify each root's ends in the
-same lanes (``_lane_newton``, ``_lane_bounds``) and bisect between them.
+batch.  A pair (R, omega) has a root when R > 0 and R L ln2 lies below
+the kernel's ceiling, -ln of the constant of ``_lane_terms``, in the grid
+argmax and in ``_lane_points`` alike.  The scalar entry points, the curve
+(``rcb_lower_curve``) and the two-stage thresholds (``tau_star_lists``)
+certify each root's ends in the same lanes (``_lane_newton``,
+``_lane_bounds``) and bisect between them.
 The bisection jumps in closed form over every test those ends decide,
 so a certified lane costs one loop round per test inside its ends, and
 the kernel runs only there.
@@ -145,15 +148,13 @@ def list_plotkin_holds(M: int, L: int, omega: float, tau: float) -> bool:
 # random-coding exponent for list decoding under i.i.d. degradation
 
 
-def _snap_omega(omega: float) -> float:
-    """Clamp near-degenerate bit probabilities to their analytic limit."""
-    if not 0.0 <= omega <= 1.0:
-        raise ValueError(f"bit probability {omega} outside [0, 1]")
-    if omega <= 1e-12:
-        return 0.0
-    if omega >= 1.0 - 1e-12:
-        return 1.0
-    return omega
+def _snap_omegas(omegas: np.ndarray) -> np.ndarray:
+    """Clamp near-degenerate bit probabilities to their analytic limits."""
+    omegas = np.asarray(omegas, dtype=np.float64)
+    outside = ~((0.0 <= omegas) & (omegas <= 1.0))
+    if outside.any():
+        raise ValueError(f"bit probability {float(omegas[outside][0])} outside [0, 1]")
+    return np.where(omegas <= 1e-12, 0.0, np.where(omegas >= 1.0 - 1e-12, 1.0, omegas))
 
 
 @cache
@@ -194,9 +195,9 @@ def _lane_kernel(
     return const + (terms_g * w).sum(axis=1), (terms_d * w).sum(axis=1)
 
 
-def _one_lane(h: float, L: int, omega: float) -> tuple[np.ndarray, np.ndarray]:
-    """``_lane_kernel`` on the one lane (h, omega)."""
-    return _lane_kernel(np.array([h]), L, *_lane_terms(L, np.array([omega])))
+def _one_lane(h: float, L: int, omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_lane_kernel`` on the one lane (h, omegas[0])."""
+    return _lane_kernel(np.array([h]), L, *_lane_terms(L, omegas))
 
 
 def rcb_g(h: float, L: int, omega: float) -> float:
@@ -211,19 +212,20 @@ def rcb_delta(h: float, L: int, omega: float) -> float:
     At h=0 this is omega - omega^(L+1) exactly; it decreases toward 0 as
     h grows.
     """
-    omega = _check_rcb_args(h, L, omega)
+    omegas = _check_rcb_args(h, L, omega)
     if h == 0.0:
+        omega = float(omegas[0])
         return omega - omega ** (L + 1)
-    e, num = _one_lane(h, L, omega)
+    e, num = _one_lane(h, L, omegas)
     return float((num / e)[0])
 
 
-def _check_rcb_args(h: float, L: int, omega: float) -> float:
+def _check_rcb_args(h: float, L: int, omega: float) -> np.ndarray:
     if not h >= 0.0:
         raise ValueError("tilt must be nonnegative")
     if L < 1:
         raise ValueError("list size must be at least 1")
-    return _snap_omega(omega)
+    return _snap_omegas([omega])
 
 
 @dataclass(frozen=True)
@@ -237,26 +239,27 @@ def tau_star_info(R: float, L: int, omega: float) -> TauStarResult:
     """Largest error fraction a random size-2^(RLn) list-L code withstands.
 
     Solves g(h) - h g'(h) = R L ln2 for the smallest root and reports
-    g'(h) there.  The left side climbs from 0 to -ln(omega^(L+1) +
-    (1-omega)^(L+1)); rates demanding more than that are infeasible and
-    yield 0 with the flag down.  R = 0 short-circuits to the h=0 slope
-    omega - omega^(L+1).
+    g'(h) there.  The left side climbs from 0 to the kernel's ceiling
+    -ln(omega^(L+1) + (1-omega)^(L+1)), numpy's (``_lane_terms``); a rate
+    whose target reaches it is infeasible and yields 0 with the flag down.
+    R = 0 short-circuits to the h=0 slope omega - omega^(L+1).
 
     Contract: value and tilt are bit-identical to the reference bisection
     in tests/oracles.py, and so is every CSV built on them.  This is one
     lane of ``_lane_points``, which certifies the root's ends and runs
     that bisection (``_bisect``) between them.  A call costs about 0.3 ms
-    (2 CPUs, numpy 2.4), almost all of it numpy's per-call overhead: half
-    in the lane Newton, the rest in the certificate and a bisection whose
-    certified ends leave it a few rounds at most (none at (0.3, 3, 0.4)),
-    so many roots at one list size are far cheaper as the lanes of one
-    ``tau_star_lists`` table.
+    (0.29 measured; 2 CPUs, numpy 2.4), almost all of it numpy's per-call
+    overhead: half in the lane Newton, the rest in the certificate and a
+    bisection whose certified ends leave it a few rounds at most (none at
+    (0.3, 3, 0.4)), so many roots at one list size are far cheaper as the
+    lanes of one ``tau_star_lists`` table.
     """
     if not R >= 0.0:
         raise ValueError("rate must be nonnegative")
     if L < 1:
         raise ValueError("list size must be at least 1")
-    value, tilt, _, _ = _lane_points(L, [R], [omega], np.array([math.nan]))
+    rate, point, start = np.array([[R], [omega], [math.nan]], dtype=np.float64)
+    value, tilt, _, _ = _lane_points(L, rate, point, start)
     return TauStarResult(float(value[0]), bool(tilt[0] < math.inf), float(tilt[0]))
 
 
@@ -572,36 +575,33 @@ def _tau_star_argmax(
 
 
 def _lane_points(
-    L: int, rates: list[float], points: list[float], starts: np.ndarray
+    L: int, rates: np.ndarray, points: np.ndarray, starts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """tau_star_info(R, L, omega) at each (rate, point) pair, bit for bit,
     as the arrays value, tilt and B (the upper end of its root's certified
-    bracket), and the ``_bisect`` rounds it took.  Where tau_star_info
-    solves no root (R = 0, or a target at or past its scalar ceiling), B
-    is NaN, and the tilt 0 or inf.  The
-    other pairs are lanes, in batches of at most ``_LANE_BUDGET`` // L:
-    ``_lane_bounds`` certifies (A, B) from ``starts``, which each
-    certified B replaces, and ``_bisect`` runs between them, in full where
-    the lane is not certified (B = inf)."""
-    omegas = [_snap_omega(p) for p in points]
-    targets = [R * L * LN2 for R in rates]
-    n = len(points)
-    values, tilts, lanes = [0.0] * n, [math.inf] * n, []
-    for k, (R, target, omega) in enumerate(zip(rates, targets, omegas)):
-        if R == 0.0:
-            values[k], tilts[k] = omega - omega ** (L + 1), 0.0
-        elif target < -log(omega ** (L + 1) + (1.0 - omega) ** (L + 1)):
-            lanes.append(k)
-    values, tilts, omegas, ends = np.array([values, tilts, omegas, [math.nan] * n])
-    lanes = np.array(lanes, dtype=np.intp)
-    targets = np.array(targets)
+    bracket), and the ``_bisect`` rounds it took.  A pair is a lane when
+    R > 0 and its target R L ln2 lies below the kernel's ceiling -ln(const)
+    (``_lane_terms``), the rule of the grid argmax.  The other pairs solve
+    no root: B is NaN, and (value, tilt) is (omega - omega^(L+1), 0) at R
+    = 0, from Python floats, and (0, inf) past the ceiling.  The lanes run
+    in batches of at most ``_LANE_BUDGET`` // L: ``_lane_bounds``
+    certifies (A, B) from ``starts``, and ``_bisect`` runs between them,
+    in full where the lane is not certified (B = inf)."""
+    omegas = _snap_omegas(points)
+    targets = rates * L * LN2
+    const, terms_g, terms_d = _lane_terms(L, omegas)
+    lanes = np.flatnonzero((rates > 0.0) & (targets < -np.log(const)))
+    values, tilts = np.zeros_like(targets), np.full_like(targets, np.inf)
+    ends = np.full_like(targets, np.nan)
+    for k in np.flatnonzero(rates == 0.0).tolist():
+        omega = float(omegas[k])
+        values[k], tilts[k] = omega - omega ** (L + 1), 0.0
     size, rounds = max(1, _LANE_BUDGET // L), 0
     for s in range(0, len(lanes), size):
         j = lanes[s : s + size]
-        terms = _lane_terms(L, omegas[j])
+        terms = const[j], terms_g[j], terms_d[j]
         a, ends[j], _, _ = _lane_bounds(L, *terms, targets[j], starts[j])
         values[j], tilts[j], n = _bisect(L, terms, targets[j], a, ends[j])
-        starts[j] = np.where(ends[j] < np.inf, ends[j], starts[j])
         rounds += n
     return values, tilts, ends, rounds
 
@@ -617,7 +617,7 @@ def tau_star_lists(
     for R, omega in pairs:
         if not (0.0 <= R < 1.0 and 0.0 < omega < 1.0):
             raise ValueError(f"need a rate in [0, 1) and omega in (0, 1), got {(R, omega)}")
-    rates, points = [R for R, _ in pairs], [omega for _, omega in pairs]
+    rates, points = np.array(pairs, dtype=np.float64).reshape(-1, 2).T
     index = {pair: k for k, pair in enumerate(pairs)}
 
     @cache
@@ -664,48 +664,35 @@ def _golden_polish(
     with probe counts.  See rcb_lower_curve."""
     gold = (sqrt(5.0) - 1.0) / 2.0
     counts = {"polish_probes": 0, "polish_replays": 0, "polish_uncertified": 0, "bisect_rounds": 0}
-    live = [k for k, (_, tau) in enumerate(grid_best) if tau > 0.0]
-    live_rates = [rates[k] for k in live]
+    best, taus = (np.array(column) for column in zip(*grid_best))
+    live = np.flatnonzero(taus > 0.0)
+    live_rates = np.array(rates)[live]
     starts = np.full(len(live), np.nan)  # per rate, its last root's upper end
 
-    def probe(points: list[float]) -> list[float]:
+    def probe(points: np.ndarray) -> np.ndarray:
         """Per live rate, tau_star at its point."""
+        nonlocal starts
         values, _, ends, rounds = _lane_points(L, live_rates, points, starts)
+        starts = np.where(ends < np.inf, ends, starts)
         counts["polish_probes"] += len(points)
         counts["bisect_rounds"] += rounds
         counts["polish_replays"] += int(np.count_nonzero(~np.isnan(ends)))
         counts["polish_uncertified"] += int(np.count_nonzero(ends == np.inf))
-        return values.tolist()
+        return values
 
-    def section(k: int):
-        """The polish of one rate: yields each probe point and
-        receives its value, then yields the rate's tau."""
-        best, tau = grid_best[k]
-        a = float(omegas[max(best - 1, 0)])
-        b = float(omegas[min(best + 1, len(omegas) - 1)])
-        c = b - gold * (b - a)
-        d = a + gold * (b - a)
-        fc = yield c
-        fd = yield d
-        for _ in range(40):
-            if fc < fd:
-                a, c, fc = c, d, fd
-                d = a + gold * (b - a)
-                fd = yield d
-            else:
-                b, d, fd = d, c, fc
-                c = b - gold * (b - a)
-                fc = yield c
-        yield max(tau, fc, fd)
-
-    sections = [section(k) for k in live]
-    points = [next(sec) for sec in sections]
-    for _ in range(42):  # c, d and one probe per step
-        points = [sec.send(p) for sec, p in zip(sections, probe(points))]
-    taus = [tau for _, tau in grid_best]
-    for k, tau in zip(live, points):
-        taus[k] = tau
-    return taus, counts
+    a, b = (omegas[np.clip(best[live] + k, 0, len(omegas) - 1)] for k in (-1, 1))
+    c, d = b - gold * (b - a), a + gold * (b - a)
+    fc, fd = probe(c), probe(d)
+    for _ in range(40):
+        # where fc < fd the bracket drops [a, c), else (d, b]; the probe it
+        # keeps changes sides, and the new one fills the other
+        right = fc < fd
+        a, b = np.where(right, [c, b], [a, d])
+        new = np.where(right, a + gold * (b - a), b - gold * (b - a))
+        f_new = probe(new)
+        c, d, fc, fd = np.where(right, [d, new, fd, f_new], [new, c, f_new, fc])
+    taus[live] = np.max([taus[live], fc, fd], axis=0)
+    return taus.tolist(), counts
 
 
 def rcb_lower_curve(
@@ -720,16 +707,17 @@ def rcb_lower_curve(
 
     The grid's winner and its value come from ``_tau_star_argmax``, bit
     for bit those of the reference lanes.  The polish (``_golden_polish``)
-    runs the 40 golden-section steps of every rate in lockstep, one
-    generator per rate holding the golden-section loop of tests/oracles.py
-    with its state a, b, c, d in Python floats, so every probe point is
+    runs the 40 golden-section steps of every rate in lockstep, with a,
+    b, c, d, fc and fd arrays over the rates and each step one
+    ``np.where`` on fc < fd.  Numpy's elementwise +, - and * are the IEEE
+    operations of the loop in tests/oracles.py, so every probe point is
     the same float and every tau is bit for bit the reference polish's,
-    built on tau_star_info.  The new probes of all rates go through the lanes as
-    one batch, 42 batches in all: ``_lane_points`` certifies each probe's
-    root from the certified upper end of the rate's last probe, as the
-    grid argmax does, and bisects between the ends, so every probe
+    built on tau_star_info.  The new probes of all rates go through the
+    lanes as one batch, 42 batches in all: ``_lane_points`` certifies each
+    probe's root from the certified upper end of the rate's last probe, as
+    the grid argmax does, and bisects between the ends, so every probe
     arrives with tau_star_info's value and the comparisons are plain float
-    comparisons.  A probe with no root (target at or past its scalar
+    comparisons.  A probe with no root (target at or past the kernel's
     ceiling) is 0, as in tau_star_info.  ``counts`` records the probes,
     the lanes among them (``polish_replays``: probes with a root, each
     bisected), the lanes left uncertified, and ``bisect_rounds``, the

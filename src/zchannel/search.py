@@ -227,6 +227,8 @@ def sample_code_radius(
     all (list_size + 1)-subsets.  Returns one Fraction per trial (already
     divided by n).  Deterministic for a fixed seed.
     """
+    if n < 1 or list_size < 1 or trials < 0:
+        raise ValueError("need n >= 1, list_size >= 1 and trials >= 0")
     if size <= list_size:
         raise ValueError("need more words than the list size")
     if not 0.0 <= omega <= 1.0:

@@ -34,10 +34,6 @@ from .rate_bounds import LN2, binary_entropy, tau_star_lists
 from .tau_lp import TAU_TABLE
 
 
-# Extra grid points pinning down the neighborhood of the zero-rate point,
-# which a uniform grid of the default size would straddle.
-OMEGA_EXTRAS = (0.65, 0.6610498029, 0.67)
-ALPHA_EXTRAS = (0.4639337308, 0.995, 0.999)
 # check_star fails anything within this distance of failing
 BOUNDARY_TOL = 1e-9
 
@@ -391,6 +387,13 @@ def _omega_enclosure() -> tuple[Fraction, Fraction]:
         else:
             hi = mid
     return lo, hi
+
+
+# Extra grid points pinning down the neighborhood of the zero-rate point,
+# which a uniform grid of the default size would straddle.
+_ZERO_RATE = plotkin_point()
+OMEGA_EXTRAS = (0.65, round(_ZERO_RATE.omega_max, 10), 0.67)
+ALPHA_EXTRAS = (round(_ZERO_RATE.alpha_max, 10), 0.995, 0.999)
 
 
 def verify_remains(l_up: int = 17) -> RemainsReport:

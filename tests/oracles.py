@@ -324,18 +324,21 @@ def _bisect_lanes(L, omegas, targets):
 
 def tau_star_lanes(rates, L, omegas):
     """[(value, feasible, tilt) of the list-L random-coding threshold] at
-    each (rate, omega) pair, the bisections run as lanes."""
+    each (rate, omega) pair, the bisections run as lanes.  A pair with R >
+    0 has a root when its target lies below the kernel's ceiling, numpy's
+    -log of the constant of ``_lane_terms``."""
     if L < 1:
         raise ValueError("list size must be at least 1")
+    omegas = [_snap_omega(float(omega)) for omega in omegas]
+    ceilings = (-np.log(_lane_terms(L, np.array(omegas, dtype=np.float64))[0])).tolist()
     out, lanes = [], []
-    for k, (R, omega) in enumerate(zip(rates, omegas)):
+    for k, (R, omega, ceiling) in enumerate(zip(rates, omegas, ceilings)):
         if not R >= 0.0:
             raise ValueError("rate must be nonnegative")
-        omega = _snap_omega(omega)
         target = R * L * LN2
         if R == 0.0:
             out.append((omega - omega ** (L + 1), True, 0.0))
-        elif target >= -log(omega ** (L + 1) + (1.0 - omega) ** (L + 1)):
+        elif target >= ceiling:
             out.append((0.0, False, math.inf))
         else:
             out.append(None)
@@ -359,17 +362,10 @@ def tau_star(R, L, omega):
 
 
 def _tau_star_vec(R, L, omegas):
-    """tau_star over an array of bit probabilities at one (R, L), with the
-    lanes' own R = 0 value and ceiling test in numpy; infeasible lanes
-    come back 0."""
-    omegas = np.asarray(omegas, dtype=np.float64)
-    if R == 0.0:
-        return omegas - omegas ** (L + 1)
-    target = R * L * LN2
-    feasible = target < -np.log(omegas ** (L + 1) + (1.0 - omegas) ** (L + 1))
-    out = np.zeros_like(omegas)
-    out[feasible], _ = _bisect_lanes(L, omegas[feasible], np.full(feasible.sum(), target))
-    return out
+    """tau_star over an array of bit probabilities at one (R, L), as the
+    lanes of ``tau_star_lanes``; infeasible lanes come back 0."""
+    found = tau_star_lanes([R] * len(omegas), L, omegas)
+    return np.array([value for value, _, _ in found])
 
 
 def _binom_terms(L, omega):

@@ -327,6 +327,23 @@ def test_simulate_stage2_flag_syntax(tmp_path):
     assert read_manifest(out)["status"] == "usage-error"
 
 
+def test_simulate_refuses_a_repeated_stage2_grade(tmp_path):
+    out = tmp_path / "run"
+    argv = [
+        "simulate",
+        "--stage1", str(DATA / "stage1_w3.txt"),
+        "--stage2", f"2={DATA / 'stage2_list1.txt'}",
+        "--stage2", f"2={DATA / 'stage2_list2.txt'}",
+        "--t", "1",
+        "--out", str(out),
+    ]
+    assert main(argv) == 1
+    manifest = read_manifest(out)
+    assert manifest["status"] == "usage-error"
+    assert "grade 2 twice" in manifest["error"]
+    assert not (out / "verdict.json").exists()
+
+
 def test_simulate_rejects_malformed_code_file(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("length=6\n111000\n")

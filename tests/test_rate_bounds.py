@@ -212,6 +212,9 @@ _OMEGAS = st.one_of(
 # the target equals float phi at a bisection midpoint (h = 3 and 2.5)
 @example(R=0.3146454648945901, L=1, omega=0.5)
 @example(R=0.07588864687147948, L=3, omega=0.4)
+# targets in the last-bit window between numpy's ceiling and libm's
+@example(R=0.0027158559967405626, L=1, omega=0.9990587554798158)
+@example(R=0.005411895943823569, L=3, omega=0.9971905236591844)
 def test_tau_star_info_matches_reference_bisection_bit_for_bit(R, L, omega):
     assert _bits(tau_star_info(R, L, omega)) == _reference_bits(R, L, omega)
 
@@ -223,6 +226,33 @@ def _bits(res):
 def _reference_bits(R, L, omega):
     value, feasible, tilt = oracles.tau_star_info(R, L, omega)
     return value.hex(), feasible, tilt.hex()
+
+
+# Targets within an ulp of the ceiling -ln(omega^(L+1) + (1-omega)^(L+1)),
+# where numpy's pow and log and libm's differ in the last bit (numpy
+# 2.4.6, x86-64).  The kernel's own ceiling decides whether a root exists,
+# as in the grid argmax: the first target lies at or past it, although
+# libm's ceiling lies above the target; the second lies below it, although
+# libm's ceiling does not
+_CEILING_WINDOW = [
+    ((0.0027158559967405626, 1, 0.9990587554798158), False),
+    ((0.005411895943823569, 3, 0.9971905236591844), True),
+]
+
+
+@pytest.mark.parametrize("lane, has_root", _CEILING_WINDOW)
+def test_the_kernel_ceiling_decides_whether_a_root_exists(lane, has_root):
+    R, L, omega = lane
+    assert _inside_ceiling(R, L, omega) == has_root
+    info = tau_star_info(R, L, omega)
+    assert info.feasible == has_root
+    if has_root:
+        assert info.value == pytest.approx(2.36e-20, rel=1e-2)
+        assert info.tilt == pytest.approx(110.31, abs=0.01)
+    else:
+        assert (info.value, info.tilt) == (0.0, math.inf)
+    lists = rate_bounds.tau_star_lists([(R, omega)], L)(R, omega)
+    assert lists[L - 1].hex() == info.value.hex()
 
 
 def _mp_root(R, L, omega, guess):
@@ -272,7 +302,9 @@ def test_the_two_reference_kernels_agree_within_their_rounding_bound(R, L, omega
     # phi is there.  The bisection's final width adds 1e-10/4 and the float
     # slope 64 (L + h + 16) u
     ceiling = -math.log(omega ** (L + 1) + (1.0 - omega) ** (L + 1))
-    assume(R * L * rate_bounds.LN2 < ceiling)
+    # each reference has a root below its own kernel's ceiling, and the
+    # two ceilings can differ in the last bit
+    assume(R * L * rate_bounds.LN2 < min(ceiling, _ceiling(L, omega)))
     numpy_value, numpy_ok, numpy_tilt = oracles.tau_star_info(R, L, omega)
     libm_value, libm_ok, _ = oracles.tau_star_info_libm(R, L, omega)
     assert numpy_ok and libm_ok
@@ -289,7 +321,9 @@ _RATES = st.one_of(st.floats(0.0, 0.01), st.floats(0.0, 1.5), st.floats(0.0, 1e-
 
 
 def _ceiling(L, omega):
-    return -math.log(omega ** (L + 1) + (1.0 - omega) ** (L + 1))
+    """The kernel's ceiling: numpy's -log of the constant of ``_lane_terms``."""
+    const = rate_bounds._lane_terms(L, np.array([omega]))[0]
+    return float(-np.log(const)[0])
 
 
 def _inside_ceiling(R, L, omega):

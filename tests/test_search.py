@@ -331,11 +331,23 @@ def test_sample_code_radius_exact_means():
     assert mean(other) == Fraction(10387, 64000)
 
 
-def test_sample_code_radius_validation():
-    with pytest.raises(ValueError):
-        sample_code_radius(8, 2, 0.5, 2, 10, seed=1)
-    with pytest.raises(ValueError):
-        sample_code_radius(8, 4, 1.5, 1, 10, seed=1)
+def test_sample_code_radius_validation(monkeypatch):
+    # every refusal comes before the first draw
+    def refuse(*args):
+        raise AssertionError("a word was drawn")
+
+    monkeypatch.setattr(search.random, "Random", refuse)
+    bad = [
+        (8, 2, 0.5, 2, 10),  # no more words than the list size
+        (8, 4, 1.5, 1, 10),
+        (0, 3, 0.5, 1, 5),  # n, list_size and trials out of range
+        (-3, 3, 0.5, 1, 5),
+        (6, 3, 0.5, 0, 5),
+        (6, 3, 0.5, 1, -2),
+    ]
+    for args in bad:
+        with pytest.raises(ValueError):
+            sample_code_radius(*args, seed=1)
 
 
 def test_sample_code_radius_degenerate_omega():
