@@ -6,8 +6,8 @@ for list decoding against i.i.d. degradation, and the classic
 symmetric-channel comparison curves.
 
 There is one tau_star kernel, numpy's (``_lane_terms``, ``_lane_kernel``),
-and one bisection, ``_bisect``, which runs every root as a lane of a
-batch.  A pair (R, omega) has a root when R > 0 and R L ln2 lies below
+and one bisection, ``_bisect``, which runs every root as a lane of an
+array.  A pair (R, omega) has a root when R > 0 and R L ln2 lies below
 the kernel's ceiling, -ln of the constant of ``_lane_terms``, in the grid
 argmax and in ``_lane_points`` alike.  The scalar entry points, the curve
 (``rcb_lower_curve``) and the two-stage thresholds (``tau_star_lists``)
@@ -38,7 +38,7 @@ _CELL = 34  # its final bracket is 2^-34 wide, the widest power of two within 1e
 _NEWTON_TOL = 1e-7  # relative Newton step at which a root estimate is taken
 _NEWTON_STEPS = 30
 _UNIT = 2.0**-53  # unit roundoff of a float
-_LANE_BUDGET = 1 << 12  # lanes x L elements per lane batch
+_LANE_BUDGET = 1 << 11  # lanes per rate group of the grid argmax, unless one rate has more
 
 
 def binary_entropy(p: float) -> float:
@@ -462,14 +462,14 @@ def _tau_star_argmax(
     read 0, as in the reference, and a rate with none gives (0, 0.0).
 
     Contract: every (index, value) is bit for bit np.argmax of the
-    reference lanes and the value there.  Lanes run in batches of at most
-    ``_LANE_BUDGET`` // L, the rates' lanes in order; no result depends on
-    the batch size.  Per batch:
+    reference lanes and the value there.  The rates run in groups, in
+    order, each of at most ``_LANE_BUDGET`` lanes and at least one rate;
+    no result depends on the group size.  Per group:
 
     1. Newton (``_lane_newton``) estimates each lane's root, starting
        from the certified upper end B of the same omega's lane in the
-       last batch (a rate just below), or from its cold start where there
-       is none; its digits reach no output.
+       previous group (a rate just below), or from its cold start where
+       there is none; its digits reach no output.
     2. Around the estimate, (A, B) is certified: both ends are evaluated
        with the kernel (``_lane_kernel``), and kept only where float
        phi(A) < target - m, float phi(B) > target + m and B < 2^64.  A is
@@ -478,11 +478,12 @@ def _tau_star_argmax(
     3. A certified lane's value lies in [g'(B) - eps, g'(A) + eps], both
        slopes read from step 2.  A lane whose upper end lies below the
        best lower end of its rate cannot be an argmax, so it is dropped;
-       every uncertified lane is kept.
-    4. The bisection (``_bisect``) replays the kept lanes, each with its
-       own target and its (A, B) as skipped ends, and the first argmax is
-       taken per rate over the replayed values, 0 on every lane without a
-       root and -inf on the dropped ones.
+       every uncertified lane is kept.  A rate's lanes all lie in its
+       group, so that best is final when the group is certified.
+    4. The bisection (``_bisect``) replays the group's kept lanes, each
+       with its own target and its (A, B) as skipped ends, and the first
+       argmax is taken per rate over the replayed values, 0 on every lane
+       without a root and -inf on the dropped ones.
 
     Why the ends hold.  The exact phi of the same omega rises with h
     (phi' = -h g'' > 0).  With unit roundoff u, numpy's exp, log and
@@ -522,55 +523,31 @@ def _tau_star_argmax(
     const, terms_g, terms_d = _lane_terms(L, omegas)
     ceiling = -np.log(const)
     targets = np.array([R * L * LN2 for R in rates])
-    size = max(1, _LANE_BUDGET // L)
-    group = max(1, size // len(omegas))  # rates whose lanes are listed at once
-    best = np.full(len(targets), -np.inf)  # per rate, the best lower end
-    empty = np.empty(0)
-    held = [(np.empty(0, np.intp), np.empty(0, np.intp), empty, empty, empty)]
-    lanes = uncertified = 0
-    # per omega, the upper end of its lane's root in the last batch, NaN
+    group = max(1, _LANE_BUDGET // len(omegas))  # rates per group
+    found: list[tuple[int, float]] = []
+    counts = dict.fromkeys(["lanes", "lanes_replayed", "lanes_uncertified", "bisect_rounds"], 0)
+    # per omega, the upper end of its lane's root in the previous group, NaN
     # where not certified: its next Newton start
     roots = np.full(len(omegas), np.nan)
     for r0 in range(0, len(targets), group):
-        rows, cols = np.nonzero(targets[r0 : r0 + group, None] < ceiling)
-        rows += r0
-        for s in range(0, len(rows), size):
-            r, j = rows[s : s + size], cols[s : s + size]
-            a, b, lower, upper = _lane_bounds(
-                L, const[j], terms_g[j], terms_d[j], targets[r], roots[j]
-            )
-            roots[j] = np.where(b < np.inf, b, np.nan)
-            np.maximum.at(best, r, lower)
-            # a rate's best so far is at most its final best
-            hold = upper >= best[r]
-            held.append((r[hold], j[hold], upper[hold], a[hold], b[hold]))
-            lanes += len(r)
-            uncertified += int(np.count_nonzero(upper == np.inf))
-    r, j, upper, a, b = (np.concatenate(parts) for parts in zip(*held))
-    keep = upper >= best[r]
-    r, j, a, b = r[keep], j[keep], a[keep], b[keep]
-    values, rounds = [empty], 0
-    for s in range(0, len(r), size):
-        c = slice(s, s + size)
-        lane_terms = const[j[c]], terms_g[j[c]], terms_d[j[c]]
-        value, _, n = _bisect(L, lane_terms, targets[r[c]], a[c], b[c])
-        values.append(value)
-        rounds += n
-    values = np.concatenate(values)
-    found: list[tuple[int, float]] = []
-    for r0 in range(0, len(targets), group):
         t = targets[r0 : r0 + group]
-        vals = np.where(t[:, None] < ceiling, -np.inf, 0.0)
-        lo, hi = np.searchsorted(r, [r0, r0 + len(t)])
-        vals[r[lo:hi] - r0, j[lo:hi]] = values[lo:hi]
+        inside = t[:, None] < ceiling
+        vals = np.where(inside, -np.inf, 0.0)
+        r, j = np.nonzero(inside)
+        a, b, lower, upper = _lane_bounds(L, const[j], terms_g[j], terms_d[j], t[r], roots[j])
+        roots[j] = np.where(b < np.inf, b, np.nan)
+        best = np.full(len(t), -np.inf)
+        np.maximum.at(best, r, lower)
+        keep = upper >= best[r]
+        counts["lanes"] += len(r)
+        counts["lanes_uncertified"] += int(np.count_nonzero(upper == np.inf))
+        r, j = r[keep], j[keep]
+        lane_terms = const[j], terms_g[j], terms_d[j]
+        vals[r, j], _, rounds = _bisect(L, lane_terms, t[r], a[keep], b[keep])
+        counts["lanes_replayed"] += len(r)
+        counts["bisect_rounds"] += rounds
         idx = vals.argmax(axis=1)
         found += zip(idx.tolist(), vals[np.arange(len(t)), idx].tolist())
-    counts = {
-        "lanes": lanes,
-        "lanes_replayed": len(r),
-        "lanes_uncertified": uncertified,
-        "bisect_rounds": rounds,
-    }
     return found, counts
 
 
@@ -583,10 +560,10 @@ def _lane_points(
     R > 0 and its target R L ln2 lies below the kernel's ceiling -ln(const)
     (``_lane_terms``), the rule of the grid argmax.  The other pairs solve
     no root: B is NaN, and (value, tilt) is (omega - omega^(L+1), 0) at R
-    = 0, from Python floats, and (0, inf) past the ceiling.  The lanes run
-    in batches of at most ``_LANE_BUDGET`` // L: ``_lane_bounds``
-    certifies (A, B) from ``starts``, and ``_bisect`` runs between them,
-    in full where the lane is not certified (B = inf)."""
+    = 0, from Python floats, and (0, inf) past the ceiling.
+    ``_lane_bounds`` certifies (A, B) from ``starts``, and ``_bisect``
+    runs between them, in full where the lane is not certified (B =
+    inf)."""
     omegas = _snap_omegas(points)
     targets = rates * L * LN2
     const, terms_g, terms_d = _lane_terms(L, omegas)
@@ -596,13 +573,9 @@ def _lane_points(
     for k in np.flatnonzero(rates == 0.0).tolist():
         omega = float(omegas[k])
         values[k], tilts[k] = omega - omega ** (L + 1), 0.0
-    size, rounds = max(1, _LANE_BUDGET // L), 0
-    for s in range(0, len(lanes), size):
-        j = lanes[s : s + size]
-        terms = const[j], terms_g[j], terms_d[j]
-        a, ends[j], _, _ = _lane_bounds(L, *terms, targets[j], starts[j])
-        values[j], tilts[j], n = _bisect(L, terms, targets[j], a, ends[j])
-        rounds += n
+    terms = const[lanes], terms_g[lanes], terms_d[lanes]
+    a, ends[lanes], _, _ = _lane_bounds(L, *terms, targets[lanes], starts[lanes])
+    values[lanes], tilts[lanes], rounds = _bisect(L, terms, targets[lanes], a, ends[lanes])
     return values, tilts, ends, rounds
 
 
@@ -712,8 +685,8 @@ def rcb_lower_curve(
     ``np.where`` on fc < fd.  Numpy's elementwise +, - and * are the IEEE
     operations of the loop in tests/oracles.py, so every probe point is
     the same float and every tau is bit for bit the reference polish's,
-    built on tau_star_info.  The new probes of all rates go through the
-    lanes as one batch, 42 batches in all: ``_lane_points`` certifies each
+    built on tau_star_info.  The new probes of all rates go through one
+    ``_lane_points`` call, 42 calls in all: it certifies each
     probe's root from the certified upper end of the rate's last probe, as
     the grid argmax does, and bisects between the ends, so every probe
     arrives with tau_star_info's value and the comparisons are plain float

@@ -16,10 +16,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 
-from .words import BitWord, Code, _dz_row, _subset_radius, _weight_table
+from .words import BitWord, Code, _dz_row, _least_gap_total, _subset_radius, _weight_table
 
 MAX_NODES = 10_000_000
 
@@ -243,18 +242,6 @@ def sample_code_radius(
                 if rng.random() < omega:
                     m |= 1 << i
             masks.append(m)
-        # the average gap is this total over list_size + 1, so the integer
-        # minimum picks the same subset
-        best: int | None = None
-        for sub in combinations(masks, list_size + 1):
-            meet = sub[0]
-            tot = 0
-            for m in sub:
-                meet &= m
-                tot += m.bit_count()
-            gap = tot - (list_size + 1) * meet.bit_count()
-            if best is None or gap < best:
-                best = gap
-        assert best is not None
-        out.append(Fraction(best, (list_size + 1) * n))
+        # the least average gap over (list_size + 1)-subsets, per position
+        out.append(Fraction(_least_gap_total(masks, list_size + 1), (list_size + 1) * n))
     return out

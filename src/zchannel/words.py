@@ -75,14 +75,6 @@ class BitWord:
     def __str__(self) -> str:
         return "".join("1" if self.mask >> i & 1 else "0" for i in range(self.n))
 
-    def __and__(self, other: "BitWord") -> "BitWord":
-        self._check_compatible(other)
-        return BitWord(self.n, self.mask & other.mask)
-
-    def __or__(self, other: "BitWord") -> "BitWord":
-        self._check_compatible(other)
-        return BitWord(self.n, self.mask | other.mask)
-
     def covers(self, other: "BitWord") -> bool:
         """True when every 1 of ``other`` is also a 1 of this word."""
         self._check_compatible(other)
@@ -173,13 +165,28 @@ def avg_radius(points: Sequence[BitWord]) -> Fraction:
     if not points:
         raise ValueError("need at least one word")
     n = points[0].n
-    meet = (1 << n) - 1
     for p in points:
         if p.n != n:
             raise ValueError(f"length mismatch: {p.n} vs {n}")
-        meet &= p.mask
-    total = sum(p.mask.bit_count() for p in points) - len(points) * meet.bit_count()
-    return Fraction(total, len(points))
+    return Fraction(_least_gap_total([p.mask for p in points], len(points)), len(points))
+
+
+def _least_gap_total(masks: Sequence[int], k: int) -> int:
+    """The least of (sum of weights - k |AND|) over the k-subsets of
+    ``masks``, k >= 1: k times the least mean gap to a subset's AND."""
+    best: int | None = None
+    for sub in combinations(masks, k):
+        meet = sub[0]
+        tot = 0
+        for m in sub:
+            meet &= m
+            tot += m.bit_count()
+        gap = tot - k * meet.bit_count()
+        if best is None or gap < best:
+            best = gap
+    if best is None:
+        raise ValueError(f"fewer than {k} words")
+    return best
 
 
 class Code:

@@ -573,8 +573,9 @@ def test_bisect_refuses_a_bracket_the_walk_never_closes():
 
 def test_bisect_takes_few_rounds_per_call_on_a_certified_grid(monkeypatch):
     # grid 100, L = 3: every bisection call has certified ends; measured
-    # at most 6 rounds a call and 227 in all over 43 calls, where the level
-    # walk takes about 45 a call.  Slack: 2 rounds a call, 10% in all
+    # at most 6 rounds a call and 231 in all over 47 calls (5 rate groups
+    # and 42 polish rounds), where the level walk takes about 45 a call.
+    # Slack: 2 rounds a call, 8% in all
     real, rounds = rate_bounds._bisect, []
 
     def spy(L, terms, target, lo_skip, hi_skip):
@@ -743,10 +744,17 @@ def test_lower_curve_equals_the_reference_curve_on_a_full_sweep():
     assert counts["polish_replays"] == counts["polish_probes"] == 400 * 42
 
 
-@pytest.mark.parametrize("L", [1, 3, 17])
-def test_lower_curve_does_not_depend_on_the_batch(monkeypatch, L):
-    # one lane per batch splits every polish step over many batches
-    monkeypatch.setattr(rate_bounds, "_LANE_BUDGET", 1)
+# a budget of one lane puts one rate in each group of the grid argmax; a
+# budget past every lane puts all rates in one group, every lane from a
+# cold start
+_BUDGETS = [pytest.param(L, 1, id=str(L)) for L in (1, 3, 17)] + [
+    pytest.param(L, 1 << 30, id=f"{L}-one-group") for L in (1, 3, 17)
+]
+
+
+@pytest.mark.parametrize("L, budget", _BUDGETS)
+def test_lower_curve_does_not_depend_on_the_batch(monkeypatch, L, budget):
+    monkeypatch.setattr(rate_bounds, "_LANE_BUDGET", budget)
     got = rcb_lower_curve(L, r_points=19, omega_points=23)
     assert _curve_bits(got) == _reference_curve_bits(L, 19, 23)
 
@@ -889,14 +897,42 @@ def test_uncertified_lanes_all_replay_the_reference_bisection(monkeypatch, scale
     assert counts["lanes_replayed"] == counts["lanes_uncertified"] == counts["lanes"]
 
 
-@pytest.mark.parametrize("L", [1, 3, 17])
-def test_grid_argmax_does_not_depend_on_the_batch(monkeypatch, L):
-    # one lane per batch splits every rate over many batches
+@pytest.mark.parametrize("L, budget", _BUDGETS)
+def test_grid_argmax_does_not_depend_on_the_batch(monkeypatch, L, budget):
     omegas = _grid(31)
     rates = [k / 32 for k in range(1, 32)]
     want = _argmax(rates, L, omegas)
-    monkeypatch.setattr(rate_bounds, "_LANE_BUDGET", 1)
+    monkeypatch.setattr(rate_bounds, "_LANE_BUDGET", budget)
     assert _argmax(rates, L, omegas) == want == _reference_argmax(rates, L, omegas)
+
+
+@pytest.mark.parametrize(
+    "budget, n", [(None, 100), (None, 2500), (50, 31), (50, 77), (64, 64)]
+)
+def test_grid_argmax_calls_hold_at_most_a_group_of_lanes(monkeypatch, budget, n):
+    # a group holds at most the budget's lanes, or one rate's when a rate
+    # has more; the certify and settle stages each run once per group
+    if budget is not None:
+        monkeypatch.setattr(rate_bounds, "_LANE_BUDGET", budget)
+    cap = max(rate_bounds._LANE_BUDGET, n)
+    sizes = {"_lane_bounds": [], "_bisect": []}
+    for name, key in [("_lane_bounds", -1), ("_bisect", 2)]:
+        real = getattr(rate_bounds, name)
+
+        def spy(*args, real=real, key=key, calls=sizes[name]):
+            calls.append(len(args[key]))
+            assert calls[-1] <= cap
+            return real(*args)
+
+        monkeypatch.setattr(rate_bounds, name, spy)
+    omegas = _grid(n)
+    rates = [k / 41 for k in range(1, 41)] if n < 1000 else [0.05, 0.3, 0.7]
+    found, counts = rate_bounds._tau_star_argmax(rates, 3, omegas)
+    groups = -(-len(rates) // max(1, rate_bounds._LANE_BUDGET // n))
+    assert len(sizes["_lane_bounds"]) == len(sizes["_bisect"]) == groups
+    assert sum(sizes["_lane_bounds"]) == counts["lanes"]
+    assert sum(sizes["_bisect"]) == counts["lanes_replayed"]
+    assert [(k, v.hex()) for k, v in found] == _reference_argmax(rates, 3, omegas)
 
 
 @settings(max_examples=30, deadline=None)

@@ -844,15 +844,27 @@ def test_grid_thresholds_equal_the_reference_bisection():
     assert _lane_lists(pairs) == _reference_lists(pairs)
 
 
-def test_grid_thresholds_do_not_depend_on_the_batch_or_the_estimate(monkeypatch):
-    # one lane per batch; then no Newton estimate, so every lane replays
-    # the plain bisection.  On the default grid's pairs at the omegas
-    # pinned near the zero-rate point
+def test_grid_thresholds_do_not_depend_on_the_lane_split_or_the_estimate(monkeypatch):
+    # each pair is its own lane: per list size, the default grid's pairs in
+    # one call equal, bit for bit, two calls on the halves split at a drawn
+    # index, each pair starting from its ends at the list size before.
+    # Then no Newton estimate, so every lane replays the plain bisection,
+    # on the pairs at the omegas pinned near the zero-rate point
+    rates, points = np.array(_grid_pairs(DEFAULT_CONFIG)).T
+    starts = np.full(len(rates), np.nan)
+    rng = np.random.default_rng(2024)
+    for L in range(1, 18):
+        k = int(rng.integers(1, len(rates)))
+        whole = rate_bounds._lane_points(L, rates, points, starts)
+        lo, hi = (
+            rate_bounds._lane_points(L, rates[c], points[c], starts[c])
+            for c in (slice(k), slice(k, None))
+        )
+        for got, a, b in zip(whole[:3], lo, hi):
+            assert np.concatenate([a, b]).tobytes() == got.tobytes()
+        starts = whole[2]
     pairs = [p for p in _grid_pairs(DEFAULT_CONFIG) if p[1] in two_stage.OMEGA_EXTRAS]
     want = _reference_lists(pairs)
-    with monkeypatch.context() as patch:
-        patch.setattr(rate_bounds, "_LANE_BUDGET", 1)
-        assert _lane_lists(pairs) == want
     lanes, uncertified = [], []
     real = rate_bounds._lane_points
 
