@@ -14,8 +14,10 @@ well.  ``sample_code_radius`` draws from an explicit seed.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import comb
 
 from .words import BitWord, Code, _dz_row, _least_gap_total, _subset_radius, _weight_table
@@ -40,7 +42,7 @@ def _check_caps(n: int, max_nodes: int) -> None:
 
 
 def _colour(
-    q: int, tops: list[int], want: int, rows: list[int | None], d: int, weights, units: int
+    q: int, tops: list[int], want: int, rows: dict[int, int], d: int, weights, units: int
 ) -> tuple[int, int]:
     """Greedy colour classes over the words of bitset q, appending each
     class's top (highest) word to ``tops``, until ``tops`` holds more than
@@ -60,8 +62,9 @@ def _colour(
                 return q, spent + 1
             spent += 1
             w = c.bit_length() - 1
-            row = rows[w]
-            if row is None:
+            try:
+                row = rows[w]
+            except KeyError:
                 row = rows[w] = _dz_row(w, d, weights)
             bit = 1 << w
             q ^= bit
@@ -87,19 +90,20 @@ def max_code(n: int, d: int, *, max_nodes: int = MAX_NODES) -> CodeSearchResult:
     ``max_nodes``; each unit builds at most one row (``words._dz_row``).
     If the cap trips, the search stops at once: the incumbent so far is
     returned, ``optimal`` is False and ``nodes`` is ``max_nodes + 1``.
-    Rows are kept until the search ends, 2^n/8 bytes each, so they hold
-    at most (max_nodes + 1) * 2^n/8 bytes.  Besides, each depth (at most
-    max_nodes of them) holds a pool and at most one set of uncoloured
-    words of that size.
+    Rows are kept, keyed by word, until the search ends, 2^n/8 bytes each,
+    so they hold at most (max_nodes + 1) * 2^n/8 bytes.  Besides, the
+    weight table takes 2^n bytes, one row build about 3 * 2^n bytes of
+    numpy temporaries while it runs, and each depth (at most max_nodes of
+    them) a pool and at most one set of uncoloured words of that size.
     """
     _check_caps(n, max_nodes)
     if d < 2 or d % 2:
         raise ValueError("distance must be even and at least 2")
     universe = 1 << n
     weights = _weight_table(n)
-    # rows[v]: bitset of the words compatible with v; None until a unit
-    # of work first needs it
-    rows: list[int | None] = [None] * universe
+    # rows[v]: bitset of the words compatible with v, from the first unit
+    # of work that needs it
+    rows: dict[int, int] = {}
     best: list[int] = []
     best_size = 0
     chosen: list[int] = []
@@ -135,8 +139,9 @@ def max_code(n: int, d: int, *, max_nodes: int = MAX_NODES) -> CodeSearchResult:
             chosen.append(v)
             if depth >= best_size:
                 best, best_size = chosen[:], depth + 1
-            row = rows[v]
-            if row is None:
+            try:
+                row = rows[v]
+            except KeyError:
                 row = rows[v] = _dz_row(v, d, weights)
             stack.append((pool ^ low, uncoloured, tops))
             pool, uncoloured, tops = pool & row, -1, []
@@ -153,6 +158,18 @@ def max_code(n: int, d: int, *, max_nodes: int = MAX_NODES) -> CodeSearchResult:
     return CodeSearchResult(code, best_size, not truncated, nodes, note)
 
 
+def _shell(n: int, w: int) -> Iterator[int]:
+    """The C(n, w) words of length n and weight w in ascending order, each
+    from the one before by Gosper's same-popcount step."""
+    v = (1 << w) - 1
+    for k in range(comb(n, w)):
+        if k:
+            low = v & -v
+            up = v + low
+            v = up | ((v ^ up) >> 2) // low
+        yield v
+
+
 def best_list_code(
     n: int, w: int, size: int, list_size: int, *, max_nodes: int = MAX_NODES
 ) -> CodeSearchResult:
@@ -166,6 +183,8 @@ def best_list_code(
     its completions, so a finished search reports C(|shell|, size).  Once
     it passes ``max_nodes`` with work left, the incumbent is returned with
     ``optimal`` False; the first code decided is always a new incumbent.
+    The shell of weight-w words is read lazily from ``_shell``, only as
+    far as the search reaches, so a capped search reads few of them.
     """
     _check_caps(n, max_nodes)
     if not 0 <= w <= n:
@@ -174,13 +193,14 @@ def best_list_code(
         raise ValueError("code size must be positive")
     if list_size < 1:
         raise ValueError("list size must be at least 1")
-    if size > comb(n, w):
-        raise ValueError(f"only {comb(n, w)} words of weight {w} exist")
-    shell = [m for m in range(1 << n) if m.bit_count() == w]
+    total = comb(n, w)
+    if size > total:
+        raise ValueError(f"only {total} words of weight {w} exist")
+    words, shell = _shell(n, w), []
 
     if size <= list_size:
         # any selection already attains radius n; keep the first
-        code = Code(BitWord(n, m) for m in shell[:size])
+        code = Code(BitWord(n, m) for m in islice(words, size))
         return CodeSearchResult(code, n, True, 0, "size within list bound")
 
     best_obj, best, chosen, nodes = -1, [], [], 0
@@ -189,15 +209,19 @@ def best_list_code(
         # radius: list radius of ``chosen``, or n while it has no full subset
         nonlocal best_obj, nodes
         need = size - len(chosen)
-        for i in range(start, len(shell) - need + 1):
+        for i in range(start, total - need + 1):
             if nodes > max_nodes:
                 return  # every caller up the stack returns here too
-            chosen.append(shell[i])
+            try:
+                chosen.append(shell[i])
+            except IndexError:  # i is one past the words read so far
+                shell.append(next(words))
+                chosen.append(shell[i])
             r = radius
             if len(chosen) > list_size:
                 r = min(r, _subset_radius(chosen, list_size, last=True))
             if r <= best_obj:
-                nodes += comb(len(shell) - 1 - i, need - 1)
+                nodes += comb(total - 1 - i, need - 1)
             elif need > 1:
                 dfs(i + 1, r)
             else:
@@ -208,7 +232,7 @@ def best_list_code(
     dfs(0, n)
     code = Code(BitWord(n, m) for m in best)
     # a stopped search leaves at least one code undecided
-    optimal = nodes == comb(len(shell), size)
+    optimal = nodes == comb(total, size)
     note = "" if optimal else "node budget exhausted"
     return CodeSearchResult(code, best_obj, optimal, nodes, note)
 

@@ -23,12 +23,10 @@ near the threshold.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heapreplace
-from math import inf, isnan, log1p, sqrt
+from math import inf, isnan, log1p, nextafter, sqrt
 
 from .rate_bounds import LN2, binary_entropy, tau_star_lists
 from .tau_lp import TAU_TABLE
@@ -36,6 +34,11 @@ from .tau_lp import TAU_TABLE
 
 # check_star fails anything within this distance of failing
 BOUNDARY_TOL = 1e-9
+# a tail pass must clear _ROUNDING / (1 - alpha) in the margin m; see check_star
+_ROUNDING = 2.0**-38
+# margin evaluations of the golden section, its first four included
+_GOLDEN_EVALS = 62
+_INV_PHI = (sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -53,12 +56,11 @@ class TwoStageConfig:
         1e-6, 1e-5, 1e-4, 1e-3, 0.003, 0.01, 0.03, 0.05,
         0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9,
     )
-    x_points: int = 140
 
     def __post_init__(self) -> None:
         if not 1 <= self.l_up <= 17:
             raise ValueError("list cap must lie in 1..17")
-        if self.x_points < 8 or self.omega_points < 2 or self.alpha_points < 2:
+        if self.omega_points < 2 or self.alpha_points < 2:
             raise ValueError("grids too coarse to mean anything")
         if not self.rate_ladder or not all(0.0 <= R < 1.0 for R in self.rate_ladder):
             raise ValueError("rate ladder needs at least one rate, each in [0, 1)")
@@ -73,9 +75,11 @@ def r2(alpha: float, tau1: float, omega: float, list1_tau: float) -> float:
 
     ``list1_tau`` is tau_star(R1, 1, omega) for the stage-1 rate R1, the
     first entry of the threshold list that check_star reads.  Zero
-    whenever the expression degenerates (negative square-root argument or
-    negative bracket): those regimes leave at most polynomial list growth,
-    which costs no rate.
+    whenever the bracket of ``_residual`` is not positive, which holds
+    where its square-root argument is negative (read as 0, so h(p) = 1;
+    binary_entropy may round up to 2^-52 above 1 within about 4e-9 of x/s
+    = 1/2): those regimes leave at most polynomial list growth, which
+    costs no rate.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"stage split {alpha} outside (0, 1)")
@@ -83,15 +87,16 @@ def r2(alpha: float, tau1: float, omega: float, list1_tau: float) -> float:
         raise ValueError(f"stage-1 fraction {tau1} outside [0, {omega}]")
     if not list1_tau >= 0.0:
         raise ValueError("list-1 threshold must be nonnegative")
-    if tau1 == 0.0:
-        return 0.0
-    shrink = 1.0 - omega + tau1
-    sqrt_arg = 1.0 - 4.0 * list1_tau / (1.0 + omega - tau1)
-    if sqrt_arg < 0.0:
-        return 0.0
-    bracket = binary_entropy(tau1 / shrink) - binary_entropy((1.0 - sqrt(sqrt_arg)) / 2.0)
-    if bracket <= 0.0:
-        return 0.0
+    return max(_residual(alpha, tau1, omega, list1_tau), 0.0)
+
+
+def _residual(alpha: float, x: float, omega: float, list1_tau: float) -> float:
+    """r2 before its clamp at 0, with a negative square-root argument
+    read as 0: alpha/(1 - alpha) s [h(x/s) - h(p)], s = 1 - omega + x and
+    p = (1 - sqrt(1 - 4 list1_tau/(1 + omega - x)))/2."""
+    shrink = 1.0 - omega + x
+    root = sqrt(max(1.0 - 4.0 * list1_tau / (1.0 + omega - x), 0.0))
+    bracket = binary_entropy(x / shrink) - binary_entropy((1.0 - root) / 2.0)
     return alpha * shrink / (1.0 - alpha) * bracket
 
 
@@ -99,66 +104,94 @@ def r2(alpha: float, tau1: float, omega: float, list1_tau: float) -> float:
 _GRADE_BOUNDS = {L: float(tau) for L, tau in TAU_TABLE.items()}
 
 
-def _x_extras(xmax: float, thresholds: list[float]) -> list[float]:
-    """check_star's probes besides the uniform ones, ascending: one just
-    past each threshold inside (0, xmax), four above the last threshold
-    when it is below xmax, and one just below xmax, each held at most
-    xmax (1 - 1e-9).  That cap commutes with the sort, so it is applied
-    to the sorted suffix above it; xmax (1 - 1e-6) never reaches it."""
-    just_inside = xmax * (1.0 - 1e-9)
-    xs = [thr + 1e-12 for thr in thresholds if 0.0 < thr < xmax]
-    top = thresholds[-1]
-    if top < xmax:
-        span = xmax - top
-        xs += [top + 1e-9 * span, top + 0.25 * span, top + 0.5 * span, top + 0.75 * span]
-    xs.append(xmax * (1.0 - 1e-6))
-    xs.sort()
-    capped = bisect_right(xs, just_inside)
-    xs[capped:] = [just_inside] * (len(xs) - capped)
-    return xs
+def _gv(t: float) -> float:
+    """1 - h(2t) for t <= 1/4, from y = 1 - 4t: accurate near t = 1/4,
+    unlike 1 - binary_entropy(2t)."""
+    y = 1.0 - 4.0 * t
+    return ((1.0 + y) * log1p(y) + (1.0 - y) * log1p(-y)) / (2.0 * LN2)
 
 
-def _first_uniform_above(low: float, xmax: float, nx: int) -> int:
-    """The least k in 1..nx with xmax * k / (nx + 1) > low, or nx + 1 if
-    there is none.  The probe never falls as k grows, since a correctly
-    rounded product and quotient by positive constants are monotone, so
-    a short walk corrects the arithmetic guess."""
-    n1 = nx + 1
-    if not low > 0.0:
-        k = 1
-    elif low >= xmax:
-        k = n1
-    else:
-        k = int(low / xmax * n1) + 1
-    while k > 1 and xmax * (k - 1) / n1 > low:
-        k -= 1
-    while k <= nx and not xmax * k / n1 > low:
-        k += 1
-    return k
+def _convex_floor(xs: list[float], ms: list[float]) -> float:
+    """A lower bound on a convex function over [xs[0], xs[-1]] from its
+    values ms at the ascending points xs: on each span, the chords of the
+    spans beside it, extended, lie below the function.  A span with no
+    float inside is bounded by its ends' values alone."""
+    floor = min(ms)
+    slopes = [(m1 - m0) / (x1 - x0) for x0, x1, m0, m1 in zip(xs, xs[1:], ms, ms[1:])]
+    for i in range(len(slopes)):
+        if nextafter(xs[i], inf) < xs[i + 1]:  # a float lies inside
+            width = xs[i + 1] - xs[i]
+            left = ms[i] + min(slopes[i - 1], 0.0) * width if i > 0 else -inf
+            right = ms[i + 1] - max(slopes[i + 1], 0.0) * width if i + 1 < len(slopes) else -inf
+            floor = min(floor, max(left, right))
+    return floor
 
 
-def _probes_above(low: float, xmax: float, nx: int, extras: list[float]) -> Iterator[float]:
-    """check_star's probes above low, ascending and lazily: the uniform
-    ones from ``_first_uniform_above`` merged with the sorted extras."""
-    k = _first_uniform_above(low, xmax, nx)
-    j = bisect_right(extras, low)
-    while k <= nx or j < len(extras):
-        x = xmax * k / (nx + 1) if k <= nx else inf
-        if j < len(extras) and extras[j] < x:
-            x = extras[j]
-            j += 1
-        else:
-            k += 1
-        yield x
+def _witness(
+    omega: float, alpha: float, tau: float, thresholds: list[float], cfg: TwoStageConfig
+) -> float | None:
+    """A stage-1 damage x in (0, xmax) at which ``check_star`` fails, or
+    None when it passes; see there."""
+    if not 0.0 < omega < 1.0 or not 0.0 < alpha < 1.0 or isnan(tau):
+        raise ValueError("need omega, alpha in (0, 1) and tau not NaN")
+    if len(thresholds) != cfg.l_up or not all(thr >= 0.0 for thr in thresholds):
+        raise ValueError(f"need {cfg.l_up} thresholds, each >= 0 and not NaN")
+    if tau <= 0.0:
+        return None
+    tol, list1 = BOUNDARY_TOL, thresholds[0]
 
+    def lhs(x: float) -> float:
+        return (tau - alpha * x) / (1.0 - alpha)
 
-def _gv_fails(t: float, rate: float) -> bool:
-    """t > tau_star(rate, 1, 1/2) for t >= BOUNDARY_TOL; see check_star."""
-    if t > 0.25 or rate == 0.0:
-        return t > 0.25  # tau_star's R = 0 short cut puts the root at 1/4
-    # 1 - h(2t) from x = 1 - 4t: accurate near t = 1/4, unlike 1 - binary_entropy(2t)
-    x = 1.0 - 4.0 * t
-    return rate > ((1.0 + x) * log1p(x) + (1.0 - x) * log1p(-x)) / (2.0 * LN2)
+    xmax = min(omega, tau / alpha)
+    low = list1 - tol
+    for L in range(2, len(thresholds) + 1):
+        cut = thresholds[L - 1] - tol
+        if cut > low:
+            # the least float of the region, where the falling lhs peaks
+            x = nextafter(max(low, 0.0), inf)
+            if x <= cut and x < xmax and lhs(x) > _GRADE_BOUNDS[L] - tol:
+                return x
+            low = cut
+    lo = nextafter(max(low, 0.0), inf)
+    if lo < xmax and lhs(lo) + tol > 0.25:
+        return lo
+    # past b = 1 + omega - 4 list1 the square root is imaginary and r2 = 0
+    hi = min(nextafter(xmax, 0.0), 1.0 + omega - 4.0 * list1)
+    if not lo <= hi:
+        return None
+    margin = _ROUNDING / (1.0 - alpha)
+    # one step: r2 from its monotone pieces against 1 - h(2t) at lo
+    s_lo, s_hi = 1.0 - omega + lo, 1.0 - omega + hi
+    q_lo = lo / s_lo
+    h_top = binary_entropy(q_lo if q_lo > 0.5 else min(hi / s_hi, 0.5))
+    root = sqrt(max(1.0 - 4.0 * list1 / (1.0 + omega - lo), 0.0))
+    top = alpha / (1.0 - alpha) * (s_hi * h_top - s_lo * binary_entropy((1.0 - root) / 2.0))
+    if _gv(lhs(lo) + tol) - top >= margin:
+        return None
+
+    def m(x: float) -> float:
+        return _gv(lhs(x) + tol) - _residual(alpha, x, omega, list1)
+
+    span = hi - lo
+    xs = sorted({lo, hi - _INV_PHI * span, lo + _INV_PHI * span, hi})
+    ms = [m(x) for x in xs]
+    for _ in range(_GOLDEN_EVALS - len(xs)):
+        if len(xs) < 4 or min(ms) < 2.0 * margin or _convex_floor(xs, ms) >= margin:
+            break
+        a, c, d, b = xs
+        if ms[1] <= ms[2]:  # the minimum lies in [a, d]
+            x, i, xs, ms = d - _INV_PHI * (d - a), 1, xs[:3], ms[:3]
+        else:  # in [c, b]
+            x, i, xs, ms = c + _INV_PHI * (b - c), 2, xs[1:], ms[1:]
+        if not xs[i - 1] < x < xs[i]:
+            break  # no float left to probe between the two
+        xs.insert(i, x)
+        ms.insert(i, m(x))
+    k = min(range(len(xs)), key=ms.__getitem__)
+    if ms[k] >= 2.0 * margin and _convex_floor(xs, ms) >= margin:
+        return None
+    return xs[k]
 
 
 def check_star(
@@ -168,69 +201,74 @@ def check_star(
     thresholds: list[float],
     cfg: TwoStageConfig = DEFAULT_CONFIG,
 ) -> bool:
-    """Whether a stage split survives every probed stage-1 damage x.
+    """Whether a stage split survives every stage-1 damage x in (0, xmax),
+    xmax = min(omega, tau/alpha).
 
     ``thresholds`` is tau_star(R, L, omega) for L = 1..cfg.l_up at the
     stage-1 rate R, cfg.l_up entries, each >= 0 and not NaN: the check
     reads R and every root through them, and solves none of its own.
-    ``two_stage_curve`` reads them from one ``tau_star_lists`` table.
-    The probes lie below xmax = min(omega, tau/alpha): cfg.x_points
-    uniform ones xmax k/(x_points + 1) and the few of ``_x_extras``.  A
-    probe x has the grade of the first list size L with x <= cut L =
+    ``two_stage_curve`` reads them from one ``tau_star_lists`` table.  An
+    x has the grade of the first list size L with x <= cut L =
     thresholds[L-1] - tol, or lies in the tail past every cut.  Grade 1
     needs no second stage; 2 <= L <= the cap needs lhs = (tau - alpha
-    x)/(1 - alpha) <= tau_of_L(L), and the tail lhs <= tau_star(r2, 1, 1/2)
-    for the shortened-code rate r2, whose list-1 threshold is
-    thresholds[0].  Anything within ``BOUNDARY_TOL`` of failing fails.
-    The thresholds need not rise with L: at (R, omega) = (0.9, 0.4694)
-    they peak near 0.00943 at L = 5 and fall to 0.00671 at L = 17.
-    Neither sorted thresholds nor a sorted probe list is needed:
+    x)/(1 - alpha) <= tau_of_L(L) - tol, and the tail t = lhs + tol <=
+    tau_star(r2, 1, 1/2) for the shortened-code rate r2, whose list-1
+    threshold is thresholds[0].  The thresholds need not rise with L: at
+    (R, omega) = (0.9, 0.4694) they peak near 0.00943 at L = 5 and fall
+    to 0.00671 at L = 17.  ``_witness`` returns a failing x, the witness;
+    this is whether it finds none.
 
-    - Grade L holds the probes in (largest earlier cut, cut L], an empty
-      region when cut L is not above that maximum.  Float lhs never rises
-      with x, because correctly rounded *, - and / by a positive constant
-      are monotone.  So a region fails iff its lowest probe fails, and it
-      passes outright when lhs at the earlier cut passes.  Only otherwise
-      is that probe found: the lower of the first uniform probe and the
-      first extra above the earlier cut.  Regions are walked upward to
-      the first failure.
-    - No graded probe lies above a tail probe.  The tail probes are read
-      lazily in ascending order, uniform and extras merged, up to the
-      first failure, so r2 sees every probe past the largest cut in order,
-      a repeated x as often as it repeats, and nothing after a failure.
+    - Grade L holds the x in (largest earlier cut, cut L] within (0,
+      xmax).  Float lhs never rises with x, because correctly rounded *,
+      - and / by a positive constant are monotone.  So a region fails iff
+      its least float x0, the float after max(earlier cut, 0), lies in it
+      and fails: one test per region, exact, with x0 the witness.
+    - tau_star(r2, 1, 1/2) is the GV curve h^-1(1 - r2)/2: at L = 1 and
+      omega = 1/2, with u = e^(-h/2) and p = u/(1 + u), e(h) = (1 + u)/2,
+      g'(h) = p/2 and g - h g' = ln2 (1 - h(p)) = r2 ln2 at the root.  So
+      a tail x fails iff t > 1/4 or r2 > 1 - h(2t).  The tail is (a,
+      xmax), a the largest cut or 0, and t falls with x, so the tail
+      fails t > 1/4 iff the float lo after a does.  Past b = 1 + omega -
+      4 thresholds[0] the square root in r2 is imaginary and r2 = 0, so
+      what is left is m >= 0 on [lo, hi], hi the lesser of b and the
+      float below xmax, for the margin m(x) = (1 - h(2t)) - r2 with r2
+      unclamped (the clamped margin is not unimodal).
 
-    tau_star(r2, 1, 1/2) is the GV curve h^-1(1 - r2)/2: at L = 1 and
-    omega = 1/2, with u = e^(-h/2) and p = u/(1 + u), e(h) = (1 + u)/2,
-    g'(h) = p/2 and g - h g' = ln2 (1 - h(p)) = r2 ln2 at the root.  With
-    t = lhs + tol the tail fails iff t > 1/4 or r2 > 1 - h(2t).
+    m is convex on [lo, hi].  1 - h(2t) is convex in t, and t is affine
+    in x.  With s = 1 - omega + x, y = 2 - s, l = thresholds[0] and H(a)
+    = h((1 - sqrt(1 - 4a))/2), r2 = alpha/(1 - alpha) [s h(x/s) - F(y)]
+    with F(y) = (2 - y) H(l/y).  s h(x/s) is the perspective of the
+    concave h at an affine point, so it is concave (Boyd & Vandenberghe,
+    Convex Optimization, 3.2.6).  F'' = (l/y^3) H'(a) [4 - (2 - y) e(a)]
+    at a = l/y, with e = -a H''/H' in (0, 1/3] (the tests check both in
+    50-digit arithmetic), so F'' > 0 as y < 2, and r2 is concave.
+
+    So the tail is decided in three steps, on margin = _ROUNDING/(1 -
+    alpha).  First, it passes when 1 - h(2t(lo)), the least 1 - h(2t),
+    less r2's bound on [lo, hi] from its monotone pieces (s(hi) times
+    the largest h of x/s, less s(lo) H(l/y(lo))), clears the margin.
+    Otherwise golden section on m keeps the least m in its bracket.  It
+    fails at the first x with m < 2 margin, the witness, and passes once
+    ``_convex_floor`` of its four points clears the margin.  Twice the
+    margin stands between the two, so the bracket, under 2^-40 of [lo,
+    hi] after _GOLDEN_EVALS evaluations, does not run out first; if it
+    does, it fails at the least m seen.
+
+    The rounding margin.  At a float x, the float m lies within E = 600
+    u/(1 - alpha) of m, u = 2^-53 (20,000 random draws against 40-digit
+    arithmetic came within 32 u/(1 - alpha)).  The lhs is off by at most
+    7 u/(1 - alpha), which moves 1 - h(2t) by at most 58 times that, since
+    |d/dt h(2t)| <= 2 log2(1/(2t)) and t >= 1e-9.  r2 is alpha/(1 - alpha)
+    s times two entropies within 70 u each; h(p) loses the most, where 1
+    - sqrt rounds a tiny p.  Golden
+    section keeps the least m up to comparisons within 2E, and the floor
+    extends chords over spans at most phi times their own width, so a
+    floor that clears 2^-38/(1 - alpha), above 5E, leaves the float m >=
+    0, the pointwise test passing, at every float of [lo, hi].  The
+    margin is about 1e-12 in t, far below tol.  So a pass implies the
+    pass of every probe grid in (0, xmax) under the same pointwise test.
     """
-    if not 0.0 < omega < 1.0 or not 0.0 < alpha < 1.0 or isnan(tau):
-        raise ValueError("need omega, alpha in (0, 1) and tau not NaN")
-    if len(thresholds) != cfg.l_up or not all(thr >= 0.0 for thr in thresholds):
-        raise ValueError(f"need {cfg.l_up} thresholds, each >= 0 and not NaN")
-    if tau <= 0.0:
-        return True
-    tol = BOUNDARY_TOL
-    nx = cfg.x_points
-    xmax = min(omega, tau / alpha)
-    extras = _x_extras(xmax, thresholds)
-    low = thresholds[0] - tol
-    for L in range(2, len(thresholds) + 1):
-        cut = thresholds[L - 1] - tol
-        if not cut > low:
-            continue
-        bound = _GRADE_BOUNDS[L] - tol
-        # every probe of the region lies above low, so its lhs is at most lhs(low)
-        if (tau - alpha * low) / (1.0 - alpha) > bound:
-            x = next(_probes_above(low, xmax, nx, extras), inf)
-            if x <= cut and (tau - alpha * x) / (1.0 - alpha) > bound:
-                return False
-        low = cut
-    for x in _probes_above(low, xmax, nx, extras):
-        lhs = (tau - alpha * x) / (1.0 - alpha)
-        if _gv_fails(lhs + tol, r2(alpha, x, omega, thresholds[0])):
-            return False
-    return True
+    return _witness(omega, alpha, tau, thresholds, cfg) is None
 
 
 @dataclass(frozen=True)
@@ -255,10 +293,23 @@ def two_stage_curve(
     rank by value with ties toward smaller omega, then alpha, then larger
     R, and the first feasible one wins.  The heap of (omega, alpha) pairs,
     each walking its rates down the ladder, carries over from tau to tau
-    on two facts the tests check but no theorem gives: a pair failing at R
-    fails at every larger R and at every larger tau.  So a failed rung is
-    never checked again, and a pair is dropped for good once its bottom
-    rung fails, which is checked on its first pop at each tau.
+    on two facts of the predicate that check_star decides (up to its
+    rounding margin):
+
+    - A rung failing at tau fails at every larger tau: lhs, so t, rises
+      with tau at every x, which lowers 1 - h(2t), and xmax = min(omega,
+      tau/alpha) rises, which only adds x to check.
+    - A pair failing at R fails at every larger R, as long as no
+      threshold rises with R, which the tests check on the default grid.
+      Lower thresholds move each x to a higher grade or into the tail.
+      ``TAU_TABLE`` does not rise from 2 to 18 and every grade bound is at
+      least 0.312 > 1/4, the most a tail x may have in t, so a moved x
+      meets a lower bound.  A lower thresholds[0] also raises r2, since H
+      rises, and so lowers the tail's bound.
+
+    So a failed rung is never checked again, and a pair is dropped for
+    good once its bottom rung fails, which is checked on its first pop at
+    each tau.
 
     The thresholds of every (omega, R) of the grid are solved in lanes at
     the first check (``tau_star_lists``), so not at all when no check

@@ -511,33 +511,38 @@ def _x_grid(xmax, thresholds, nx, tol):
     return xs
 
 
-def check_star(omega, alpha, R, tau, cfg, *, thresholds=None):
-    """Scan every probed x in grid order, grading each one from scratch."""
+def rejects(omega, alpha, R, tau, x, thresholds):
+    """Whether the pointwise test fails at stage-1 damage x: grade x from
+    scratch, then hold lhs to its grade's bound, or in the tail to the GV
+    root of r2, less the tolerance."""
+    tol = two_stage.BOUNDARY_TOL
+    lhs = (tau - alpha * x) / (1.0 - alpha)
+    grade = None
+    for L, thr in enumerate(thresholds, start=1):
+        if x <= thr - tol:
+            grade = L
+            break
+    if grade == 1:
+        return False
+    if grade is not None:
+        bound = float(tau_of_L(grade))
+    else:
+        bound = tau_star(r2(alpha, x, omega, R), 1, 0.5)
+    return lhs > bound - tol
+
+
+def check_star(omega, alpha, R, tau, cfg, x_points, *, thresholds=None):
+    """Scan every x of the probe grid with ``x_points`` uniform probes in
+    grid order, grading each one from scratch."""
     if not 0.0 < omega < 1.0 or not 0.0 < alpha < 1.0 or R < 0.0:
         raise ValueError("need omega, alpha in (0, 1) and R >= 0")
     if tau <= 0.0:
         return True
     if thresholds is None:
         thresholds = [tau_star(R, L, omega) for L in range(1, cfg.l_up + 1)]
-    tol = two_stage.BOUNDARY_TOL
     xmax = min(omega, tau / alpha)
-    one_minus = 1.0 - alpha
-    for x in _x_grid(xmax, thresholds, cfg.x_points, tol):
-        lhs = (tau - alpha * x) / one_minus
-        grade = None
-        for L, thr in enumerate(thresholds, start=1):
-            if x <= thr - tol:
-                grade = L
-                break
-        if grade == 1:
-            continue
-        if grade is not None:
-            bound = float(tau_of_L(grade))
-        else:
-            bound = tau_star(r2(alpha, x, omega, R), 1, 0.5)
-        if lhs > bound - tol:
-            return False
-    return True
+    grid = _x_grid(xmax, thresholds, x_points, two_stage.BOUNDARY_TOL)
+    return not any(rejects(omega, alpha, R, tau, x, thresholds) for x in grid)
 
 
 def ranked_candidates(cfg):

@@ -126,7 +126,7 @@ def test_colour_classes_bound_the_codes_above_each_word(n, half_d, data):
     d = 2 * half_d
     words = sorted(data.draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1)))
     pool = sum(1 << w for w in words)
-    rows, weights = [None] * (1 << n), _weight_table(n)
+    rows, weights = {}, _weight_table(n)
     budget = 1 << n
 
     # the whole pool at once: at every v, the classes whose top is >= v
@@ -220,13 +220,15 @@ def test_node_cap_trips_inside_a_colouring(monkeypatch, n, d, cap):
     assert sum(spent for _, spent in calls) < r.nodes
 
 
-@pytest.mark.parametrize("n, d, cap", [(20, 4, 200), (14, 10, 2000)])
+@pytest.mark.parametrize("n, d, cap", [(20, 4, 200), (14, 10, 2000), (22, 4, 1)])
 def test_max_code_memory_is_bounded_by_the_cap(n, d, cap):
     rows = (cap + 1) * (1 << n) // 8  # the docstring's bound on the rows
     # Slack: the stack holds, per depth (at most ``cap`` deep), a pool and
     # at most one set of uncoloured words, so no more than twice the rows;
-    # a row build's numpy temporaries take about 3 bytes per word; and
-    # 1 MiB for everything else.
+    # the weight table takes 1 byte per word and a row build's numpy
+    # temporaries about 3; and 1 MiB for everything else.  At n = 22 and
+    # cap 1 that is 20 MiB, where a table of 8 bytes per word alone would
+    # take 32 MiB.
     slack = 2 * rows + 4 * (1 << n) + (1 << 20)
     tracemalloc.start()
     try:
@@ -305,9 +307,34 @@ def test_best_list_node_cap_keeps_the_incumbent():
     assert a.objective <= exhaustive.objective
 
 
+@pytest.mark.parametrize("cap", [1, 10, 100])
+@pytest.mark.parametrize("args", [(22, 11, 3, 1), (22, 11, 5, 2), (12, 6, 4, 1)])
+def test_best_list_cap_bounds_the_shell_words_read(monkeypatch, args, cap):
+    """A capped search reads at most max_nodes + size + 1 words of its
+    shell (C(22, 11) = 705,432 of them), in ascending order."""
+    read, shell = [], search._shell
+
+    def spy(n, w):
+        for v in shell(n, w):
+            read.append(v)
+            yield v
+
+    monkeypatch.setattr(search, "_shell", spy)
+    r = best_list_code(*args, max_nodes=cap)
+    assert not r.optimal and r.nodes > cap
+    assert len(read) <= cap + args[2] + 1
+    assert read == sorted(set(read)) and {v.bit_count() for v in read} == {args[1]}
+
+
+@given(n=st.integers(1, 12), data=st.data())
+def test_shell_lists_the_weight_class_in_ascending_order(n, data):
+    w = data.draw(st.integers(0, n))
+    assert list(search._shell(n, w)) == [m for m in range(1 << n) if m.bit_count() == w]
+
+
 def test_best_list_input_validation():
     with pytest.raises(ValueError):
-        best_list_code(25, 3, 4, 1)  # refused before the 2^n shell scan
+        best_list_code(25, 3, 4, 1)  # refused before any word is read
     with pytest.raises(ValueError):
         best_list_code(6, 7, 1, 1)
     with pytest.raises(ValueError):

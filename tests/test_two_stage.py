@@ -65,7 +65,7 @@ def test_residual_rate_grows_with_first_stage_fraction():
 
 
 def test_threshold_check_trivial_cases():
-    cfg = TwoStageConfig(l_up=4, x_points=40)
+    cfg = TwoStageConfig(l_up=4)
     thresholds = _lists(0.1, 0.6, 4)
     assert check_star(0.6, 0.5, 0.0, thresholds, cfg)
     assert check_star(0.6, 0.5, -1.0, thresholds, cfg)
@@ -74,7 +74,7 @@ def test_threshold_check_trivial_cases():
 
 
 def test_threshold_check_accepts_small_fractions():
-    cfg = TwoStageConfig(l_up=4, x_points=40)
+    cfg = TwoStageConfig(l_up=4)
     assert check_star(0.6, 0.5, 0.05, _lists(0.05, 0.6, 4), cfg)
 
 
@@ -89,60 +89,84 @@ def _threshold_on(x, tol):
     return thr if thr - tol == x else None
 
 
+def _tail_margin(omega, alpha, tau, list1, x):
+    """check_star's tail margin (1 - h(2t)) - r2 at x, r2 unclamped."""
+    t = (tau - alpha * x) / (1.0 - alpha) + two_stage.BOUNDARY_TOL
+    return two_stage._gv(t) - two_stage._residual(alpha, x, omega, list1)
+
+
+def _assert_sound(omega, alpha, R, tau, thresholds, x_points):
+    """check_star's verdict against the reference: a pass implies that the
+    probe grid passes for every count in ``x_points``; a failure comes with
+    a witness x in (0, xmax) that fails the pointwise test.  A graded
+    witness, or one whose t passes 1/4, fails the reference's own test; a
+    tail witness otherwise has a margin below twice the rounding margin.
+    Returns which of these it was."""
+    cfg = TwoStageConfig(l_up=len(thresholds))
+    x = two_stage._witness(omega, alpha, tau, thresholds, cfg)
+    assert check_star(omega, alpha, tau, thresholds, cfg) == (x is None)
+    if x is None:
+        for n in x_points:
+            assert oracles.check_star(omega, alpha, R, tau, cfg, n, thresholds=thresholds)
+        return "pass"
+    tol = two_stage.BOUNDARY_TOL
+    assert 0.0 < x < min(omega, tau / alpha)
+    grade = next((L for L, thr in enumerate(thresholds, 1) if x <= thr - tol), None)
+    assert grade != 1
+    t = (tau - alpha * x) / (1.0 - alpha) + tol
+    if grade is None and t <= 0.25:
+        margin = _tail_margin(omega, alpha, tau, thresholds[0], x)
+        assert margin < 2.0 * two_stage._ROUNDING / (1.0 - alpha)
+        return "tail witness" if margin < 0.0 else "tail witness within the margin"
+    assert oracles.rejects(omega, alpha, R, tau, x, thresholds)
+    return "graded witness" if grade else "witness past t = 1/4"
+
+
 _CHECK_ARGS = dict(
     omega=st.floats(0.02, 0.98),
     alpha=st.floats(0.02, 0.98),
     R=st.sampled_from(DEFAULT_CONFIG.rate_ladder),
     tau=st.floats(0.001, 0.5),
     l_up=st.integers(1, 17),
-    x_points=st.sampled_from((8, 40, 140)),
 )
 
 
 @settings(max_examples=60, deadline=None)
 @given(**_CHECK_ARGS)
-def test_check_star_matches_reference_scan(omega, alpha, R, tau, l_up, x_points):
-    cfg = TwoStageConfig(l_up=l_up, x_points=x_points)
-    assert check_star(omega, alpha, tau, _lists(R, omega, l_up), cfg) == oracles.check_star(
-        omega, alpha, R, tau, cfg
-    )
+def test_check_star_is_sound_against_reference_scans(omega, alpha, R, tau, l_up):
+    event(_assert_sound(omega, alpha, R, tau, _lists(R, omega, l_up), (8, 40, 140)))
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=st.data(), **_CHECK_ARGS)
-def test_check_star_matches_reference_scan_on_made_up_thresholds(
+@given(data=st.data(), x_points=st.sampled_from((8, 40, 140)), **_CHECK_ARGS)
+def test_check_star_is_sound_on_made_up_thresholds(
     data, omega, alpha, R, tau, l_up, x_points
 ):
-    """Unsorted threshold lists exercise the forward-only grade pointer; a
-    cut placed exactly on a probed x exercises the boundary.  The
-    first entry stays tau_star(R, 1, omega), which r2 reads from it and
-    the reference's r2 solves from R."""
-    cfg = TwoStageConfig(l_up=l_up, x_points=x_points)
+    """Unsorted threshold lists, and a cut placed exactly on a probed x of
+    the uniform grid.  The first entry stays tau_star(R, 1, omega), which
+    r2 reads from it and the reference's r2 solves from R."""
     rest = data.draw(st.lists(st.floats(0.0, 0.8), min_size=l_up - 1, max_size=l_up - 1))
     thresholds = [oracles.tau_star(R, 1, omega), *rest]
     if l_up > 1 and data.draw(st.booleans()):
-        # a cut on a probed x of the uniform part of the grid
         xmax = min(omega, tau / alpha)
         x = xmax * data.draw(st.integers(1, x_points)) / (x_points + 1)
         thr = _threshold_on(x, two_stage.BOUNDARY_TOL)
         assume(thr is not None)
         thresholds[data.draw(st.integers(1, l_up - 1))] = thr
-    assert check_star(omega, alpha, tau, thresholds, cfg) == (
-        oracles.check_star(omega, alpha, R, tau, cfg, thresholds=thresholds)
-    )
+    event(_assert_sound(omega, alpha, R, tau, thresholds, (x_points,)))
 
 
 # At omega = 0.6 and alpha = 1/2 the third probe of an 8-point grid is
 # x0 = 0.6 * 3/9 and xmax = omega.  The lhs 2 tau - x0 clears the list-3
 # bound 1/2 by half a tolerance; a probe 1e-9 further up passes it.
-_ON_CUT_CFG = TwoStageConfig(l_up=4, x_points=8)
+_ON_CUT_X_POINTS = 8
 _ON_CUT_OMEGA, _ON_CUT_ALPHA, _ON_CUT_R = 0.6, 0.5, 0.9
 _X0 = _ON_CUT_OMEGA * 3 / 9
 _TAU_ON_CUT = (_X0 + 0.5 - two_stage.BOUNDARY_TOL + 0.5e-9) / 2
 
 
 def _on_cut_verdicts(cut2, cut3):
-    """(check_star, reference) verdicts for the thresholds
+    """(witness, reference verdict) for the thresholds
     [tau_star(R, 1, omega), cut2 + tol, cut3 + tol, 0.8]."""
     tol = two_stage.BOUNDARY_TOL
     thresholds = [
@@ -155,25 +179,47 @@ def _on_cut_verdicts(cut2, cut3):
     assert thresholds[0] < _X0 - tol
     lhs = (_TAU_ON_CUT - _ON_CUT_ALPHA * _X0) / (1 - _ON_CUT_ALPHA)
     assert lhs > float(tau_of_L(3)) - tol
-    return (
-        check_star(_ON_CUT_OMEGA, _ON_CUT_ALPHA, _TAU_ON_CUT, thresholds, _ON_CUT_CFG),
-        oracles.check_star(
-            _ON_CUT_OMEGA, _ON_CUT_ALPHA, _ON_CUT_R, _TAU_ON_CUT, _ON_CUT_CFG,
-            thresholds=thresholds,
-        ),
+    cfg = TwoStageConfig(l_up=4)
+    x = two_stage._witness(_ON_CUT_OMEGA, _ON_CUT_ALPHA, _TAU_ON_CUT, thresholds, cfg)
+    if x is not None:
+        assert oracles.rejects(
+            _ON_CUT_OMEGA, _ON_CUT_ALPHA, _ON_CUT_R, _TAU_ON_CUT, x, thresholds
+        )
+    return x, oracles.check_star(
+        _ON_CUT_OMEGA, _ON_CUT_ALPHA, _ON_CUT_R, _TAU_ON_CUT, cfg, _ON_CUT_X_POINTS,
+        thresholds=thresholds,
     )
 
 
 def test_check_star_grades_x_on_a_cut_by_the_lower_list():
-    """x0 on the list-2 cut has grade 2 (bound 1) and passes; the first
-    grade-3 probe is the one just past that threshold, which passes too."""
-    assert _on_cut_verdicts(_X0, 0.7) == (True, True)
+    """x0 on the list-2 cut has grade 2 (bound 1) and passes; the grid's
+    first grade-3 probe, 1e-12 past that threshold, passes too, but the
+    float just past x0 has grade 3 and the lhs of x0 with it, so it fails:
+    a failure that the grid misses."""
+    assert _on_cut_verdicts(_X0, 0.7) == (math.nextafter(_X0, 1.0), True)
 
 
 def test_check_star_checks_x_on_a_cut_at_that_grade():
-    """x0 on the list-3 cut is the only probe of grade 3, so it is checked
-    against the list-3 bound and fails."""
-    assert _on_cut_verdicts(_X0 - 0.5e-9, _X0) == (False, False)
+    """With the list-3 cut on x0, grade 3 is (x0 - 0.5e-9, x0]: the grid
+    probes only x0 there, and every float of it fails."""
+    x, grid = _on_cut_verdicts(_X0 - 0.5e-9, _X0)
+    assert _X0 - 0.5e-9 < x <= _X0 and not grid
+
+
+# (omega, alpha, R, tau): the default grid's probe scan passes it, yet the
+# x in [0.151275, 0.151638] of its tail fail
+_MISSED = (0.16326530612244897, 0.46938775510204084, 0.01, 0.1644805)
+
+
+def test_check_star_fails_a_split_that_the_probe_grid_passes():
+    omega, alpha, R, tau = _MISSED
+    thresholds = _lists(R, omega, 17)
+    assert oracles.check_star(omega, alpha, R, tau, DEFAULT_CONFIG, 140, thresholds=thresholds)
+    assert not check_star(omega, alpha, tau, thresholds)
+    x = two_stage._witness(omega, alpha, tau, thresholds, DEFAULT_CONFIG)
+    assert 0.151275 <= x <= 0.151638
+    assert x > thresholds[-1] - two_stage.BOUNDARY_TOL  # in the tail
+    assert oracles.rejects(omega, alpha, R, tau, x, thresholds)
 
 
 def _probe_grid(omega, alpha, tau, thresholds, x_points):
@@ -228,28 +274,10 @@ _WALK_ARGS = dict(
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), **_WALK_ARGS)
-def test_check_star_matches_reference_scan_on_adversarial_cuts(
-    data, omega, alpha, R, tau, l_up, x_points
-):
-    """The region walk against the reference scan on made-up thresholds
-    from ``_draw_thresholds``."""
-    cfg = TwoStageConfig(l_up=l_up, x_points=x_points)
+def test_check_star_is_sound_on_adversarial_cuts(data, omega, alpha, R, tau, l_up, x_points):
+    """Made-up thresholds from ``_draw_thresholds``."""
     thresholds = _draw_thresholds(data, omega, alpha, R, tau, l_up, x_points)
-    assert check_star(omega, alpha, tau, thresholds, cfg) == (
-        oracles.check_star(omega, alpha, R, tau, cfg, thresholds=thresholds)
-    )
-
-
-@settings(max_examples=200, deadline=None)
-@given(data=st.data(), **_WALK_ARGS)
-def test_extras_are_the_sorted_reference_probes_past_the_uniform_ones(
-    data, omega, alpha, R, tau, l_up, x_points
-):
-    thresholds = _draw_thresholds(data, omega, alpha, R, tau, l_up, x_points)
-    grid = _probe_grid(omega, alpha, tau, thresholds, x_points)
-    xmax = min(omega, tau / alpha)
-    assert grid[:x_points] == [xmax * k / (x_points + 1) for k in range(1, x_points + 1)]
-    assert two_stage._x_extras(xmax, thresholds) == sorted(grid[x_points:])
+    event(_assert_sound(omega, alpha, R, tau, thresholds, (x_points,)))
 
 
 _LHS_X = st.floats(-1.0, 1.0)
@@ -263,7 +291,7 @@ _LHS_X = st.floats(-1.0, 1.0)
     x2=st.one_of(_LHS_X, st.just(None)),
 )
 def test_float_lhs_never_rises_with_x(tau, alpha, x1, x2):
-    """The fact behind the one-comparison regions of check_star; x2 = None
+    """The fact behind the one-test regions of check_star; x2 = None
     draws the next float above x1."""
     if x2 is None:
         x2 = math.nextafter(x1, math.inf)
@@ -276,71 +304,102 @@ def test_float_lhs_never_rises_with_x(tau, alpha, x1, x2):
     assert lhs(x1) >= lhs(x2)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
-    xmax=st.one_of(st.floats(1e-300, 1.0), st.sampled_from((5e-324, 1e-320, 0.5, 1.0))),
-    nx=st.integers(8, 300),
-    data=st.data(),
+    omega=st.floats(0.02, 0.98),
+    alpha=st.floats(0.02, 0.98),
+    tau=st.floats(0.001, 0.6),
+    list1=st.floats(0.0, 0.3),
+    left=st.floats(0.0, 1.0),
+    width=st.floats(1e-6, 1.0),
 )
-def test_first_uniform_probe_matches_a_linear_scan(xmax, nx, data):
-    probes = [xmax * k / (nx + 1) for k in range(1, nx + 1)]
-    on = data.draw(st.sampled_from(probes))
-    low = data.draw(
-        st.one_of(
-            st.floats(-1.0, 2.0),
-            st.sampled_from((on, math.nextafter(on, -1.0), math.nextafter(on, 2.0))),
-            st.sampled_from((-math.inf, 0.0, xmax)),
-        )
-    )
-    scan = next((k for k, x in enumerate(probes, start=1) if x > low), nx + 1)
-    assert two_stage._first_uniform_above(low, xmax, nx) == scan
+def test_tail_margin_is_convex(omega, alpha, tau, list1, left, width):
+    """The second difference of check_star's tail margin m, in 50-digit
+    arithmetic, at three evenly spaced x of (0, b) below xmax with t < 1/2;
+    b = 1 + omega - 4 list1."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        omega, alpha, tau, list1 = map(mp.mpf, (omega, alpha, tau, list1))
+        tol = mp.mpf(two_stage.BOUNDARY_TOL)
+        # t < 1/2 iff x > (tau + (tol - 1/2)(1 - alpha))/alpha
+        start = max(0, (tau + (tol - mp.mpf(0.5)) * (1 - alpha)) / alpha)
+        end = min(omega, tau / alpha, 1 + omega - 4 * list1)
+        assume(start < end)
+        step = (end - start) * mp.mpf(width) / 2
+        x1 = start + (end - start - 2 * step) * mp.mpf(left)
+        xs = [x1 + k * step for k in range(3)]
+
+        def h(p):
+            # the ends of the domain may land a 50-digit rounding outside [0, 1]
+            p = min(max(p, 0), 1)
+            return 0 if p in (0, 1) else -(p * mp.log(p) + (1 - p) * mp.log(1 - p)) / mp.log(2)
+
+        def m(x):
+            t = (tau - alpha * x) / (1 - alpha) + tol
+            s = 1 - omega + x
+            p = (1 - mp.sqrt(max(1 - 4 * list1 / (2 - s), 0))) / 2
+            return 1 - h(2 * t) - alpha / (1 - alpha) * s * (h(x / s) - h(p))
+
+        a, b, c = (m(x) for x in xs)
+        assert a + c - 2 * b >= -mp.mpf(10) ** -40 * (1 + abs(a) + abs(c))
 
 
-@settings(max_examples=150, deadline=None)
-@given(data=st.data(), made_up=st.booleans(), **_WALK_ARGS)
-def test_r2_reads_the_tail_in_order_and_stops_at_the_first_failure(
-    data, made_up, omega, alpha, R, tau, l_up, x_points
-):
-    """r2 is called at exactly the probes that the sorted reference grid
-    reaches past the largest cut: none when a graded probe fails, else
-    each tail probe in ascending order, a repeated probe as often as the
-    grid repeats it, up to and including the first failing one."""
-    cfg = TwoStageConfig(l_up=l_up, x_points=x_points)
-    tol = two_stage.BOUNDARY_TOL
-    if made_up:
-        thresholds = _draw_thresholds(data, omega, alpha, R, tau, l_up, x_points)
-    else:
-        thresholds = _lists(R, omega, l_up)
-    real_r2, xs = two_stage.r2, []
+@settings(max_examples=100, deadline=None)
+@given(a=st.floats(1e-12, 0.2499))
+def test_the_threshold_entropy_elasticity_lies_in_its_band(a):
+    """e(a) = -a H''(a)/H'(a) lies in (0, 1/3] for H(a) = h((1 - sqrt(1 -
+    4a))/2), the bound behind the convexity of r2's second term."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
 
-    def spy(alpha, x, *args, **kwargs):
-        xs.append(x)
-        return real_r2(alpha, x, *args, **kwargs)
+        def H(a):
+            p = (1 - mp.sqrt(1 - 4 * a)) / 2
+            return -(p * mp.log(p) + (1 - p) * mp.log(1 - p)) / mp.log(2)
 
+        a = mp.mpf(a)
+        e = -a * mp.diff(H, a, 2) / mp.diff(H, a)
+        assert 0 < e <= mp.mpf(1) / 3
+
+
+def test_check_star_evaluations_at_boundary_taus():
+    """On triples of the default grid whose tail decides them, tau is
+    bisected to the last float that check_star passes; at it and at the
+    next float above, a call makes at most _GOLDEN_EVALS <= 64 margin
+    evaluations, and both verdicts hold."""
+    rng = np.random.default_rng(7)
+    n = DEFAULT_CONFIG.omega_points
+    grid = [k / (n + 1) for k in range(1, n + 1)]
+    calls, real = [], two_stage._residual
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    counts, done = [], 0
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(two_stage, "r2", spy)
-        ok = check_star(omega, alpha, tau, thresholds, cfg)
-
-    def lhs(x):
-        return (tau - alpha * x) / (1.0 - alpha)
-
-    cuts = [thr - tol for thr in thresholds]
-    graded_fails = False
-    want, tail_fails = [], False
-    for x in sorted(_probe_grid(omega, alpha, tau, thresholds, x_points)):
-        grade = next((L for L, cut in enumerate(cuts, start=1) if x <= cut), None)
-        if grade is None:
-            want.append(x)
-            rate = real_r2(alpha, x, omega, thresholds[0])
-            if two_stage._gv_fails(lhs(x) + tol, rate):
-                tail_fails = True
-                break
-        elif grade > 1 and lhs(x) > float(tau_of_L(grade)) - tol:
-            graded_fails = True
-            break
-    assert xs == want
-    assert ok == (not graded_fails and not tail_fails)
-    event("graded failure" if graded_fails else "tail failure" if tail_fails else "pass")
+        mp.setattr(two_stage, "_residual", spy)
+        while done < 12:
+            omega, alpha = (float(v) for v in rng.choice(grid, 2))
+            R = DEFAULT_CONFIG.rate_ladder[rng.integers(len(DEFAULT_CONFIG.rate_ladder))]
+            if R >= binary_entropy(omega):
+                continue
+            thresholds = _lists(R, omega, 17)
+            lo, hi = 0.0, 0.6
+            while lo < math.nextafter(hi, 0.0):
+                mid = (lo + hi) / 2
+                if check_star(omega, alpha, mid, thresholds):
+                    lo = mid
+                else:
+                    hi = mid
+            verdicts = []
+            for tau in (lo, math.nextafter(lo, 1.0)):
+                calls.clear()
+                verdicts.append(check_star(omega, alpha, tau, thresholds))
+                counts.append(len(calls))
+            assert verdicts == [True, False]
+            done += max(counts[-2:]) > 0
+    assert two_stage._GOLDEN_EVALS <= 64
+    assert 0 < max(counts) <= two_stage._GOLDEN_EVALS
 
 
 def test_a_nan_tau_is_refused():
@@ -359,6 +418,13 @@ def test_list1_threshold_at_half_is_the_gv_curve(R):
     closed-form overflow tail of check_star."""
     assert tau_star(0.0, 1, 0.5) == 0.25
     assert abs(1.0 - binary_entropy(2.0 * tau_star(R, 1, 0.5)) - R) <= 1e-11
+
+
+def _gv_fails(t, rate):
+    """check_star's pointwise tail rule: t > tau_star(rate, 1, 1/2) for t
+    >= BOUNDARY_TOL, as t > 1/4 or rate > 1 - h(2t) (no rate fails when
+    rate is 0: tau_star's R = 0 short cut puts the root at 1/4)."""
+    return t > 0.25 or 0.0 < rate and rate > two_stage._gv(t)
 
 
 _GV_BAND = 1e-10
@@ -413,7 +479,7 @@ def test_gv_tail_verdict_matches_the_root_solve(rate, near, data):
     if abs(t - bound) <= _GV_BAND:
         event("inside the 1e-10 band")
         return
-    assert two_stage._gv_fails(t, rate) == (t > bound)
+    assert _gv_fails(t, rate) == (t > bound)
 
 
 def test_gv_root_is_the_bisection_root_away_from_tiny_rates():
@@ -447,7 +513,7 @@ def test_gv_tail_verdict_on_pinned_points(rate, t):
     (the root is 0) and t past 1/4, each against the bisection with no
     band."""
     assert binary_entropy(2.0 * _T_ENTROPY_ABOVE_ONE) > 1.0
-    assert two_stage._gv_fails(t, rate) == (t > oracles.tau_star(rate, 1, 0.5))
+    assert _gv_fails(t, rate) == (t > oracles.tau_star(rate, 1, 0.5))
 
 
 @pytest.mark.parametrize(
@@ -479,15 +545,12 @@ def test_a_nan_or_negative_list1_threshold_is_refused():
 @pytest.mark.parametrize("R", [1.0, 1.5, math.inf])
 def test_a_rate_of_one_or_more_reads_zero_thresholds(R):
     # no root lies there, so the reference reads 0 at every list size,
-    # and check_star on those zeros gives the reference's verdict at R
-    cfg = TwoStageConfig(l_up=3)
+    # and check_star on those zeros is sound against the reference at R
     for omega in (0.5, 0.3):
         zeros = [oracles.tau_star(R, L, omega) for L in range(1, 4)]
         assert zeros == [0.0] * 3
         for tau in (0.05, 0.3):
-            assert check_star(omega, 0.3, tau, zeros, cfg) == oracles.check_star(
-                omega, 0.3, R, tau, cfg
-            )
+            _assert_sound(omega, 0.3, R, tau, zeros, (8, 40, 140))
 
 
 def _checked_candidates(cfg):
@@ -561,19 +624,17 @@ def test_curve_equals_heap_scan_on_default_grid():
         min_size=1,
         max_size=6,
     ),
-    x_points=st.integers(8, 40),
     taus=st.lists(st.floats(0.0, 0.6, exclude_max=True), min_size=1, max_size=6),
     repeat=st.integers(0, 5),
 )
 def test_curve_equals_heap_scan_on_small_configs(
-    l_up, omega_points, alpha_points, ladder, x_points, taus, repeat
+    l_up, omega_points, alpha_points, ladder, taus, repeat
 ):
     cfg = TwoStageConfig(
         l_up=l_up,
         omega_points=omega_points,
         alpha_points=alpha_points,
         rate_ladder=tuple(ladder),
-        x_points=x_points,
     )
     # tau 0 and one repeated tau in every walk
     taus = sorted([0.0, *taus, taus[repeat % len(taus)]])
@@ -589,7 +650,7 @@ def test_curve_equals_heap_scan_on_small_configs(
 
 
 def test_curve_never_rechecks_a_failed_rung_or_a_dead_pair(monkeypatch):
-    cfg = TwoStageConfig(l_up=6, omega_points=8, alpha_points=8, x_points=40)
+    cfg = TwoStageConfig(l_up=6, omega_points=8, alpha_points=8)
     real, real_lists = two_stage.check_star, two_stage.tau_star_lists
     rungs, calls = [], []
 
@@ -661,57 +722,62 @@ _MONOTONE_ARGS = dict(
     rung=st.integers(0, len(_LADDER) - 2),
     tau=st.floats(0.001, 0.5),
     l_up=st.integers(1, 17),
-    x_points=st.sampled_from((8, 40, 140)),
 )
 
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), **_MONOTONE_ARGS)
-def test_check_star_failure_persists_up_the_ladder(
-    data, omega, alpha, rung, tau, l_up, x_points
-):
+def test_check_star_failure_persists_up_the_ladder(data, omega, alpha, rung, tau, l_up):
     """The fact behind the bottom-rung kill: a pair that fails at one rate
     fails at every larger rate of the ladder."""
-    cfg = TwoStageConfig(l_up=l_up, x_points=x_points)
+    cfg = TwoStageConfig(l_up=l_up)
     R, higher = _LADDER[rung], _LADDER[data.draw(st.integers(rung + 1, len(_LADDER) - 1))]
 
     def ok(R):
-        return oracles.check_star(
-            omega, alpha, R, tau, cfg, thresholds=_lists(R, omega, l_up)
-        )
+        return check_star(omega, alpha, tau, _lists(R, omega, l_up), cfg)
 
     assert ok(R) or not ok(higher)
 
 
 @settings(max_examples=100, deadline=None)
 @given(larger=st.floats(0.001, 0.6), **_MONOTONE_ARGS)
-def test_check_star_failure_persists_at_larger_tau(
-    larger, omega, alpha, rung, tau, l_up, x_points
-):
+def test_check_star_failure_persists_at_larger_tau(larger, omega, alpha, rung, tau, l_up):
     """The fact behind the tau walk: a rung that fails at one tau fails at
     every larger tau."""
-    cfg = TwoStageConfig(l_up=l_up, x_points=x_points)
-    R = _LADDER[rung]
-    thresholds = _lists(R, omega, l_up)
+    cfg = TwoStageConfig(l_up=l_up)
+    thresholds = _lists(_LADDER[rung], omega, l_up)
     lo, hi = sorted((tau, larger))
-    assert oracles.check_star(omega, alpha, R, lo, cfg, thresholds=thresholds) or not (
-        oracles.check_star(omega, alpha, R, hi, cfg, thresholds=thresholds)
+    assert check_star(omega, alpha, lo, thresholds, cfg) or not (
+        check_star(omega, alpha, hi, thresholds, cfg)
     )
+
+
+def test_no_default_threshold_rises_with_the_rate():
+    """The premise of the walk's rate fact: on the default grid's 857 x 17
+    threshold table, no threshold rises from one ladder rate to the next,
+    and the grade bounds tau_of_L(2..18) never rise and stay above 1/4."""
+    pairs = _grid_pairs(DEFAULT_CONFIG)
+    table = rate_bounds.tau_star_lists(pairs, 17)
+    compared = 0
+    for (R, om), (lower, om2) in zip(pairs, pairs[1:]):
+        if om2 == om:  # the walk's order: rates descending per omega
+            assert lower < R
+            assert all(a <= b for a, b in zip(table(R, om), table(lower, om)))
+            compared += 17
+    assert compared == 13_702
+    bounds = [tau_of_L(L) for L in range(2, 19)]
+    assert all(b <= a for a, b in zip(bounds, bounds[1:]))
+    assert min(bounds) > Fraction(312, 1000) > Fraction(1, 4)
 
 
 def test_rate_bracketing_small_config():
-    cfg = TwoStageConfig(
-        l_up=6,
-        omega_points=24,
-        alpha_points=24,
-        x_points=80,
-    )
+    cfg = TwoStageConfig(l_up=6, omega_points=24, alpha_points=24)
     assert two_stage_rate(0.42, cfg) > 0
     assert two_stage_rate(0.46, cfg) == 0.0
 
 
 def test_rate_at_zero_error():
-    cfg = TwoStageConfig(l_up=3, omega_points=12, alpha_points=12, x_points=30)
+    cfg = TwoStageConfig(l_up=3, omega_points=12, alpha_points=12)
     v = two_stage_rate(0.0, cfg)
     assert v > 0.8
 
@@ -719,7 +785,7 @@ def test_rate_at_zero_error():
 def test_rate_beats_reference_at_moderate_error():
     from zchannel.rate_bounds import gv_rate
 
-    cfg = TwoStageConfig(l_up=8, omega_points=32, alpha_points=32, x_points=100)
+    cfg = TwoStageConfig(l_up=8, omega_points=32, alpha_points=32)
     v = two_stage_rate(0.2, cfg)
     assert v > gv_rate(0.2)
 
