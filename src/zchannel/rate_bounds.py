@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass, field
 from functools import cache
 from math import comb, log, sqrt
-from typing import Callable
 
 import numpy as np
 
@@ -252,7 +251,7 @@ def tau_star_info(R: float, L: int, omega: float) -> TauStarResult:
     overhead: half in the lane Newton, the rest in the certificate and a
     bisection whose certified ends leave it a few rounds at most (none at
     (0.3, 3, 0.4)), so many roots at one list size are far cheaper as the
-    lanes of one ``tau_star_lists`` table.
+    lanes of one call, as each column of a ``tau_star_lists`` table is.
     """
     if not R >= 0.0:
         raise ValueError("rate must be nonnegative")
@@ -579,39 +578,24 @@ def _lane_points(
     return values, tilts, ends, rounds
 
 
-def tau_star_lists(
-    pairs: list[tuple[float, float]], l_up: int
-) -> Callable[[float, float], list[float]]:
-    """(R, omega) -> [tau_star(R, L, omega) for L = 1..l_up], bit for bit,
-    at any of the given pairs, each a rate in [0, 1) and an omega in
-    (0, 1).  The first call builds the whole table, one ``_lane_points``
-    call per L, each pair's Newton start taken from its root at the L
-    before; every call is then a lookup, of the same list each time."""
+def tau_star_lists(pairs: list[tuple[float, float]], l_up: int) -> np.ndarray:
+    """The (len(pairs), l_up) table whose row k is tau_star(R, L, omega)
+    for L = 1..l_up, bit for bit, at the k-th pair (R, omega), each a rate
+    in [0, 1) and an omega in (0, 1); a bad pair is refused before any
+    work.  One ``_lane_points`` call per L, each pair's Newton start
+    taken from its root at the L before."""
     for R, omega in pairs:
         if not (0.0 <= R < 1.0 and 0.0 < omega < 1.0):
             raise ValueError(f"need a rate in [0, 1) and omega in (0, 1), got {(R, omega)}")
     rates, points = np.array(pairs, dtype=np.float64).reshape(-1, 2).T
-    index = {pair: k for k, pair in enumerate(pairs)}
-
-    @cache
-    def table() -> np.ndarray:
-        """Row L - 1: tau_star at list size L, a column per pair."""
-        starts, columns = np.full(len(pairs), np.nan), []
-        for L in range(1, l_up + 1):
-            values, _, ends, _ = _lane_points(L, rates, points, starts)
-            # the root's tilt grows with L about as L + 1 does; from this
-            # start the default grid's table builds about 10% faster than
-            # from cold starts
-            starts = np.where(ends < np.inf, ends * (L + 2) / (L + 1), np.nan)
-            columns.append(values)
-        return np.array(columns)
-
-    @cache
-    def thresholds(R: float, omega: float) -> list[float]:
-        # a walk reads about half its pairs, so only those become lists
-        return table()[:, index[R, omega]].tolist()
-
-    return thresholds
+    table, starts = np.empty((len(pairs), l_up)), np.full(len(pairs), np.nan)
+    for L in range(1, l_up + 1):
+        table[:, L - 1], _, ends, _ = _lane_points(L, rates, points, starts)
+        # the root's tilt grows with L about as L + 1 does; from this start
+        # the default grid's table builds about 10% faster than from cold
+        # starts
+        starts = np.where(ends < np.inf, ends * (L + 2) / (L + 1), np.nan)
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -134,7 +134,8 @@ def _witness(
     None when it passes; see there."""
     if not 0.0 < omega < 1.0 or not 0.0 < alpha < 1.0 or isnan(tau):
         raise ValueError("need omega, alpha in (0, 1) and tau not NaN")
-    if len(thresholds) != cfg.l_up or not all(thr >= 0.0 for thr in thresholds):
+    # min catches a negative entry and sum a NaN anywhere
+    if len(thresholds) != cfg.l_up or not (min(thresholds) >= 0.0 and sum(thresholds) >= 0.0):
         raise ValueError(f"need {cfg.l_up} thresholds, each >= 0 and not NaN")
     if tau <= 0.0:
         return None
@@ -312,8 +313,10 @@ def two_stage_curve(
     each tau.
 
     The thresholds of every (omega, R) of the grid are solved in lanes at
-    the first check (``tau_star_lists``), so not at all when no check
-    runs, and each check reads its rung's list from that table.
+    the first check, as one ``tau_star_lists`` table with a row per pair,
+    so not at all when no check runs, and become Python lists in one
+    ``tolist``.  A pair's rungs are consecutive rows, so its heap entry
+    carries the row of its first rung and rung i reads that row + i.
     """
     for prev, tau in zip([0.0, *taus], taus):
         if not prev <= tau < 1.0:
@@ -327,33 +330,35 @@ def two_stage_curve(
         hcap = binary_entropy(om)
         rates = [R for R in ladder if R < hcap]
         if rates:
-            heap.extend((-al * rates[0], om, al, 0, rates) for al in alphas)
+            # rung i of the pair reads row len(pairs) + i of the table
+            heap.extend((-al * rates[0], om, al, 0, rates, len(pairs)) for al in alphas)
         pairs += [(R, om) for R in rates]
     heapify(heap)
-    thresholds = tau_star_lists(pairs, cfg.l_up)
-    checks = 0
+    rows, checks = None, 0
 
-    def passes(om: float, al: float, R: float, tau: float) -> bool:
-        nonlocal checks
+    def passes(om: float, al: float, row: int, tau: float) -> bool:
+        nonlocal rows, checks
+        if rows is None:
+            rows = tau_star_lists(pairs, cfg.l_up).tolist()
         checks += 1
-        return check_star(om, al, tau, thresholds(R, om), cfg)
+        return check_star(om, al, tau, rows[row], cfg)
 
     points = []
     for tau in taus:
         before, killed, popped = checks, 0, set()
         while heap:
-            neg_value, om, al, i, rates = heap[0]
+            neg_value, om, al, i, rates, row = heap[0]
             bottom = len(rates) - 1
             # on a pair's first pop at this tau its bottom rung goes first;
             # at tau 0 feasibility is vacuous and nothing is checked
             first = i < bottom and (om, al) not in popped
             popped.add((om, al))
-            alive = tau == 0.0 or not first or passes(om, al, rates[bottom], tau)
-            if alive and (tau == 0.0 or passes(om, al, rates[i], tau)):
+            alive = tau == 0.0 or not first or passes(om, al, row + bottom, tau)
+            if alive and (tau == 0.0 or passes(om, al, row + i, tau)):
                 point = CurvePoint(tau, -neg_value, om, al, rates[i], checks - before, killed)
                 break
             if alive and i < bottom:
-                heapreplace(heap, (-al * rates[i + 1], om, al, i + 1, rates))
+                heapreplace(heap, (-al * rates[i + 1], om, al, i + 1, rates, row))
             else:
                 heappop(heap)
                 killed += 1

@@ -92,15 +92,6 @@ def direct_exponent(h, list_size, omega):
     return -log(total), num / total
 
 
-def count_ball(center, t, n):
-    """All words the channel can turn ``center`` into within t flips."""
-    out = []
-    for y in range(1 << n):
-        if center & y == y and center.bit_count() - y.bit_count() <= t:
-            out.append(y)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # The exhaustive list-code scan that the pruned ``search.best_list_code``
 # replaced, kept verbatim (it ran whenever C(|shell|, size) fit the node

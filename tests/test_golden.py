@@ -13,6 +13,7 @@ tau_star roots than the grid-50 fixtures.
 """
 
 import hashlib
+import json
 import os
 from pathlib import Path
 
@@ -66,6 +67,16 @@ def test_cli_output_matches_golden(name, tmp_path):
     assert got == want
     for file in sorted(want):
         assert (tmp_path / file).read_bytes() == (GOLDEN / name / file).read_bytes(), file
+
+
+def test_walk_run_records_its_checks_and_kills(tmp_path):
+    """The manifest is left out above, but the walk's work is pinned: per
+    tau, the check_star calls and the pairs dropped at their bottom rung."""
+    assert main([*RUNS["two_stage_curve_walk"], "--out", str(tmp_path)]) == 0
+    records = json.loads((tmp_path / "manifest.json").read_text())["two_stage"]
+    assert [(r["checks"], r["killed"]) for r in records] == [
+        (3510, 4), (7828, 473), (5300, 1437), (687, 687),
+    ]
 
 
 STRETCH_RUNS = {

@@ -251,8 +251,8 @@ def test_the_kernel_ceiling_decides_whether_a_root_exists(lane, has_root):
         assert info.tilt == pytest.approx(110.31, abs=0.01)
     else:
         assert (info.value, info.tilt) == (0.0, math.inf)
-    lists = rate_bounds.tau_star_lists([(R, omega)], L)(R, omega)
-    assert lists[L - 1].hex() == info.value.hex()
+    row = rate_bounds.tau_star_lists([(R, omega)], L)[0].tolist()
+    assert row[L - 1].hex() == info.value.hex()
 
 
 def _mp_root(R, L, omega, guess):
@@ -424,7 +424,7 @@ def test_failed_certification_replays_the_reference_bisection(R, l_up, omega, ba
             rate_bounds.tau_star_lists([(R, omega)], l_up)
         return
     with mock.patch.object(rate_bounds, "_lane_newton", bad):
-        got = rate_bounds.tau_star_lists([(R, omega)], l_up)(R, omega)
+        got = rate_bounds.tau_star_lists([(R, omega)], l_up)[0].tolist()
     assert _hex(got) == _hex(oracles.tau_star(R, L, omega) for L in range(1, l_up + 1))
 
 

@@ -4,7 +4,7 @@ from functools import cache
 
 import numpy as np
 import pytest
-from hypothesis import assume, event, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 import oracles
 
@@ -24,8 +24,8 @@ from zchannel.tau_lp import tau_of_L
 
 
 def _lists(R, omega, l_up):
-    """tau_star(R, L, omega) for L = 1..l_up, from a one-pair table."""
-    return rate_bounds.tau_star_lists([(R, omega)], l_up)(R, omega)
+    """tau_star(R, L, omega) for L = 1..l_up, the row of a one-pair table."""
+    return rate_bounds.tau_star_lists([(R, omega)], l_up)[0].tolist()
 
 
 def _lookup(table):
@@ -535,6 +535,24 @@ def test_a_malformed_threshold_list_is_refused(thresholds):
         check_star(0.6, 0.3, 0.1, thresholds, DEFAULT_CONFIG)
 
 
+_EDGE_THRESHOLDS = (0.0, -0.0, 5e-324, -5e-324, 1e-300, 0.3, -1e-9, math.inf, -math.inf, math.nan)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.one_of(st.sampled_from(_EDGE_THRESHOLDS), st.floats()), min_size=1, max_size=17)
+)
+def test_a_threshold_list_is_refused_iff_an_entry_is_not_at_least_zero(thresholds):
+    """The entry test reads min and sum, not each entry: it refuses the
+    same lists as all(thr >= 0.0), a NaN or a negative entry anywhere."""
+    cfg = TwoStageConfig(l_up=len(thresholds))
+    if all(thr >= 0.0 for thr in thresholds):
+        check_star(0.6, 0.3, 0.1, thresholds, cfg)
+    else:
+        with pytest.raises(ValueError, match="thresholds"):
+            check_star(0.6, 0.3, 0.1, thresholds, cfg)
+
+
 def test_a_nan_or_negative_list1_threshold_is_refused():
     # r2 reads no rate; a list-1 threshold is a value of tau_star, >= 0
     for list1_tau in (math.nan, -1e-300, -math.inf):
@@ -643,35 +661,42 @@ def test_curve_equals_heap_scan_on_small_configs(
     # once for the whole grid, and the curve's own table holds their bits
     pairs = _grid_pairs(cfg)
     table = _reference_table(pairs, l_up)
-    lists = rate_bounds.tau_star_lists(pairs, l_up)
+    rows = rate_bounds.tau_star_lists(pairs, l_up).tolist()
     hexes = lambda values: [t.hex() for t in values]
-    assert [hexes(lists(*p)) for p in pairs] == [hexes(table[p]) for p in pairs]
+    assert [hexes(row) for row in rows] == [hexes(table[p]) for p in pairs]
     assert got == [oracles.two_stage_rate(t, cfg, _lookup(table)) for t in taus]
 
 
 def test_curve_never_rechecks_a_failed_rung_or_a_dead_pair(monkeypatch):
     cfg = TwoStageConfig(l_up=6, omega_points=8, alpha_points=8)
     real, real_lists = two_stage.check_star, two_stage.tau_star_lists
-    rungs, calls = [], []
+    made, calls = [], []
+
+    class Table(np.ndarray):
+        def tolist(self):
+            # keep the pairs and the rows the curve reads, so that a check
+            # names its rung by the row it is handed (rates past the
+            # kernel's ceiling share all-zero rows, so values cannot)
+            made.append((self.pairs, super().tolist()))
+            return made[-1][1]
 
     def lists(pairs, l_up):
-        # the curve looks up a rung's thresholds just before it checks them
-        table = real_lists(pairs, l_up)
-
-        def lookup(R, om):
-            rungs.append(R)
-            return table(R, om)
-
-        return lookup
+        table = real_lists(pairs, l_up).view(Table)
+        table.pairs = pairs
+        return table
 
     def spy(om, al, tau, thresholds, cfg):
         ok = real(om, al, tau, thresholds, cfg)
-        calls.append((om, al, rungs[-1], ok))
+        pairs, rows = made[-1]
+        (k,) = [k for k, row in enumerate(rows) if row is thresholds]
+        assert pairs[k][1] == om
+        calls.append((om, al, pairs[k][0], ok))
         return ok
 
     monkeypatch.setattr(two_stage, "tau_star_lists", lists)
     monkeypatch.setattr(two_stage, "check_star", spy)
     curve = two_stage_curve([0.1, 0.2, 0.3, 0.3, 0.4, 0.45], cfg)
+    assert len(made) == 1  # one table, built once
     assert sum(p.checks for p in curve) == len(calls)
     failed, dead = set(), set()
     for om, al, R, ok in calls:
@@ -757,12 +782,12 @@ def test_no_default_threshold_rises_with_the_rate():
     threshold table, no threshold rises from one ladder rate to the next,
     and the grade bounds tau_of_L(2..18) never rise and stay above 1/4."""
     pairs = _grid_pairs(DEFAULT_CONFIG)
-    table = rate_bounds.tau_star_lists(pairs, 17)
+    rows = rate_bounds.tau_star_lists(pairs, 17).tolist()
     compared = 0
-    for (R, om), (lower, om2) in zip(pairs, pairs[1:]):
+    for (R, om), (lower, om2), row, next_row in zip(pairs, pairs[1:], rows, rows[1:]):
         if om2 == om:  # the walk's order: rates descending per omega
             assert lower < R
-            assert all(a <= b for a, b in zip(table(R, om), table(lower, om)))
+            assert all(a <= b for a, b in zip(row, next_row))
             compared += 17
     assert compared == 13_702
     bounds = [tau_of_L(L) for L in range(2, 19)]
@@ -895,8 +920,8 @@ def _default_reference():
 
 
 def _lane_lists(pairs):
-    table = rate_bounds.tau_star_lists(pairs, 17)
-    return [[t.hex() for t in table(*pair)] for pair in pairs]
+    rows = rate_bounds.tau_star_lists(pairs, 17).tolist()
+    return [[t.hex() for t in row] for row in rows]
 
 
 def _reference_lists(pairs):
@@ -908,6 +933,28 @@ def test_grid_thresholds_equal_the_reference_bisection():
     pairs = _grid_pairs(DEFAULT_CONFIG)
     assert len(pairs) == 857
     assert _lane_lists(pairs) == _reference_lists(pairs)
+
+
+_PAIR = st.tuples(
+    st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairs=st.lists(_PAIR, min_size=1, max_size=6), l_up=st.integers(1, 17))
+@example(pairs=[(0.0, 0.3), (0.9, 0.05), (0.4, 1.0 / 9.0), (0.5, 1e-13)], l_up=17)
+def test_every_table_row_is_a_list_that_check_star_reads(pairs, l_up):
+    """Row k holds l_up thresholds of the k-th pair, none negative or NaN,
+    at R = 0 (the closed form) and past the kernel's ceiling (zeros) too;
+    so check_star refuses no row that the walk hands it."""
+    table = rate_bounds.tau_star_lists(pairs, l_up)
+    assert table.shape == (len(pairs), l_up)
+    cfg = TwoStageConfig(l_up=l_up)
+    for (R, omega), row in zip(pairs, table.tolist()):
+        assert len(row) == l_up and all(thr >= 0.0 for thr in row)
+        event("R = 0" if R == 0.0 else "no root" if row[0] == 0.0 else "root")
+        check_star(omega, 0.3, 0.1, row, cfg)
 
 
 def test_grid_thresholds_do_not_depend_on_the_lane_split_or_the_estimate(monkeypatch):
